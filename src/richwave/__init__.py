@@ -22,6 +22,7 @@ from .asymptotics import (
     tail_term,
     traveling_frame_position,
 )
+from .cheb import TabulationError
 from .fv import BlowUpError, ErrorTable, FvGrid, run, run_and_compare, step
 from .maps import InversionError, MonotoneMap
 from .plateau import (

@@ -46,11 +46,25 @@ class PiecewiseCheb:
         self.coefs = [np.asarray(c, dtype=float) for c in coefs]
         self.left_tail = (float(left_tail[0]), float(left_tail[1]))
         self.right_tail = (float(right_tail[0]), float(right_tail[1]))
+        # Coefficient table, one column per segment, zero-padded at the
+        # high-degree end: leading zeros pass through the Clenshaw recurrence
+        # exactly, so every column evaluates bit-for-bit like chebval on its
+        # own coefficients (only a top coefficient of -0.0, which no fit
+        # produces, could flip the sign of an exact-zero result).  At least
+        # two rows so the recurrence needs no special case for constant
+        # segments.
+        rows = max(2, max(len(c) for c in self.coefs))
+        self._table = np.zeros((rows, len(self.coefs)))
+        for k, c in enumerate(self.coefs):
+            self._table[: len(c), k] = c
+        b = self.breaks
+        self._sums = b[:-1] + b[1:]
+        self._widths = b[1:] - b[:-1]
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0
-        xv = np.atleast_1d(x).astype(float)
+        xv = np.atleast_1d(x)
         out = np.empty_like(xv)
         b = self.breaks
         left = xv < b[0]
@@ -64,14 +78,19 @@ class PiecewiseCheb:
         inner = ~(left | right)
         if inner.any():
             xi = xv[inner]
-            seg = np.clip(np.searchsorted(b, xi, side="right") - 1, 0, len(b) - 2)
-            res = np.empty_like(xi)
-            for k in np.unique(seg):
-                sel = seg == k
-                a, c = b[k], b[k + 1]
-                tt = (2.0 * xi[sel] - (a + c)) / (c - a)
-                res[sel] = _C.chebval(tt, self.coefs[k])
-            out[inner] = res
+            # Searching the interior breaks yields the segment index directly;
+            # a point on the last break stays in the last segment.
+            seg = np.searchsorted(b[1:-1], xi, side="right")
+            tt = (2.0 * xi - self._sums[seg]) / self._widths[seg]
+            # Clenshaw recurrence over all points at once, in chebval's
+            # operation order (Trefethen, ATAP ch. 3).
+            c = self._table[:, seg]
+            x2 = 2.0 * tt
+            c0 = c[-2]
+            c1 = c[-1]
+            for k in range(len(c) - 3, -1, -1):
+                c0, c1 = c[k] - c1, c0 + c1 * x2
+            out[inner] = c0 + c1 * tt
         return float(out[0]) if scalar else out
 
     def derivative(self):

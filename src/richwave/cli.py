@@ -369,7 +369,7 @@ def main(argv=None):
 
     try:
         cfg = load_config(args.config)
-    except (ConfigError, OSError, ValueError) as exc:
+    except (ConfigError, OSError, ValueError, TypeError) as exc:
         print("richwave: config error: %s" % exc, file=sys.stderr)
         return 2
     out = args.out if args.out is not None else cfg.output

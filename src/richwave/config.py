@@ -12,7 +12,8 @@ from importlib import resources
 import numpy as np
 
 from .profiles import PiecewiseProfile, read_profile
-from .systems import augmented_born_infeld, born_infeld
+from .solver import check_profile_admissible
+from .systems import AdmissibilityError, augmented_born_infeld, born_infeld
 
 
 class ConfigError(ValueError):
@@ -41,6 +42,20 @@ def _check_keys(block, allowed, where):
             "unknown key(s) %s in %s (allowed: %s)"
             % (sorted(unknown), where, sorted(allowed))
         )
+
+
+def _check_required(block, required, where):
+    missing = [k for k in required if k not in block]
+    if missing:
+        raise ConfigError("%s requires key(s) %s" % (where, missing))
+
+
+def _nonnegative_times(values, where):
+    times = [float(t) for t in values]
+    for t in times:
+        if not t >= 0.0:
+            raise ConfigError("%s must be >= 0, got %r" % (where, t))
+    return times
 
 
 @dataclass
@@ -128,6 +143,10 @@ def parse_config(raw, base_dir="."):
             "profile has %d components but model %s needs %d"
             % (profile.n, model_name, system.n)
         )
+    try:
+        check_profile_admissible(system, profile)
+    except AdmissibilityError as exc:
+        raise ConfigError("profile: %s" % exc) from exc
 
     cfg = ScenarioConfig(
         name=str(raw.get("name", "scenario")),
@@ -136,14 +155,20 @@ def parse_config(raw, base_dir="."):
     )
     if "grid" in raw:
         _check_keys(raw["grid"], _GRID_KEYS, "grid")
+        _check_required(raw["grid"], sorted(_GRID_KEYS), "grid")
         cfg.grid = {
             "x_min": float(raw["grid"]["x_min"]),
             "x_max": float(raw["grid"]["x_max"]),
             "points": int(raw["grid"]["points"]),
         }
+        if cfg.grid["points"] < 2:
+            raise ConfigError("grid.points must be >= 2")
+        if not cfg.grid["x_min"] < cfg.grid["x_max"]:
+            raise ConfigError("grid needs x_min < x_max")
     if "oracle" in raw:
         _check_keys(raw["oracle"], _ORACLE_KEYS, "oracle")
         blk = raw["oracle"]
+        _check_required(blk, ("t_final", "cells"), "oracle")
         cfg.oracle = {
             "t_final": float(blk["t_final"]),
             "cells": [int(c) for c in blk["cells"]],
@@ -154,6 +179,7 @@ def parse_config(raw, base_dir="."):
     if "perturbation" in raw:
         _check_keys(raw["perturbation"], _PERT_KEYS, "perturbation")
         blk = raw["perturbation"]
+        _check_required(blk, sorted(_PERT_KEYS), "perturbation")
         cfg.perturbation = {
             "component": int(blk["component"]),
             "center": float(blk["center"]),
@@ -165,13 +191,16 @@ def parse_config(raw, base_dir="."):
         cfg.quad_tol = float(blk.get("quadrature", cfg.quad_tol))
         cfg.inv_tol = float(blk.get("inversion", cfg.inv_tol))
         cfg.verify_tol = float(blk.get("verify", cfg.verify_tol))
-    cfg.times = [float(t) for t in raw.get("times", [])]
-    cfg.decay_times = [float(t) for t in raw.get("decay_times", [])]
+    cfg.times = _nonnegative_times(raw.get("times", []), "times")
+    cfg.decay_times = _nonnegative_times(raw.get("decay_times", []), "decay_times")
     cfg.amplitudes = [float(v) for v in raw.get("amplitudes", [])]
     for box in raw.get("boxes", []):
         if len(box) != 4:
             raise ConfigError("each box must be [t1, t2, A, B]")
-        cfg.boxes.append(tuple(float(v) for v in box))
+        t1, t2, lo, hi = (float(v) for v in box)
+        if not (0.0 <= t1 < t2 and lo < hi):
+            raise ConfigError("box %s needs 0 <= t1 < t2 and A < B" % (list(box),))
+        cfg.boxes.append((t1, t2, lo, hi))
     cfg.output = str(raw.get("output", cfg.output))
     cfg.shape_samples = int(raw.get("shape_samples", cfg.shape_samples))
     if "plateau_factors" in raw:

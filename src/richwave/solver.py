@@ -21,21 +21,29 @@ class UnsupportedModelError(TypeError):
     """The requested closed form needs a Born-Infeld-like system."""
 
 
-def solve(system, profile, quad_tol=1e-10, inv_tol=1e-12):
-    """Build the exact-solution evaluator for a system and initial profile.
+def check_profile_admissible(system, profile):
+    """Raise AdmissibilityError unless every interpolated state is admissible.
 
-    Every interpolated state of the profile must be admissible; the segment
-    interiors are sampled, which is exact for the affine admissibility
-    predicates of the catalog systems.  Construction also refuses data whose
-    per-component translations would mix into inadmissible states (for
-    Born-Infeld data: translated invariants closing the mu > lam gap), since
-    the coordinate map would stop being invertible at some later time.
+    The segment interiors are sampled, which is exact for the affine
+    admissibility predicates of the catalog systems.
     """
     xs = profile.breakpoints
     sample = np.unique(
         np.concatenate([np.linspace(xs[k], xs[k + 1], 9) for k in range(len(xs) - 1)])
     )
     system.check_admissible(profile(sample))
+
+
+def solve(system, profile, quad_tol=1e-10, inv_tol=1e-12):
+    """Build the exact-solution evaluator for a system and initial profile.
+
+    Every interpolated state of the profile must be admissible
+    (``check_profile_admissible``).  Construction also refuses data whose
+    per-component translations would mix into inadmissible states (for
+    Born-Infeld data: translated invariants closing the mu > lam gap), since
+    the coordinate map would stop being invertible at some later time.
+    """
+    check_profile_admissible(system, profile)
     return LagrangianSolution(system, profile, quad_tol, inv_tol)
 
 
@@ -150,15 +158,16 @@ class LagrangianSolution:
     def state_lagrangian(self, t, z):
         """Initial data translated in Lagrangian coordinates; shape (..., n).
 
-        Component i is w0_i(X0(z - speed_i * t)): pure translation.
+        Component i is w0_i(X0(z - speed_i * t)): pure translation.  All
+        components share one X0 evaluation on the stacked arguments.
         """
         z = np.asarray(z, dtype=float)
         t = np.asarray(t, dtype=float)
-        shape = np.broadcast_shapes(z.shape, t.shape)
-        out = np.empty(shape + (self.system.n,))
+        speeds = self.system.lagrangian_speeds
+        x0 = self._x0(z[..., None] - speeds * t[..., None])
+        out = np.empty(x0.shape)
         for i in range(self.system.n):
-            s = self.system.lagrangian_speeds[i]
-            out[..., i] = self.initial.component(i, self._x0(z - s * t))
+            out[..., i] = self.initial.component(i, x0[..., i])
         return out
 
     # -- Eulerian position map -------------------------------------------------

@@ -97,12 +97,6 @@ class RichSystem:
         ratio = self.flux(w) / self.density(w)
         return ratio[..., None] + self.lagrangian_speeds / self.density(w)[..., None]
 
-    def limit_speed(self, i, w_bar):
-        """Eigenvalue at a constant state; by linear degeneracy the slots
-        carried by component i's own family are irrelevant, so the state is
-        evaluated as given."""
-        return self.eigenvalue(i, w_bar)
-
 
 def born_infeld(a=1.0):
     """Reduced Born-Infeld system: w = (mu, lam), mu > lam.

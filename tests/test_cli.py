@@ -65,6 +65,54 @@ def test_missing_config_mentions_presets(capsys):
     assert "preset" in capsys.readouterr().err
 
 
+_BI_RAMP = {"breakpoints": [-1.0, 0.0, 1.0], "values": [[1, -1], [1.5, -1], [1, -1]]}
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        {"model": {"name": "bi"}, "profile": _BI_RAMP, "times": [1.0],
+         "grid": {"x_min": -2.0, "points": 5}},
+        {"model": {"name": "bi"}, "profile": _BI_RAMP, "times": [-1.0],
+         "grid": {"x_min": -2.0, "x_max": 2.0, "points": 5}},
+        {"model": {"name": "bi"},
+         "profile": {"breakpoints": [-1.0, 0.0, 1.0],
+                     "values": [[1, -1], [-2, 1], [1, -1]]},
+         "times": [1.0], "grid": {"x_min": -2.0, "x_max": 2.0, "points": 5}},
+        {"model": {"name": "bi"}, "profile": _BI_RAMP, "times": [1.0],
+         "grid": {"x_min": -2.0, "x_max": 2.0, "points": None}},
+    ],
+    ids=["grid-without-x_max", "negative-time", "inadmissible-profile", "null-points"],
+)
+def test_bad_config_exits_2_without_traceback(tmp_path, capsys, cfg):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    assert main(["solve", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "Traceback" not in err
+    assert not (out / "failures.json").exists()
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        {"grid": {"x_min": 1.0, "x_max": 1.0, "points": 5}},
+        {"grid": {"x_min": -1.0, "x_max": 1.0, "points": 1}},
+        {"decay_times": [0.0, -2.0]},
+        {"boxes": [[1.0, 1.0, -1.0, 1.0]]},
+        {"boxes": [[-1.0, 1.0, -1.0, 1.0]]},
+        {"boxes": [[0.0, 1.0, 1.0, -1.0]]},
+        {"oracle": {"cells": [100]}},
+        {"perturbation": {"component": 0, "center": 0.0}},
+    ],
+)
+def test_out_of_range_blocks_rejected(extra):
+    with pytest.raises(ConfigError):
+        parse_config(dict({"model": {"name": "bi"}, "profile": _BI_RAMP}, **extra))
+
+
 def test_solve_constant_rows_are_tail_state(tmp_path):
     out = str(tmp_path / "o")
     assert main(["solve", "--config", "constant", "--out", out]) == 0

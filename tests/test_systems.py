@@ -43,10 +43,10 @@ def test_abi_middle_eigenvalue_ignores_passive_component():
 
 def test_limit_speed_examples():
     bi = born_infeld(1.0)
-    assert bi.limit_speed(0, np.array([1.0, -1.0])) == -1.0
-    assert bi.limit_speed(1, np.array([2.0, 0.0])) == pytest.approx(2.0, abs=1e-14)
+    assert bi.eigenvalue(0, np.array([1.0, -1.0])) == -1.0
+    assert bi.eigenvalue(1, np.array([2.0, 0.0])) == pytest.approx(2.0, abs=1e-14)
     abi = augmented_born_infeld(1.0)
-    assert abi.limit_speed(1, np.array([2.0, 7.0, 0.0])) == pytest.approx(1.0, abs=1e-14)
+    assert abi.eigenvalue(1, np.array([2.0, 7.0, 0.0])) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_inadmissible_state_raises_with_predicate():
