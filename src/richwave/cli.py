@@ -3,8 +3,10 @@
     richwave <solve|plateau|asymptotics|stability|oracle|validate>
              --config <path-or-preset> [--out <dir>] [--tol <float>]
 
-Exit code 0 iff every verification passed and no errors occurred; otherwise
-nonzero, with the machine-readable failure list in ``failures.json``.
+Exit code 0 iff every verification passed and no errors occurred; 2 for
+config or IO errors; otherwise 1, with the machine-readable failure list in
+``failures.json`` (failed verifications and numerical failures, which name
+where they happened).
 """
 
 import argparse
@@ -16,6 +18,7 @@ import numpy as np
 
 from . import asymptotics as asy
 from . import fv
+from .cheb import TabulationError
 from .config import ConfigError, load_config, preset_names
 from .maps import InversionError
 from .plateau import verify_pattern, wave_pattern
@@ -382,6 +385,8 @@ def main(argv=None):
     except (ConfigError, OSError) as exc:
         print("richwave: %s" % exc, file=sys.stderr)
         return 2
+    except (InversionError, QuadratureError, TabulationError) as exc:
+        failures.append("%s: %s: %s" % (args.command, type(exc).__name__, exc))
     if failures:
         payload = {"command": args.command, "failures": failures}
         with open(os.path.join(out, "failures.json"), "w") as fh:

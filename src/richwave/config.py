@@ -12,7 +12,7 @@ from importlib import resources
 import numpy as np
 
 from .profiles import PiecewiseProfile, read_profile
-from .solver import check_profile_admissible
+from .solver import check_profile_admissible, check_translated_gap
 from .systems import AdmissibilityError, augmented_born_infeld, born_infeld
 
 
@@ -145,6 +145,7 @@ def parse_config(raw, base_dir="."):
         )
     try:
         check_profile_admissible(system, profile)
+        check_translated_gap(system, profile)
     except AdmissibilityError as exc:
         raise ConfigError("profile: %s" % exc) from exc
 

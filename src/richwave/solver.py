@@ -3,18 +3,24 @@
 The initial coordinate Z0(x) = int_0^x N(w0) and its inverse X0 are
 tabulated once per solution; every family then translates at its constant
 Lagrangian speed, and the Eulerian position map X(t, .) is recovered either
-by a time quadrature of M/N (any system) or, for Born-Infeld-like systems,
-by the closed form built from running primitives of the two extreme
-invariants.  Solution values at (t, x) follow by inverting X(t, .).
+by a time quadrature of M/N (any system; all points of a call share one
+adaptive pass) or, for Born-Infeld-like systems, by the closed form built
+from running primitives of the two extreme invariants.  Solution values at
+(t, x) follow by inverting X(t, .).
 """
 
 import numpy as np
 
 from .cheb import fit_piecewise
 from .maps import InversionError, MonotoneMap
-from .quadrature import integrate
+from .quadrature import QuadratureError, integrate, integrate_many
+from .systems import AdmissibilityError
 
 MAX_NEWTON_ITERS = 200
+# Points per shared position-quadrature pass: bounds the panel arrays of one
+# pass (a box's kink search asks for ~1000 points at once) at no cost in
+# calls per point.
+_POINTS_PER_PASS = 128
 
 
 class UnsupportedModelError(TypeError):
@@ -32,6 +38,31 @@ def check_profile_admissible(system, profile):
         np.concatenate([np.linspace(xs[k], xs[k + 1], 9) for k in range(len(xs) - 1)])
     )
     system.check_admissible(profile(sample))
+
+
+def check_translated_gap(system, profile):
+    """(min, max) of mu - lam over the Born-Infeld states translation can mix.
+
+    Realized pairs put the mu argument at or ahead of the lam argument in
+    the Lagrangian coordinate, so the minimal gap is min over u of
+    mu(u) - max_{v <= u} lam(v); piecewise linearity puts the extrema at
+    breakpoints.  Raises AdmissibilityError if the translated invariants
+    close the mu > lam gap (the coordinate map would degenerate along the
+    evolution).  Returns None for systems without Born-Infeld structure.
+    """
+    st = system.bi_structure
+    if st is None:
+        return None
+    mu = profile.values[:, st.mu]
+    lam = profile.values[:, st.lam]
+    runmax = np.maximum.accumulate(lam)
+    min_gap = min(float(np.min(mu - runmax)), float(mu[-1] - lam.max()))
+    if min_gap <= 0.0:
+        raise AdmissibilityError(
+            "translated invariants close the mu > lam gap along the "
+            "evolution; the coordinate map would degenerate"
+        )
+    return min_gap, float(mu.max() - lam.min())
 
 
 def solve(system, profile, quad_tol=1e-10, inv_tol=1e-12):
@@ -109,23 +140,10 @@ class LagrangianSolution:
             ).antiderivative(anchor=0.0, value=0.0)
 
     def _mixed_density_range(self, profile):
-        st = self.system.bi_structure
-        if st is not None:
-            # Realized pairs put the mu argument at or ahead of the lam
-            # argument in the Lagrangian coordinate, so the minimal gap is
-            # min over u of mu(u) - max_{v <= u} lam(v); piecewise linearity
-            # puts the extrema at breakpoints.
-            mu = profile.values[:, st.mu]
-            lam = profile.values[:, st.lam]
-            runmax = np.maximum.accumulate(lam)
-            min_gap = min(float(np.min(mu - runmax)), float(mu[-1] - lam.max()))
-            if min_gap <= 0.0:
-                raise ValueError(
-                    "translated invariants close the mu > lam gap along the "
-                    "evolution; the coordinate map would degenerate"
-                )
-            max_gap = float(mu.max() - lam.min())
-            a = st.a
+        gaps = check_translated_gap(self.system, profile)
+        if gaps is not None:
+            min_gap, max_gap = gaps
+            a = self.system.bi_structure.a
             return (2.0 * a / max_gap) * 0.99, (2.0 * a / min_gap) * 1.01
         axes = []
         for i in range(self.system.n):
@@ -175,28 +193,52 @@ class LagrangianSolution:
     def position_quadrature(self, t, z):
         """X(t, z) by the generic time quadrature of M/N along the fiber.
 
-        The integrand is piecewise smooth between the crossing times
-        (z - zeta_k) / speed of the breakpoint images, which are injected as
-        quadrature kinks.
+        ``X(t, z) = X0(z) + int_0^t (M/N)(w(tau, z)) dtau`` for broadcastable
+        ``t`` and ``z``; scalar input returns a float.  The integrand is
+        piecewise smooth between the crossing times (z - zeta_k) / speed of
+        the breakpoint images, which are injected as quadrature kinks.  All
+        points with ``t > 0`` share one adaptive pass per block of
+        ``_POINTS_PER_PASS`` points; points with ``t == 0`` return X0(z)
+        exactly.  A :class:`QuadratureError` names the failing point's
+        (t, z) and its tau interval.
         """
-        t = float(t)
-        z = float(z)
-        if t < 0:
+        t = np.asarray(t, dtype=float)
+        z = np.asarray(z, dtype=float)
+        if np.any(t < 0):
             raise ValueError("t must be nonnegative")
-        base = float(self._x0(z))
-        if t == 0.0:
-            return base
-        kinks = []
-        for fam in self.system.families:
-            if fam.speed != 0.0:
-                taus = (z - self.zeta) / fam.speed
-                kinks.extend(taus[(taus > 0.0) & (taus < t)])
+        tb, zb = np.broadcast_arrays(t, z)
+        tf = tb.reshape(-1)
+        zf = zb.reshape(-1)
+        out = np.array(self._x0(zf), dtype=float)
+        speeds = np.array([f.speed for f in self.system.families if f.speed != 0.0])
 
-        def ratio(tau):
-            w = self.state_lagrangian(tau, z)
+        def ratio(tau, zs):
+            w = self.state_lagrangian(tau, zs)
             return self.system.flux(w) / self.system.density(w)
 
-        return base + integrate(ratio, 0.0, t, kinks=kinks, tol=self.quad_tol)
+        moving = np.nonzero(tf > 0.0)[0]
+        for start in range(0, len(moving), _POINTS_PER_PASS):
+            idx = moving[start:start + _POINTS_PER_PASS]
+            tc, zc = tf[idx], zf[idx]
+            kinks = (zc[:, None, None] - self.zeta) / speeds[:, None]
+            try:
+                out[idx] += integrate_many(
+                    lambda tau, owner: ratio(tau, zc[owner]),
+                    np.zeros(len(idx)),
+                    tc,
+                    kinks.reshape(len(idx), -1),
+                    tol=self.quad_tol,
+                )
+            except QuadratureError as exc:
+                k = exc.owner
+                raise QuadratureError(
+                    "X(t=%.17g, z=%.17g): %s" % (tc[k], zc[k], exc),
+                    interval=exc.interval,
+                    owner=(float(tc[k]), float(zc[k])),
+                ) from exc
+        if tb.ndim == 0:
+            return float(out[0])
+        return out.reshape(tb.shape)
 
     def position_closed_form(self, t, z):
         """X(t, z) for Born-Infeld-like systems from the two running primitives."""
@@ -217,15 +259,7 @@ class LagrangianSolution:
         """
         if self._bi is not None:
             return self.position_closed_form(t, z)
-        t = np.asarray(t, dtype=float)
-        z = np.asarray(z, dtype=float)
-        if t.ndim == 0 and z.ndim == 0:
-            return self.position_quadrature(float(t), float(z))
-        tb, zb = np.broadcast_arrays(t, z)
-        out = np.empty(tb.shape)
-        for idx in np.ndindex(tb.shape):
-            out[idx] = self.position_quadrature(float(tb[idx]), float(zb[idx]))
-        return out
+        return self.position_quadrature(t, z)
 
     def lagrangian_coordinate(self, t, x):
         """Z(t, x) = X(t, .)^{-1}(x): bracket from the mixed density bounds,

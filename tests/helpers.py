@@ -2,12 +2,13 @@
 
 The oracles here deliberately avoid the package's fast paths: the crossing
 oracle integrates the boundary characteristics as Eulerian ODEs with RK4,
-and the Riemann-sum oracle is brute-force midpoint summation.
+the Riemann-sum oracle is brute-force midpoint summation, and the per-point
+position quadrature integrates one (t, z) at a time.
 """
 
 import numpy as np
 
-from richwave import Family, PiecewiseProfile, RichSystem
+from richwave import Family, PiecewiseProfile, RichSystem, integrate
 
 
 def bi_tworamp_profile():
@@ -199,6 +200,30 @@ def three_speed_profile():
         ]
     )
     return PiecewiseProfile(x, vals)
+
+
+def position_quadrature_reference(sol, t, z):
+    """X(t, z) for one point: crossing-time kink list plus one ``integrate``.
+
+    The per-point form of ``LagrangianSolution.position_quadrature``, kept
+    as the reference for its shared multi-point pass.
+    """
+    t = float(t)
+    z = float(z)
+    base = float(sol.initial_position(z))
+    if t == 0.0:
+        return base
+    kinks = []
+    for fam in sol.system.families:
+        if fam.speed != 0.0:
+            taus = (z - sol.zeta) / fam.speed
+            kinks.extend(taus[(taus > 0.0) & (taus < t)])
+
+    def ratio(tau):
+        w = sol.state_lagrangian(tau, z)
+        return sol.system.flux(w) / sol.system.density(w)
+
+    return base + integrate(ratio, 0.0, t, kinks=kinks, tol=sol.quad_tol)
 
 
 def random_bi_states(rng, count, a=1.0):

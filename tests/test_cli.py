@@ -4,8 +4,12 @@ import os
 import numpy as np
 import pytest
 
+from richwave import cli
+from richwave.cheb import TabulationError
 from richwave.cli import main
 from richwave.config import ConfigError, load_config, parse_config, preset_names
+from richwave.maps import InversionError
+from richwave.quadrature import QuadratureError
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "bi-two-ramp")
 
@@ -81,8 +85,15 @@ _BI_RAMP = {"breakpoints": [-1.0, 0.0, 1.0], "values": [[1, -1], [1.5, -1], [1, 
          "times": [1.0], "grid": {"x_min": -2.0, "x_max": 2.0, "points": 5}},
         {"model": {"name": "bi"}, "profile": _BI_RAMP, "times": [1.0],
          "grid": {"x_min": -2.0, "x_max": 2.0, "points": None}},
+        # admissible at t = 0, but translation brings mu = 0.4 next to
+        # lam = 0.5: the gap closes along the evolution
+        {"model": {"name": "bi"},
+         "profile": {"breakpoints": [-1.0, 0.0, 1.0],
+                     "values": [[1, -1], [1, 0.5], [0.4, -1]]},
+         "times": [1.0], "grid": {"x_min": -2.0, "x_max": 2.0, "points": 5}},
     ],
-    ids=["grid-without-x_max", "negative-time", "inadmissible-profile", "null-points"],
+    ids=["grid-without-x_max", "negative-time", "inadmissible-profile", "null-points",
+         "bi-gap-closes"],
 )
 def test_bad_config_exits_2_without_traceback(tmp_path, capsys, cfg):
     path = tmp_path / "bad.json"
@@ -111,6 +122,29 @@ def test_bad_config_exits_2_without_traceback(tmp_path, capsys, cfg):
 def test_out_of_range_blocks_rejected(extra):
     with pytest.raises(ConfigError):
         parse_config(dict({"model": {"name": "bi"}, "profile": _BI_RAMP}, **extra))
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        InversionError("Z(t,.) inversion stalled"),
+        QuadratureError("X(t=1, z=0.5): depth exceeded", interval=(0.25, 0.5)),
+        TabulationError("segment did not converge"),
+    ],
+    ids=lambda e: type(e).__name__,
+)
+def test_numerical_failure_reported_in_failures_json(tmp_path, capsys, monkeypatch,
+                                                     error):
+    def failing_solve(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "solve", failing_solve)
+    out = tmp_path / "o"
+    assert main(["solve", "--config", "constant", "--out", str(out)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    payload = json.loads((out / "failures.json").read_text())
+    assert payload["command"] == "solve"
+    assert payload["failures"] == ["solve: %s: %s" % (type(error).__name__, error)]
 
 
 def test_solve_constant_rows_are_tail_state(tmp_path):

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from richwave import QuadratureError, integrate
-from richwave.quadrature import refine_sign_changes
+from richwave import QuadratureError, integrate, quadrature
+from richwave.quadrature import integrate_many, refine_sign_changes
 
 
 def test_constant_integrand():
@@ -59,6 +59,48 @@ def test_depth_limit_raises_with_interval():
         integrate(lambda x: np.sign(x - 1.0 / 3.0), 0.0, 1.0, tol=1e-6)
     lo, hi = info.value.interval
     assert lo < 1.0 / 3.0 < hi
+    # in a shared pass the failing integral is named as well
+    with pytest.raises(QuadratureError) as info:
+        integrate_many(
+            lambda x, owner: np.sign(x - 1.0 / 3.0) * owner, [0.0, 0.0], [1.0, 1.0],
+            tol=1e-6,
+        )
+    assert info.value.owner == 1
+    lo, hi = info.value.interval
+    assert lo < 1.0 / 3.0 < hi
+
+
+def test_scalar_returning_integrand_broadcasts():
+    assert integrate(lambda x: 2.0, -1.0, 0.5) == pytest.approx(3.0, abs=1e-14)
+    got = integrate_many(lambda x, owner: 2.0, [0.0, 1.0], [1.0, -1.0])
+    assert np.allclose(got, [2.0, -4.0], atol=1e-14)
+
+
+def test_many_integrals_in_one_pass_match_separate_calls():
+    # per-owner integrands, kinks and reversed / empty intervals in one pass
+    rng = np.random.default_rng(3)
+    a = rng.uniform(-2.0, 0.0, size=12)
+    b = rng.uniform(0.0, 3.0, size=12)
+    a[3], b[3] = b[3], a[3]
+    b[7] = a[7]
+    shift = rng.uniform(-1.0, 1.0, size=12)
+    kinks = np.column_stack([shift, np.full(12, np.nan), shift + 0.5])
+    calls = []
+
+    def f(x, owner):
+        calls.append(len(x))
+        return np.abs(x - shift[owner]) * np.cos(x + owner)
+
+    got = integrate_many(f, a, b, kinks, tol=1e-11)
+    for p in range(12):
+        want = integrate(
+            lambda x, p=p: np.abs(x - shift[p]) * np.cos(x + p),
+            a[p], b[p], kinks=[shift[p], shift[p] + 0.5], tol=1e-11,
+        )
+        assert got[p] == want
+    assert got[7] == 0.0
+    # one call for the start and one per refinement level
+    assert len(calls) <= quadrature.MAX_DEPTH + 2
 
 
 def test_refine_sign_changes_locates_roots():

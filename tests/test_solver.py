@@ -6,16 +6,19 @@ import pytest
 from helpers import (
     bi_simple_wave_profile,
     bi_tworamp_profile,
+    position_quadrature_reference,
     three_speed_profile,
     three_speed_system,
 )
 from richwave import (
     AdmissibilityError,
     PiecewiseProfile,
+    QuadratureError,
     UnsupportedModelError,
     born_infeld,
     solve,
 )
+from richwave import quadrature
 
 
 @pytest.fixture(scope="module")
@@ -35,6 +38,11 @@ def ramp_sol(bi):
 @pytest.fixture(scope="module")
 def tworamp_sol(bi):
     return solve(bi, bi_tworamp_profile())
+
+
+@pytest.fixture(scope="module")
+def three_sol():
+    return solve(three_speed_system(), three_speed_profile())
 
 
 def test_constant_symmetric_coordinates(bi):
@@ -247,11 +255,55 @@ def test_simple_wave_entropy_residuals(bi):
         assert sol.entropy_residual(i, (0.2, 1.8, -3.0, 2.0)) < 1e-8
 
 
-def test_generic_system_round_trip():
-    sol = solve(three_speed_system(), three_speed_profile())
+def test_generic_system_round_trip(three_sol):
     for t, z in ((0.0, 0.3), (0.7, -1.1), (1.5, 2.0)):
-        x = sol.position(t, z)
-        assert sol.lagrangian_coordinate(t, x) == pytest.approx(z, abs=1e-9)
+        x = three_sol.position(t, z)
+        assert three_sol.lagrangian_coordinate(t, x) == pytest.approx(z, abs=1e-9)
+
+
+def test_shared_position_pass_matches_per_point_reference(three_sol):
+    # more points than one shared pass takes, so blocks are joined too
+    rng = np.random.default_rng(41)
+    ts = rng.uniform(0.0, 6.0, size=300)
+    zs = rng.uniform(-6.0, 8.0, size=300)
+    ts[::17] = 0.0
+    got = three_sol.position_quadrature(ts, zs)
+    want = np.array(
+        [position_quadrature_reference(three_sol, t, z) for t, z in zip(ts, zs)]
+    )
+    assert np.max(np.abs(got - want)) <= 1e-13
+    zero = ts == 0.0
+    assert np.array_equal(got[zero], three_sol.initial_position(zs[zero]))
+    assert np.array_equal(three_sol.position(ts, zs), got)
+
+
+def test_position_quadrature_shapes(three_sol):
+    x = three_sol.position_quadrature(0.8, 0.3)
+    assert type(x) is float
+    assert x == position_quadrature_reference(three_sol, 0.8, 0.3)
+    ts = np.array([[0.0], [0.5], [2.0]])
+    zs = np.array([[-1.0, 0.0, 0.4, 3.0]])
+    grid = three_sol.position_quadrature(ts, zs)
+    assert grid.shape == (3, 4)
+    for i in range(3):
+        for j in range(4):
+            assert grid[i, j] == three_sol.position_quadrature(ts[i, 0], zs[0, j])
+    with pytest.raises(ValueError):
+        three_sol.position_quadrature(np.array([1.0, -1e-3, 2.0]), 0.0)
+    with pytest.raises(ValueError):
+        three_sol.position(np.array([[1.0], [-2.0]]), zs)
+
+
+def test_shared_pass_failure_names_point(three_sol, monkeypatch):
+    # the smooth integrand meets a 1e-16 budget only after many bisections
+    monkeypatch.setattr(quadrature, "MAX_DEPTH", 2)
+    monkeypatch.setattr(three_sol, "quad_tol", 1e-16)
+    with pytest.raises(QuadratureError) as info:
+        three_sol.position_quadrature(np.array([0.0, 1.5]), np.array([0.2, -0.4]))
+    assert info.value.owner == (1.5, -0.4)
+    assert "t=1.5" in str(info.value) and "z=-0.4" in str(info.value)
+    lo, hi = info.value.interval
+    assert 0.0 <= lo < hi <= 1.5
 
 
 def test_inadmissible_profile_rejected(bi):
