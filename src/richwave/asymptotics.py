@@ -15,7 +15,7 @@ import numpy as np
 
 from .cheb import fit_piecewise
 from .maps import MonotoneMap
-from .quadrature import integrate, refine_sign_changes
+from .quadrature import integrate, integrate_abs
 from .solver import UnsupportedModelError
 
 # Constituent quadratures run well below the shape tabulation tolerance so
@@ -503,17 +503,7 @@ def decay_curve(sol, shape, times, margin=1.0):
             v + speed * t
             for v in np.asarray(shape.forward(prof.breakpoints), dtype=float)
         ]
-        kinks = sorted(k for k in set(kinks) if lo < k < hi)
-        roots = refine_sign_changes(diff, [lo] + kinks + [hi])
-        dists.append(
-            integrate(
-                lambda xv: np.abs(diff(xv)),
-                lo,
-                hi,
-                kinks=kinks + roots,
-                tol=sol.quad_tol,
-            )
-        )
+        dists.append(integrate_abs(diff, lo, hi, kinks, tol=sol.quad_tol))
     return DecayReport(
         component=i, route=shape.route, times=tuple(times), distances=tuple(dists)
     )

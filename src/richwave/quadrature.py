@@ -4,11 +4,13 @@ Every integral in the package funnels through :func:`integrate_many`, which
 integrates a batch of integrals ``[a_p, b_p]`` in one adaptive pass: the
 panels of all integrals refine together, one integrand call per level, and
 each panel's result is credited to the integral that owns it.
-:func:`integrate` is the one-integral call.  Integrands are piecewise smooth
-with kink locations known to the caller (profile breakpoints and their
-coordinate images), so each interval is split there first and every panel
-converges at Simpson's full order (the vectorised form of the adaptive
-scheme of Gander & Gautschi, BIT 40 (2000)).
+:func:`integrate` is the one-integral call.  Integrands may be vector-valued,
+returning one row of m components per point: a panel is accepted only when
+every component meets its budget, and totals are kept per component.
+Integrands are piecewise smooth with kink locations known to the caller
+(profile breakpoints and their coordinate images), so each interval is split
+there first and every panel converges at Simpson's full order (the
+vectorised form of the adaptive scheme of Gander & Gautschi, BIT 40 (2000)).
 """
 
 import numpy as np
@@ -34,7 +36,7 @@ class QuadratureError(RuntimeError):
 def _feval(f, *args):
     x = args[0]
     out = np.asarray(f(*args), dtype=float)
-    if out.shape != x.shape:
+    if out.shape[:1] != x.shape:
         out = np.broadcast_to(out, x.shape)
     return out
 
@@ -68,13 +70,16 @@ def integrate_many(f, a, b, kinks=None, tol=1e-10):
     """Integrals of ``f`` over ``[a_p, b_p]`` for every ``p``, in one pass.
 
     ``f(x, owner)`` is called with 1-D arrays of points and of the index
-    ``p`` of the integral each point belongs to, and must return values of
-    the same shape (scalars broadcast).  ``kinks`` is an optional
-    ``(len(a), K)`` array (NaN-padded) of points where integral ``p``'s
-    integrand loses smoothness; those inside ``(a_p, b_p)`` become panel
-    boundaries.  Integral ``p`` meets the absolute accuracy ``tol``: each of
-    its panels gets the budget ``tol * (hi - lo) / |b_p - a_p|``.  ``a_p ==
-    b_p`` gives 0 and ``a_p > b_p`` flips the sign.
+    ``p`` of the integral each point belongs to, and returns either values
+    of the same shape (scalars broadcast) or a ``(points, m)`` array of m
+    components.  ``kinks`` is an optional ``(len(a), K)`` array (NaN-padded)
+    of points where integral ``p``'s integrand loses smoothness; those inside
+    ``(a_p, b_p)`` become panel boundaries.  Every component of integral
+    ``p`` meets the absolute accuracy ``tol``: each of its panels gets the
+    budget ``tol * (hi - lo) / |b_p - a_p|`` per component.  ``a_p == b_p``
+    gives 0 and ``a_p > b_p`` flips the sign.  Returns shape ``(len(a),)``
+    for scalar integrands and ``(len(a), m)`` for vector ones; when every
+    interval is empty ``f`` is never called and the zeros are ``(len(a),)``.
 
     Raises :class:`QuadratureError` if any panel still fails its error budget
     after ``MAX_DEPTH`` bisection levels.
@@ -86,18 +91,22 @@ def integrate_many(f, a, b, kinks=None, tol=1e-10):
     if kinks is None:
         kinks = np.empty((len(a), 0))
     kinks = np.asarray(kinks, dtype=float).reshape(len(a), -1)
-    total = np.zeros(len(a))
     full = a < b
     lo, hi, own = _panels(a[full], b[full], kinks[full])
     own = np.nonzero(full)[0][own]
     if len(lo) == 0:
-        return total
+        return np.zeros(len(a))
 
     mid = 0.5 * (lo + hi)
     n = len(lo)
     fvals = _feval(f, np.concatenate([lo, mid, hi]), np.tile(own, 3))
+    vector = fvals.ndim == 2
+    # Values are kept as (panels, m) columns; a scalar integrand is m = 1.
+    fvals = fvals.reshape(3 * n, -1)
+    m = fvals.shape[1]
+    total = np.zeros(len(a) * m)
     flo, fmid, fhi = fvals[:n], fvals[n:2 * n], fvals[2 * n:]
-    simp = (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
+    simp = ((hi - lo) / 6.0)[:, None] * (flo + 4.0 * fmid + fhi)
     budget = tol * (hi - lo) / (b - a)[own]
 
     for depth in range(MAX_DEPTH + 1):
@@ -105,22 +114,29 @@ def integrate_many(f, a, b, kinks=None, tol=1e-10):
         m1 = 0.5 * (lo + mid)
         m2 = 0.5 * (mid + hi)
         fm = _feval(f, np.concatenate([m1, m2]), np.concatenate([own, own]))
+        fm = fm.reshape(2 * n, m)
         fm1, fm2 = fm[:n], fm[n:]
-        left = (mid - lo) / 6.0 * (flo + 4.0 * fm1 + fmid)
-        right = (hi - mid) / 6.0 * (fmid + 4.0 * fm2 + fhi)
+        left = ((mid - lo) / 6.0)[:, None] * (flo + 4.0 * fm1 + fmid)
+        right = ((hi - mid) / 6.0)[:, None] * (fmid + 4.0 * fm2 + fhi)
         err = left + right - simp
-        done = np.abs(err) <= 15.0 * budget
-        # Richardson-corrected value on accepted panels.
+        done = np.all(np.abs(err) <= 15.0 * budget[:, None], axis=1)
+        # Richardson-corrected value on accepted panels, summed per
+        # (owner, component) in panel order.
+        slot = own[done, None] * m + np.arange(m)
         total += np.bincount(
-            own[done], weights=(left + right + err / 15.0)[done], minlength=len(a)
+            slot.reshape(-1),
+            weights=(left + right + err / 15.0)[done].reshape(-1),
+            minlength=len(total),
         )
         if done.all():
-            return sign * total
+            total = sign[:, None] * total.reshape(len(a), m)
+            return total if vector else total[:, 0]
         if depth == MAX_DEPTH:
-            worst = int(np.argmax(np.where(done, -np.inf, np.abs(err))))
+            worst_err = np.max(np.abs(err), axis=1)
+            worst = int(np.argmax(np.where(done, -np.inf, worst_err)))
             raise QuadratureError(
                 "adaptive Simpson: depth %d exceeded with panel error %.3e on "
-                "[%.17g, %.17g]" % (MAX_DEPTH, abs(err[worst]), lo[worst], hi[worst]),
+                "[%.17g, %.17g]" % (MAX_DEPTH, worst_err[worst], lo[worst], hi[worst]),
                 interval=(float(lo[worst]), float(hi[worst])),
                 owner=int(own[worst]),
             )
@@ -142,16 +158,54 @@ def integrate_many(f, a, b, kinks=None, tol=1e-10):
 def integrate(f, a, b, kinks=(), tol=1e-10):
     """Integral of ``f`` over ``[a, b]`` to absolute accuracy ``tol``.
 
-    ``f`` is called with 1-D numpy arrays of points and must return values of
-    the same shape (scalars broadcast).  ``kinks`` lists points where ``f``
-    loses smoothness; those inside ``(a, b)`` become panel boundaries.
-    ``a > b`` integrates with the usual sign flip.
+    ``f`` is called with 1-D numpy arrays of points and returns values of
+    the same shape (scalars broadcast), giving a float, or a ``(points, m)``
+    array, giving a length-m array with every component to ``tol``.
+    ``kinks`` lists points where ``f`` loses smoothness; those inside
+    ``(a, b)`` become panel boundaries.  ``a > b`` integrates with the usual
+    sign flip; ``a == b`` gives 0.0.
 
     Raises :class:`QuadratureError` if any panel still fails its error budget
     after ``MAX_DEPTH`` bisection levels.
     """
     kinks = np.asarray([float(k) for k in kinks], dtype=float)[None, :]
-    return float(integrate_many(lambda x, owner: f(x), [a], [b], kinks, tol)[0])
+    out = integrate_many(lambda x, owner: f(x), [a], [b], kinks, tol)[0]
+    return float(out) if out.ndim == 0 else out
+
+
+def integrate_abs(f, lo, hi, kinks, tol):
+    """L1 norm ``int_lo^hi |f|`` of a piecewise-smooth ``f`` to accuracy ``tol``.
+
+    ``kinks`` (any order, duplicates allowed) are where ``f`` loses
+    smoothness; those strictly inside ``(lo, hi)``, together with the sign
+    changes of ``f`` that :func:`refine_sign_changes` finds between them,
+    become panel boundaries, so ``|f|`` is smooth on every panel.
+    """
+    kinks = sorted(k for k in set(kinks) if lo < k < hi)
+    roots = refine_sign_changes(f, [lo] + kinks + [hi])
+    return integrate(lambda x: np.abs(f(x)), lo, hi, kinks=kinks + roots, tol=tol)
+
+
+def bisect_brackets(f, lo, hi, vlo, iters):
+    """Midpoints of the brackets ``[lo_k, hi_k]`` after ``iters`` bisections.
+
+    ``lo``, ``hi`` and ``vlo`` are float arrays; ``vlo`` holds the nonzero
+    values ``f(lo)``, of the opposite sign to ``f(hi)``.  All brackets
+    bisect together, one vectorized ``f`` call per step.  The loop stops
+    early once every bracket's midpoint equals one of its ends: from then on
+    each step leaves the bracket unchanged or collapses it onto that end, so
+    the returned midpoints are those of the full ``iters`` steps.
+    """
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        if np.all((mid == lo) | (mid == hi)):
+            break
+        vm = _feval(f, mid)
+        left = vlo * vm <= 0.0
+        hi = np.where(left, mid, hi)
+        vlo = np.where(left, vlo, vm)
+        lo = np.where(left, lo, mid)
+    return 0.5 * (lo + hi)
 
 
 def refine_sign_changes(f, edges, samples=9, iters=52):
@@ -161,7 +215,7 @@ def refine_sign_changes(f, edges, samples=9, iters=52):
     kinks so that ``integrate`` sees a smooth ``|f|`` on every panel.  Only
     sign changes visible at ``samples`` probe points per panel are found,
     which is all the piecewise-monotone integrands here need.  All detected
-    brackets bisect together, one vectorized ``f`` call per iteration.
+    brackets bisect together (:func:`bisect_brackets`).
     """
     edges = np.asarray(edges, dtype=float)
     if len(edges) < 2:
@@ -175,14 +229,4 @@ def refine_sign_changes(f, edges, samples=9, iters=52):
     flip = np.nonzero((sgn[:-1] * sgn[1:] < 0) & (np.diff(xs) > 0))[0]
     if flip.size == 0:
         return []
-    lo = xs[flip].copy()
-    hi = xs[flip + 1].copy()
-    vlo = vals[flip].copy()
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        vm = _feval(f, mid)
-        left = vlo * vm <= 0.0
-        hi = np.where(left, mid, hi)
-        vlo = np.where(left, vlo, vm)
-        lo = np.where(left, lo, mid)
-    return list(0.5 * (lo + hi))
+    return list(bisect_brackets(f, xs[flip], xs[flip + 1], vals[flip], iters))

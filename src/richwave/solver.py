@@ -13,7 +13,7 @@ import numpy as np
 
 from .cheb import fit_piecewise
 from .maps import InversionError, MonotoneMap
-from .quadrature import QuadratureError, integrate, integrate_many
+from .quadrature import QuadratureError, bisect_brackets, integrate, integrate_many
 from .systems import AdmissibilityError
 
 MAX_NEWTON_ITERS = 200
@@ -263,7 +263,10 @@ class LagrangianSolution:
 
     def lagrangian_coordinate(self, t, x):
         """Z(t, x) = X(t, .)^{-1}(x): bracket from the mixed density bounds,
-        expand until the root is sign-enclosed, then safeguarded Newton."""
+        expand until the root is sign-enclosed, then safeguarded Newton.
+
+        An :class:`InversionError` names the worst point's (t, x).
+        """
         t = np.asarray(t, dtype=float)
         x = np.asarray(x, dtype=float)
         if np.any(t < 0):
@@ -300,7 +303,12 @@ class LagrangianSolution:
                 )
             width *= 2.0
         else:
-            raise InversionError("could not sign-enclose Z(t,.) inversion")
+            miss = np.maximum(r_lo, 0.0) + np.maximum(-r_hi, 0.0)
+            k = int(np.argmax(miss))
+            raise InversionError(
+                "Z(t=%.17g, x=%.17g): could not sign-enclose Z(t,.) inversion "
+                "(bracket misses by %.3e)" % (tb[k], xb[k], miss[k])
+            )
 
         z = np.clip(d * 0.5 * (self.mix_n_min + self.mix_n_max), lo, hi)
         done = np.zeros(z.shape, dtype=bool)
@@ -326,9 +334,10 @@ class LagrangianSolution:
             cand[outside] = 0.5 * (lo[act] + hi[act])[outside]
             z[act] = cand
         else:
+            k = int(np.argmax(np.where(done, -np.inf, np.abs(r))))
             raise InversionError(
-                "Z(t,.) inversion stalled: worst residual %.3e (tol %.1e)"
-                % (float(np.max(np.abs(r[~done]))), self.inv_tol)
+                "Z(t=%.17g, x=%.17g): Z(t,.) inversion stalled: worst residual "
+                "%.3e (tol %.1e)" % (tb[k], xb[k], abs(r[k]), self.inv_tol)
             )
         if scalar:
             return float(z[0])
@@ -375,86 +384,50 @@ class LagrangianSolution:
 
     # -- weak-form residuals ------------------------------------------------------
 
-    def conservation_residual(self, t1, t2, A, B):
-        """Box residual of the common conservation law d_t N + d_x M = 0."""
-        return self._box_residual(
-            (t1, t2, A, B),
-            lambda w: self.system.density(w),
-            lambda w: self.system.flux(w),
-        )
-
-    def entropy_residual(self, i, box):
-        """Box residual of the entropy equality d_t(N w_i) + d_x(N lambda_i w_i) = 0.
-
-        The flux uses N lambda_i = M + speed_i, exact by construction.
-        """
-        s = self.system.lagrangian_speeds[i]
-        return self._box_residual(
-            box,
-            lambda w: self.system.density(w) * w[..., i],
-            lambda w: (self.system.flux(w) + s) * w[..., i],
-        )
-
     def box_residuals(self, box):
         """(conservation residual, per-component entropy residuals) on one box.
 
-        Shares the kink computation across all the residual quadratures.
+        The exact solution satisfies d_t N + d_x M = 0 and, for every i, the
+        entropy equality d_t(N w_i) + d_x(N lambda_i w_i) = 0, whose flux is
+        exactly (M + speed_i) w_i.  All n + 1 laws integrate the same
+        solution values over the same four sides of ``box = (t1, t2, A, B)``,
+        so each side is one vector-valued ``integrate`` call with the side's
+        own kinks.
         """
-        kinks = self._box_kinks(box)
-        cons = self._box_residual(
-            box,
-            lambda w: self.system.density(w),
-            lambda w: self.system.flux(w),
-            kinks=kinks,
-        )
-        entropies = []
-        for i in range(self.system.n):
-            s = self.system.lagrangian_speeds[i]
-            entropies.append(
-                self._box_residual(
-                    box,
-                    lambda w, i=i: self.system.density(w) * w[..., i],
-                    lambda w, i=i, s=s: (self.system.flux(w) + s) * w[..., i],
-                    kinks=kinks,
-                )
-            )
-        return cons, tuple(entropies)
-
-    def _box_kinks(self, box):
-        t1, t2, A, B = box
-        return (
-            self.solution_kinks(t1, lo=A, hi=B),
-            self.solution_kinks(t2, lo=A, hi=B),
-            self._time_kinks(A, t1, t2),
-            self._time_kinks(B, t1, t2),
-        )
-
-    def _box_residual(self, box, point_density, point_flux, kinks=None):
         t1, t2, A, B = box
         if not (0 <= t1 < t2):
             raise ValueError("need t2 > t1 >= 0")
         if not A < B:
             raise ValueError("need A < B")
-        if kinks is None:
-            kinks = self._box_kinks(box)
-        space1, space2, time_a, time_b = kinks
+        speeds = self.system.lagrangian_speeds
 
-        def space_integral(t, kk):
+        def space_integral(t):
+            def densities(xs):
+                w = self.evaluate(t, xs)
+                n = self.system.density(w)
+                return np.column_stack([n, n[:, None] * w])
+
             return integrate(
-                lambda xs: point_density(self.evaluate(t, xs)),
-                A, B, kinks=kk, tol=self.quad_tol,
+                densities, A, B,
+                kinks=self.solution_kinks(t, lo=A, hi=B), tol=self.quad_tol,
             )
 
-        def time_integral(x_side, kk):
+        def time_integral(x_side):
+            def fluxes(taus):
+                w = self.evaluate(taus, x_side)
+                m = self.system.flux(w)
+                return np.column_stack([m, (m[:, None] + speeds) * w])
+
             return integrate(
-                lambda taus: point_flux(self.evaluate(taus, x_side)),
-                t1, t2, kinks=kk, tol=self.quad_tol,
+                fluxes, t1, t2,
+                kinks=self._time_kinks(x_side, t1, t2), tol=self.quad_tol,
             )
 
-        return abs(
-            space_integral(t2, space2) - space_integral(t1, space1)
-            + time_integral(B, time_b) - time_integral(A, time_a)
+        res = np.abs(
+            space_integral(t2) - space_integral(t1)
+            + time_integral(B) - time_integral(A)
         )
+        return float(res[0]), tuple(float(r) for r in res[1:])
 
     def _time_kinks(self, x_side, t1, t2, samples=65, iters=60):
         """Times at which a characteristic kink passes the fixed abscissa.
@@ -473,16 +446,12 @@ class LagrangianSolution:
         flips = np.nonzero(sgn[:-1] * sgn[1:] < 0)
         if len(flips[0]) == 0:
             return []
-        lo = taus[flips[0]]
-        hi = taus[flips[0] + 1]
-        vlo = paths[flips]
         spd = speeds[flips[1]]
         zk = self.zeta[flips[2]]
-        for _ in range(iters):
-            mid = 0.5 * (lo + hi)
-            vm = np.asarray(self.position(mid, zk + spd * mid), dtype=float) - x_side
-            left = vlo * vm <= 0.0
-            hi = np.where(left, mid, hi)
-            lo = np.where(left, lo, mid)
-            vlo = np.where(left, vlo, vm)
-        return list(0.5 * (lo + hi))
+
+        def path(tau):
+            return np.asarray(self.position(tau, zk + spd * tau), dtype=float) - x_side
+
+        return list(bisect_brackets(
+            path, taus[flips[0]], taus[flips[0] + 1], paths[flips], iters
+        ))

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .profiles import add_bump, l1_distance
-from .quadrature import integrate, refine_sign_changes
+from .quadrature import integrate_abs
 from .solver import solve
 from .systems import AdmissibilityError
 
@@ -46,22 +46,15 @@ def pair_distance(sol1, sol2, t):
         lo1, hi1 = sol1.support_interval(t)
         lo2, hi2 = sol2.support_interval(t)
         lo, hi = min(lo1, lo2), max(hi1, hi2)
-        kinks = sorted(
-            set(sol1.solution_kinks(t, lo=lo, hi=hi))
-            | set(sol2.solution_kinks(t, lo=lo, hi=hi))
+        kinks = np.concatenate(
+            [sol1.solution_kinks(t, lo=lo, hi=hi), sol2.solution_kinks(t, lo=lo, hi=hi)]
         )
 
         def diff(xv, i=i):
             return sol1.evaluate(t, xv)[..., i] - sol2.evaluate(t, xv)[..., i]
 
-        roots = refine_sign_changes(diff, [lo] + kinks + [hi])
         per.append(
-            integrate(
-                lambda xv: np.abs(diff(xv)),
-                lo, hi,
-                kinks=kinks + roots,
-                tol=min(sol1.quad_tol, sol2.quad_tol),
-            )
+            integrate_abs(diff, lo, hi, kinks, tol=min(sol1.quad_tol, sol2.quad_tol))
         )
     return sum(per), tuple(per)
 

@@ -2,8 +2,9 @@
 
 The oracles here deliberately avoid the package's fast paths: the crossing
 oracle integrates the boundary characteristics as Eulerian ODEs with RK4,
-the Riemann-sum oracle is brute-force midpoint summation, and the per-point
-position quadrature integrates one (t, z) at a time.
+the Riemann-sum oracle is brute-force midpoint summation, the per-point
+position quadrature integrates one (t, z) at a time, and the per-law box
+residual integrates each conservation law in its own quadrature pass.
 """
 
 import numpy as np
@@ -224,6 +225,50 @@ def position_quadrature_reference(sol, t, z):
         return sol.system.flux(w) / sol.system.density(w)
 
     return base + integrate(ratio, 0.0, t, kinks=kinks, tol=sol.quad_tol)
+
+
+def box_residuals_reference(sol, box):
+    """(conservation, per-component entropy) residuals, one pass per law.
+
+    The per-law form of ``LagrangianSolution.box_residuals``: each of the
+    n + 1 laws integrates its own density over the two time sides and its
+    own flux over the two space sides with scalar ``integrate`` calls, on
+    the same kinks.  Kept as the reference for the shared vector pass.
+    """
+    t1, t2, A, B = box
+    space1 = sol.solution_kinks(t1, lo=A, hi=B)
+    space2 = sol.solution_kinks(t2, lo=A, hi=B)
+    time_a = sol._time_kinks(A, t1, t2)
+    time_b = sol._time_kinks(B, t1, t2)
+    density, flux = sol.system.density, sol.system.flux
+
+    def residual(point_density, point_flux):
+        def space_integral(t, kk):
+            return integrate(
+                lambda xs: point_density(sol.evaluate(t, xs)),
+                A, B, kinks=kk, tol=sol.quad_tol,
+            )
+
+        def time_integral(x_side, kk):
+            return integrate(
+                lambda taus: point_flux(sol.evaluate(taus, x_side)),
+                t1, t2, kinks=kk, tol=sol.quad_tol,
+            )
+
+        return abs(
+            space_integral(t2, space2) - space_integral(t1, space1)
+            + time_integral(B, time_b) - time_integral(A, time_a)
+        )
+
+    cons = residual(density, flux)
+    entropies = tuple(
+        residual(
+            lambda w, i=i: density(w) * w[..., i],
+            lambda w, i=i, s=s: (flux(w) + s) * w[..., i],
+        )
+        for i, s in enumerate(sol.system.lagrangian_speeds)
+    )
+    return cons, entropies
 
 
 def random_bi_states(rng, count, a=1.0):

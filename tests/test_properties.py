@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
 from helpers import three_speed_system
-from richwave import PiecewiseProfile, solve
+from richwave import PiecewiseProfile, augmented_born_infeld, born_infeld, solve
 
 # |w_i| <= 0.8 keeps 1/N = 1 + 0.1 w1 + 0.15 w2 - 0.08 w3 >= 0.74, well inside
 # the three-speed system's admissible set 1/N > 0.05, for every mixture of
@@ -16,25 +16,36 @@ from richwave import PiecewiseProfile, solve
 _VALUE = st.floats(-0.8, 0.8, allow_nan=False)
 
 
+# Born-Infeld invariants mu in [0.6, 1.4] and lam in [-1.4, -0.6] keep
+# mu - lam >= 1.2 however translation mixes them (the translated gap), and
+# the augmented system's passive middle value q lies in between.
+_MU = st.floats(0.6, 1.4)
+_Q = st.floats(-0.6, 0.6)
+_LAM = st.floats(-1.4, -0.6)
+
+
 @st.composite
-def three_speed_profiles(draw):
+def profiles(draw, state):
     k = draw(st.integers(2, 6))
     left = draw(st.floats(-2.0, 0.0))
     widths = draw(st.lists(st.floats(0.1, 1.0), min_size=k - 1, max_size=k - 1))
     xs = left + np.concatenate([[0.0], np.cumsum(widths)])
-    vals = draw(st.lists(st.tuples(_VALUE, _VALUE, _VALUE), min_size=k, max_size=k))
+    vals = draw(st.lists(state, min_size=k, max_size=k))
     return PiecewiseProfile(xs, np.array(vals))
 
 
-@seed(20120417)
-@settings(
+_EXAMPLES = settings(
     max_examples=25,
     derandomize=True,
     deadline=None,
     database=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-@given(profile=three_speed_profiles())
+
+
+@seed(20120417)
+@_EXAMPLES
+@given(profile=profiles(st.tuples(_VALUE, _VALUE, _VALUE)))
 def test_three_speed_position_map_identities(profile):
     sol = solve(three_speed_system(), profile)
     zs = np.linspace(-6.0, 6.0, 41)
@@ -44,3 +55,30 @@ def test_three_speed_position_map_identities(profile):
         assert np.all(np.diff(xs) > 0.0)
         back = sol.lagrangian_coordinate(t, xs)
         assert np.max(np.abs(back - zs)) <= 1e-9
+
+
+def _check_born_infeld_identities(sol):
+    zs = np.linspace(-6.0, 6.0, 41)
+    # the closed form at t = 0 reproduces X0 up to its table rounding
+    assert np.max(np.abs(sol.position(0.0, zs) - sol.initial_position(zs))) <= 1e-12
+    for t in (0.4, 1.7, 5.0):
+        xs = sol.position(t, zs)
+        assert np.all(np.diff(xs) > 0.0)
+        back = sol.lagrangian_coordinate(t, xs)
+        assert np.max(np.abs(back - zs)) <= 1e-9
+    cons, entropies = sol.box_residuals((0.2, 1.4, -1.5, 1.5))
+    assert max(cons, *entropies) <= 1e-8
+
+
+@seed(20120418)
+@_EXAMPLES
+@given(profile=profiles(st.tuples(_MU, _LAM)))
+def test_born_infeld_identities(profile):
+    _check_born_infeld_identities(solve(born_infeld(1.0), profile))
+
+
+@seed(20120419)
+@_EXAMPLES
+@given(profile=profiles(st.tuples(_MU, _Q, _LAM)))
+def test_augmented_born_infeld_identities(profile):
+    _check_born_infeld_identities(solve(augmented_born_infeld(1.0), profile))

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from richwave import QuadratureError, integrate, quadrature
-from richwave.quadrature import integrate_many, refine_sign_changes
+from richwave.quadrature import (
+    bisect_brackets,
+    integrate_abs,
+    integrate_many,
+    refine_sign_changes,
+)
 
 
 def test_constant_integrand():
@@ -76,7 +81,7 @@ def test_scalar_returning_integrand_broadcasts():
     assert np.allclose(got, [2.0, -4.0], atol=1e-14)
 
 
-def test_many_integrals_in_one_pass_match_separate_calls():
+def _many_integrals_case():
     # per-owner integrands, kinks and reversed / empty intervals in one pass
     rng = np.random.default_rng(3)
     a = rng.uniform(-2.0, 0.0, size=12)
@@ -85,6 +90,11 @@ def test_many_integrals_in_one_pass_match_separate_calls():
     b[7] = a[7]
     shift = rng.uniform(-1.0, 1.0, size=12)
     kinks = np.column_stack([shift, np.full(12, np.nan), shift + 0.5])
+    return a, b, shift, kinks
+
+
+def test_many_integrals_in_one_pass_match_separate_calls():
+    a, b, shift, kinks = _many_integrals_case()
     calls = []
 
     def f(x, owner):
@@ -103,6 +113,137 @@ def test_many_integrals_in_one_pass_match_separate_calls():
     assert len(calls) <= quadrature.MAX_DEPTH + 2
 
 
+def test_scalar_results_keep_their_bits():
+    # values of the scalar-only pass that preceded vector integrands
+    a, b, shift, kinks = _many_integrals_case()
+    got = integrate_many(
+        lambda x, owner: np.abs(x - shift[owner]) * np.cos(x + owner),
+        a, b, kinks, tol=1e-11,
+    )
+    want = [
+        "0x1.9e27afaa6077cp+0", "0x1.338ee4f11b13dp-1", "-0x1.0f0cb870899a2p+1",
+        "-0x1.d0d3df1258af6p-4", "-0x1.dce2f31d3b3fep-1", "0x1.6f1851505a278p-1",
+        "0x1.55220c440f180p+0", "0x0.0p+0", "0x1.8f2e673a7a1bbp-5",
+        "-0x1.6b4c885b9b572p-3", "-0x1.8181ff08c26d8p-1", "-0x1.d5973ba3c74f6p-3",
+    ]
+    assert got.shape == (12,)
+    assert [float(g).hex() for g in got] == want
+
+
+def test_vector_integrand_columns_match_scalar_calls():
+    a, b, shift, kinks = _many_integrals_case()
+    columns = (
+        lambda x, o: np.abs(x - shift[o]) * np.cos(x + o),
+        lambda x, o: np.exp(0.3 * x) + o,
+        lambda x, o: np.sin(3.0 * x) * np.abs(x - shift[o] - 0.5),
+    )
+    got = integrate_many(
+        lambda x, o: np.column_stack([c(x, o) for c in columns]), a, b, kinks,
+        tol=1e-11,
+    )
+    assert got.shape == (12, 3)
+    for j, c in enumerate(columns):
+        want = integrate_many(c, a, b, kinks, tol=1e-11)
+        assert np.max(np.abs(got[:, j] - want)) <= 1e-11
+    assert np.all(got[7] == 0.0)
+    # integrate returns a length-m array for a vector integrand
+    one = integrate(
+        lambda x: np.column_stack([x, x**2]), 2.0, 0.0, kinks=[1.0], tol=1e-12
+    )
+    assert one.shape == (2,)
+    assert np.allclose(one, [-2.0, -8.0 / 3.0], atol=1e-12)
+
+
+def test_hard_column_refines_shared_panels():
+    # Simpson is exact on x**2, so the easy column alone stops at once; next
+    # to sin(40 x) it is evaluated on every panel the hard column refines
+    points = {}
+
+    def counted(name, f):
+        def g(x):
+            points[name] = points.get(name, 0) + len(x)
+            return f(x)
+        return g
+
+    easy = integrate(counted("easy", lambda x: x**2), 0.0, 1.0, tol=1e-10)
+    hard = integrate(counted("hard", lambda x: np.sin(40.0 * x)), 0.0, 1.0, tol=1e-10)
+    both = integrate(
+        counted("both", lambda x: np.column_stack([x**2, np.sin(40.0 * x)])),
+        0.0, 1.0, tol=1e-10,
+    )
+    assert points["both"] == points["hard"] > points["easy"]
+    assert both[1] == hard
+    assert abs(both[0] - easy) <= 1e-10
+    assert abs(both[0] - 1.0 / 3.0) <= 1e-10
+
+
+def test_vector_failure_names_owner_and_interval():
+    with pytest.raises(QuadratureError) as info:
+        integrate_many(
+            lambda x, owner: np.column_stack(
+                [np.cos(x), np.sign(x - 1.0 / 3.0) * owner]
+            ),
+            [0.0, 0.0, 0.0], [1.0, 1.0, 1.0], tol=1e-6,
+        )
+    assert info.value.owner in (1, 2)
+    lo, hi = info.value.interval
+    assert lo < 1.0 / 3.0 < hi
+
+
+def _bisect_full_cap(f, lo, hi, vlo, iters):
+    # the fixed-count loop, kept as the reference for the early stop
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        vm = f(mid)
+        left = vlo * vm <= 0.0
+        hi = np.where(left, mid, hi)
+        vlo = np.where(left, vlo, vm)
+        lo = np.where(left, lo, mid)
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("iters", [20, 52, 60, 80])
+def test_bisection_early_stop_is_bit_exact(iters):
+    rng = np.random.default_rng(11)
+    roots = rng.uniform(-50.0, 50.0, size=40)
+    # roots at and near 0 need more bisections than any cap to reach one
+    # ulp; the one at 0 sits exactly on the first midpoint
+    near_zero = np.array([0.0, 2.0**-30])
+    lo = roots - rng.uniform(1e-6, 3.0, size=40)
+    hi = roots + rng.uniform(1e-6, 3.0, size=40)
+    slope = np.where(rng.uniform(size=40) < 0.5, -1.0, 1.0)
+
+    def run(roots, lo, hi, slope, bisect):
+        calls = []
+
+        def f(x):
+            calls.append(1)
+            return slope * np.sinh(x - roots)
+
+        mids = bisect(f, lo, hi, slope * np.sinh(lo - roots), iters)
+        return mids.view(np.int64).tolist(), len(calls)
+
+    want, full = run(roots, lo, hi, slope, _bisect_full_cap)
+    got, early = run(roots, lo, hi, slope, bisect_brackets)
+    assert got == want
+    assert full == iters
+    # every bracket reaches one ulp within 55 bisections
+    assert early <= iters
+    if iters >= 60:
+        assert early < iters
+
+    args = (
+        np.concatenate([roots, near_zero]),
+        np.concatenate([lo, [-1.0, 0.0]]),
+        np.concatenate([hi, [1.0, 1.0]]),
+        np.concatenate([slope, [1.0, -1.0]]),
+    )
+    want, _ = run(*args, _bisect_full_cap)
+    got, early = run(*args, bisect_brackets)
+    assert got == want
+    assert early == iters
+
+
 def test_refine_sign_changes_locates_roots():
     roots = refine_sign_changes(lambda x: np.sin(x), [-4.0, 0.5, 4.0])
     roots = sorted(roots)
@@ -114,3 +255,14 @@ def test_refine_sign_changes_locates_roots():
 
 def test_refine_sign_changes_none():
     assert refine_sign_changes(lambda x: 1.0 + 0.0 * x, [0.0, 1.0]) == []
+
+
+def test_integrate_abs_splits_at_kinks_and_sign_changes():
+    # |sin| integrates exactly to 4 over [0, 2 pi] once its root at pi is a
+    # panel edge; kinks outside (lo, hi) and duplicates are ignored
+    val = integrate_abs(np.sin, 0.0, 2.0 * math.pi, [0.0, 7.0, -1.0, 7.0], tol=1e-12)
+    assert val == pytest.approx(4.0, abs=1e-11)
+    tent = integrate_abs(
+        lambda x: 1.0 - np.abs(x), -2.0, 2.0, [0.0, 0.0, 5.0], tol=1e-13
+    )
+    assert tent == pytest.approx(2.0, abs=1e-12)

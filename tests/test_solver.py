@@ -6,19 +6,21 @@ import pytest
 from helpers import (
     bi_simple_wave_profile,
     bi_tworamp_profile,
+    box_residuals_reference,
     position_quadrature_reference,
     three_speed_profile,
     three_speed_system,
 )
 from richwave import (
     AdmissibilityError,
+    InversionError,
     PiecewiseProfile,
     QuadratureError,
     UnsupportedModelError,
     born_infeld,
     solve,
 )
-from richwave import quadrature
+from richwave import quadrature, solver
 
 
 @pytest.fixture(scope="module")
@@ -225,14 +227,16 @@ def test_support_interval_is_constant_outside(tworamp_sol):
 def test_residuals_constant_data(bi):
     prof = PiecewiseProfile([-1.0, 1.0], np.array([[1.2, -0.3], [1.2, -0.3]]))
     sol = solve(bi, prof)
-    assert sol.conservation_residual(0.0, 1.0, -2.0, 2.0) < 1e-12
-    assert sol.entropy_residual(0, (0.0, 1.0, -2.0, 2.0)) < 1e-12
+    cons, entropies = sol.box_residuals((0.0, 1.0, -2.0, 2.0))
+    assert cons < 1e-12
+    assert entropies[0] < 1e-12
 
 
 def test_residuals_outside_domain_of_influence(tworamp_sol):
     t1, t2 = 0.0, 2.0
     lo, hi = tworamp_sol.support_interval(t2, margin=1.0)
-    assert tworamp_sol.conservation_residual(t1, t2, lo - 1.0, hi + 1.0) < 1e-8
+    cons, _ = tworamp_sol.box_residuals((t1, t2, lo - 1.0, hi + 1.0))
+    assert cons < 1e-8
 
 
 def test_residuals_interior_box(tworamp_sol):
@@ -240,19 +244,82 @@ def test_residuals_interior_box(tworamp_sol):
     cons, entropies = tworamp_sol.box_residuals(box)
     assert cons < 1e-8
     assert max(entropies) < 1e-8
-    # the shared-kink path agrees with the single-residual entry points
-    assert cons == pytest.approx(
-        tworamp_sol.conservation_residual(*box), abs=1e-12
-    )
-    assert entropies[1] == pytest.approx(
-        tworamp_sol.entropy_residual(1, box), abs=1e-12
-    )
+    # the shared vector pass agrees with one scalar pass per law
+    ref_cons, ref_entropies = box_residuals_reference(tworamp_sol, box)
+    assert cons == pytest.approx(ref_cons, abs=1e-12)
+    assert entropies == pytest.approx(ref_entropies, abs=1e-12)
 
 
 def test_simple_wave_entropy_residuals(bi):
     sol = solve(bi, bi_simple_wave_profile())
-    for i in range(2):
-        assert sol.entropy_residual(i, (0.2, 1.8, -3.0, 2.0)) < 1e-8
+    _, entropies = sol.box_residuals((0.2, 1.8, -3.0, 2.0))
+    assert max(entropies) < 1e-8
+
+
+@pytest.mark.parametrize("which", ["bi", "three"])
+def test_residuals_of_wrong_evaluator_match_per_law_reference(
+    which, tworamp_sol, three_sol, monkeypatch
+):
+    # A solution evaluated at 1.05 t violates every law: the residuals are
+    # large, so a wrong sign or a law paired with another law's side shows.
+    sol = tworamp_sol if which == "bi" else three_sol
+    box = (0.3, 1.7, -2.1, 1.4) if which == "bi" else (0.3, 1.2, -0.8, 0.9)
+    exact = type(sol).evaluate
+    monkeypatch.setattr(
+        sol, "evaluate", lambda t, x: exact(sol, 1.05 * np.asarray(t), x)
+    )
+    cons, entropies = sol.box_residuals(box)
+    ref_cons, ref_entropies = box_residuals_reference(sol, box)
+    got = np.array((cons,) + entropies)
+    want = np.array((ref_cons,) + ref_entropies)
+    assert len(got) == sol.system.n + 1
+    assert np.all(got > 1e-3)
+    assert np.max(np.abs(got - want)) <= 1e-9
+
+
+def test_bad_box_rejected_before_any_work(three_sol, monkeypatch):
+    def no_position(t, z):
+        raise AssertionError("position called for a bad box")
+
+    monkeypatch.setattr(three_sol, "position", no_position)
+    for box in ((1.0, 0.5, -1.0, 1.0), (-0.1, 1.0, -1.0, 1.0),
+                (0.0, 0.0, -1.0, 1.0), (0.0, 1.0, 1.0, -1.0), (0.0, 1.0, 1.0, 1.0)):
+        with pytest.raises(ValueError):
+            three_sol.box_residuals(box)
+
+
+def test_box_residuals_one_integrate_call_per_side(three_sol, monkeypatch):
+    calls = []
+    real = solver.integrate
+
+    def counting(f, a, b, **kw):
+        calls.append((a, b))
+        return real(f, a, b, **kw)
+
+    monkeypatch.setattr(solver, "integrate", counting)
+    cons, entropies = three_sol.box_residuals((0.0, 1.0, -1.5, 1.5))
+    assert max(cons, *entropies) <= 1e-8
+    assert sorted(calls) == [(-1.5, 1.5), (-1.5, 1.5), (0.0, 1.0), (0.0, 1.0)]
+
+
+def test_inversion_error_names_worst_point(tworamp_sol, monkeypatch):
+    # one Newton step cannot meet the 1e-12 residual target
+    monkeypatch.setattr(solver, "MAX_NEWTON_ITERS", 1)
+    with pytest.raises(InversionError) as info:
+        tworamp_sol.lagrangian_coordinate(1.5, 0.3)
+    assert "stalled" in str(info.value)
+    assert "t=1.5, x=%.17g" % 0.3 in str(info.value)
+    monkeypatch.undo()
+    # a position map that never reaches x cannot sign-enclose the root; the
+    # point furthest from it is named
+    monkeypatch.setattr(
+        tworamp_sol, "position",
+        lambda t, z: np.full(np.broadcast(t, z).shape, 5.0),
+    )
+    with pytest.raises(InversionError) as info:
+        tworamp_sol.lagrangian_coordinate(2.0, np.array([0.0, -3.0, 1.0]))
+    assert "sign-enclose" in str(info.value)
+    assert "t=2, x=-3" in str(info.value)
 
 
 def test_generic_system_round_trip(three_sol):
