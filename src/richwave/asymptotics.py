@@ -1,12 +1,15 @@
 """Explicit traveling-wave limits and decay measurement.
 
-Two construction routes are implemented for the limit shape map of each
-component and cross-validated: the generic one (single-component
-perturbation integrals with reciprocal-speed-gap weights for moving
-families, a truncated time integral for zero-speed families) and the
-Born-Infeld closed forms built from running primitives of the two extreme
-invariants.  The generic route needs equal two-sided tails; the model route
-only needs the one-sided limits every profile has, plus the gap condition.
+Every limit shape map is identity plus a correction read at Z0(x), and one
+builder (:func:`_shape_from_correction`) turns any such correction into a
+shape map.  Two routes supply the corrections and are cross-validated: the
+generic one (single-component perturbation integrals with
+reciprocal-speed-gap weights for moving families, a truncated time integral
+for zero-speed families), tabulated once over the breakpoint images and
+read from running primitives, and the Born-Infeld closed forms built from
+running primitives of the two extreme invariants.  The generic route needs
+equal two-sided tails; the model route only needs the one-sided limits
+every profile has, plus the gap condition.
 """
 
 from dataclasses import dataclass
@@ -15,7 +18,7 @@ import numpy as np
 
 from .cheb import fit_piecewise
 from .maps import MonotoneMap
-from .quadrature import integrate, integrate_abs
+from .quadrature import integrate, integrate_abs, integrate_many
 from .solver import UnsupportedModelError
 
 # Constituent quadratures run well below the shape tabulation tolerance so
@@ -90,18 +93,13 @@ def _equal_tails_state(sol):
     return sol.initial.left_tail
 
 
-def _default_ref(system, i):
-    fam = system.family_of[i]
-    for j in range(system.n):
-        if system.family_of[j] != fam:
-            return j
-    raise ValueError("no component with a distinct eigenvalue exists")
-
-
 def _check_ref(system, i, ref):
+    fam = system.family_of[i]
     if ref is None:
-        return _default_ref(system, i)
-    if system.family_of[ref] == system.family_of[i]:
+        ref = next((j for j in range(system.n) if system.family_of[j] != fam), None)
+        if ref is None:
+            raise ValueError("no component with a distinct eigenvalue exists")
+    elif system.family_of[ref] == fam:
         raise ValueError(
             "reference component %d rides the same family as %d" % (ref, i)
         )
@@ -128,27 +126,30 @@ def limit_speed_mixed(sol, i):
 # -- generic route (equal tails) ----------------------------------------------
 
 
+def _escape_integral(sol, f, zx, s):
+    """int of f from zx to the core end that a speed-s fiber escapes through
+    (f vanishes beyond it, so the improper integral is a finite quadrature)."""
+    target = float(sol.zeta[-1]) if s > 0 else float(sol.zeta[0])
+    return integrate(f, zx, target, kinks=sol.zeta, tol=_SHAPE_QUAD_TOL)
+
+
 def tail_term(sol, i, x):
     """Density part of the shape correction for component i at x.
 
     Integral of 1/N(translated initial data) - 1/N(tail state) from Z0(x)
     toward the family's escape direction; identically zero for zero-speed
-    families.  The integrand vanishes outside the breakpoint images, so the
-    improper integral is a finite kink-aware quadrature.
+    families.
     """
     w_bar = _equal_tails_state(sol)
     s = sol.system.lagrangian_speeds[i]
     if s == 0.0:
         return 0.0
-    zx = float(sol.initial_coordinate(x))
-    target = float(sol.zeta[-1]) if s > 0 else float(sol.zeta[0])
     inv_bar = 1.0 / float(sol.system.density(w_bar))
 
     def f(xi):
         return 1.0 / sol.system.density(sol.state_lagrangian(0.0, xi)) - inv_bar
 
-    kinks = [z for z in sol.zeta if min(zx, target) < z < max(zx, target)]
-    return integrate(f, zx, target, kinks=kinks, tol=_SHAPE_QUAD_TOL)
+    return _escape_integral(sol, f, float(sol.initial_coordinate(x)), s)
 
 
 def _slot_eigenvalue(sol, eig_index, slot, values, w_bar):
@@ -157,6 +158,51 @@ def _slot_eigenvalue(sol, eig_index, slot, values, w_bar):
     states = np.broadcast_to(w_bar, values.shape + w_bar.shape).copy()
     states[..., slot] = values
     return sol.system.eigenvalue(eig_index, states)
+
+
+def _whole_line_sum(sol, i, w_bar):
+    """The x-independent part C_i of moving family i's coupling correction:
+    whole-line perturbation integrals of eigenvalue i with one strictly
+    faster (slower, for speed_i < 0) component excursion, weighted by the
+    reciprocal speed gaps, summed into one quadrature."""
+    speeds = sol.system.lagrangian_speeds
+    s_i = float(speeds[i])
+    ahead = [j for j, s_j in enumerate(speeds) if s_j > s_i > 0.0 or s_j < s_i < 0.0]
+    if not ahead:
+        return 0.0
+    lam_bar = float(sol.system.eigenvalue(i, w_bar))
+
+    def f(xi):
+        w = sol.state_lagrangian(0.0, xi)
+        return sum(
+            (_slot_eigenvalue(sol, i, j, w[..., j], w_bar) - lam_bar)
+            / abs(speeds[j] - s_i)
+            for j in ahead
+        )
+
+    return integrate(f, sol.zeta[0], sol.zeta[-1], sol.zeta, tol=_SHAPE_QUAD_TOL)
+
+
+def _zero_speed_integrals(sol, i, zs, w_bar):
+    """Zero-speed family i's correction at the fibers zs = Z0(x).
+
+    The time integral of eigenvalue i minus its tail value, truncated at
+    tau* = max_s (|z| + max |zeta|) / |s|, past which every moving argument
+    has left the core; one ``integrate_many`` pass for all fibers, with the
+    crossing times (z - zeta_k) / s as kinks.
+    """
+    lam_bar = float(sol.system.eigenvalue(i, w_bar))
+    speeds = np.array([f.speed for f in sol.system.families if f.speed != 0.0])
+    zs = np.asarray(zs, dtype=float).reshape(-1)
+    z_max = float(np.max(np.abs(sol.zeta)))
+    tau_star = np.max((np.abs(zs)[:, None] + z_max) / np.abs(speeds), axis=1)
+    kinks = ((zs[:, None, None] - sol.zeta) / speeds[:, None]).reshape(len(zs), -1)
+
+    def f(tau, owner):
+        w = sol.state_lagrangian(tau, zs[owner])
+        return sol.system.eigenvalue(i, w) - lam_bar
+
+    return integrate_many(f, np.zeros_like(zs), tau_star, kinks, tol=_SHAPE_QUAD_TOL)
 
 
 def coupling_term(sol, i, x, ref=None):
@@ -175,146 +221,101 @@ def coupling_term(sol, i, x, ref=None):
     sysm = sol.system
     s_i = float(sysm.lagrangian_speeds[i])
     zx = float(sol.initial_coordinate(x))
-    z_lo, z_hi = float(sol.zeta[0]), float(sol.zeta[-1])
-    inner = [z for z in sol.zeta[1:-1]]
-
     if s_i == 0.0:
-        lam_bar = float(sysm.eigenvalue(i, w_bar))
-        moving = [f.speed for f in sysm.families if f.speed != 0.0]
-        z_max = max(abs(z_lo), abs(z_hi))
-        tau_star = max((abs(zx) + z_max) / abs(s) for s in moving)
-
-        def f(tau):
-            w = sol.state_lagrangian(tau, zx)
-            return sol.system.eigenvalue(i, w) - lam_bar
-
-        kinks = []
-        for s in moving:
-            taus = (zx - sol.zeta) / s
-            kinks.extend(taus[(taus > 0.0) & (taus < tau_star)])
-        return integrate(f, 0.0, tau_star, kinks=kinks, tol=_SHAPE_QUAD_TOL)
+        return float(_zero_speed_integrals(sol, i, zx, w_bar)[0])
 
     ref = _check_ref(sysm, i, ref)
-    total = 0.0
-    lam_bar_i = float(sysm.eigenvalue(i, w_bar))
-    for j in range(sysm.n):
-        s_j = float(sysm.lagrangian_speeds[j])
-        if s_i > 0.0 and s_j > s_i:
-            weight = 1.0 / (s_j - s_i)
-        elif s_i < 0.0 and s_j < s_i:
-            weight = 1.0 / (s_i - s_j)
-        else:
-            continue
-
-        def f_j(xi, j=j):
-            vals = sol.state_lagrangian(0.0, xi)[..., j]
-            return _slot_eigenvalue(sol, i, j, vals, w_bar) - lam_bar_i
-
-        total += weight * integrate(f_j, z_lo, z_hi, kinks=inner, tol=_SHAPE_QUAD_TOL)
-
+    total = _whole_line_sum(sol, i, w_bar)
     # Half-line terms: one single-slot perturbation integral per component
     # the family carries (they all translate at speed_i, so each window
     # freezes at Z0(x)); with one component per family this is the single
     # slot-i term of the strictly hyperbolic formula.
-    s_ref = float(sysm.lagrangian_speeds[ref])
+    gap = s_i - float(sysm.lagrangian_speeds[ref])
     lam_bar_ref = float(sysm.eigenvalue(ref, w_bar))
-    target = z_hi if s_i > 0.0 else z_lo
-    kinks = [z for z in sol.zeta if min(zx, target) < z < max(zx, target)]
     for j in sysm.families[sysm.family_of[i]].components:
 
         def f_slot(xi, j=j):
             vals = sol.state_lagrangian(0.0, xi)[..., j]
             return _slot_eigenvalue(sol, ref, j, vals, w_bar) - lam_bar_ref
 
-        total += (1.0 / (s_i - s_ref)) * integrate(
-            f_slot, zx, target, kinks=kinks, tol=_SHAPE_QUAD_TOL
-        )
+        total += _escape_integral(sol, f_slot, zx, s_i) / gap
     return total
+
+
+def _density_integrand(sol, i, ref, w_bar):
+    """h(w) = 1/N(w) + sum over the slots j of i's family of
+    eigenvalue_ref(tail state with slot j = w_j) / (speed_i - speed_ref)."""
+    sysm = sol.system
+    gap = float(sysm.lagrangian_speeds[i] - sysm.lagrangian_speeds[ref])
+
+    def h(w):
+        out = 1.0 / sysm.density(w)
+        for j in sysm.families[sysm.family_of[i]].components:
+            out = out + _slot_eigenvalue(sol, ref, j, w[..., j], w_bar) / gap
+        return out
+
+    return h
 
 
 def shape_derivative(sol, i, x, ref=None):
     """Closed-form derivative of the generic shape map (moving families only).
 
-    psi'(x) = 1 - N(w0(x)) * (f(w0(x)) - f(tail state)) with
-    f(w) = 1/N(w) + sum over carried slots j of
-    eigenvalue_ref(tail state with slot j = w_j) / speed gap.
+    psi'(x) = 1 - N(w0(x)) * (h(w0(x)) - h(tail state)), with the integrand
+    h of :func:`_density_integrand`.
+    """
+    w_bar = _equal_tails_state(sol)
+    sysm = sol.system
+    if sysm.lagrangian_speeds[i] == 0.0:
+        raise ValueError("closed-form derivative needs a nonzero Lagrangian speed")
+    h = _density_integrand(sol, i, _check_ref(sysm, i, ref), w_bar)
+    w0x = sol.initial(x)
+    return 1.0 - sysm.density(w0x) * (h(w0x) - float(h(w_bar)))
+
+
+def build_shape(sol, i, ref=None):
+    """Generic-route shape map x + corr(Z0(x)) for component i.
+
+    corr is tabulated once over the breakpoint images ``zeta``.  A moving
+    family's correction is the whole-line sum C_i plus the integral of
+    h - h(tail state) from Z0(x) to the escape end: the sum of
+    :func:`coupling_term` and :func:`tail_term`, read from the running
+    primitive of the tabulated h (not of h - h(tail), which is zero to
+    rounding on constant segments, where the fit's relative stopping test
+    fails).  A zero-speed family's time integrals are tabulated directly.
+    Raises :class:`ShapeFloorError` when the derivative floor is not positive.
     """
     w_bar = _equal_tails_state(sol)
     sysm = sol.system
     s_i = float(sysm.lagrangian_speeds[i])
+    zeta = sol.zeta
     if s_i == 0.0:
-        raise ValueError("closed-form derivative needs a nonzero Lagrangian speed")
-    ref = _check_ref(sysm, i, ref)
-    s_ref = float(sysm.lagrangian_speeds[ref])
-    gap = s_i - s_ref
-    w0x = sol.initial(x)
-    lam_slot_bar = float(sysm.eigenvalue(ref, w_bar))
-    f_x = 1.0 / sysm.density(w0x)
-    f_bar = 1.0 / float(sysm.density(w_bar))
-    for j in sysm.families[sysm.family_of[i]].components:
-        f_x = f_x + _slot_eigenvalue(sol, ref, j, w0x[..., j], w_bar) / gap
-        f_bar = f_bar + lam_slot_bar / gap
-    return 1.0 - sysm.density(w0x) * (f_x - f_bar)
-
-
-def build_shape(sol, i, ref=None):
-    """Generic-route shape map for component i, as a MonotoneMap.
-
-    The map is identity plus the coupling and density corrections, tabulated
-    per profile segment with exact slope-one affine tails (the corrections
-    freeze once Z0(x) leaves the breakpoint images).  Construction fails with
-    :class:`ShapeFloorError` when the derivative floor is not positive.
-    """
-    _equal_tails_state(sol)
-    sysm = sol.system
-    ref = _check_ref(sysm, i, ref) if sysm.lagrangian_speeds[i] != 0.0 else ref
-
-    def psi_scalar(x):
-        return (
-            float(x)
-            + coupling_term(sol, i, float(x), ref)
-            + tail_term(sol, i, float(x))
+        corr = fit_piecewise(
+            lambda zs: _zero_speed_integrals(sol, i, zs, w_bar), zeta, _SHAPE_FIT_RTOL
         )
-
-    def psi_vec(xs):
-        return np.array([psi_scalar(v) for v in np.atleast_1d(xs)])
-
-    xs = sol.initial.breakpoints
-    tab = fit_piecewise(psi_vec, xs, rtol=_SHAPE_FIT_RTOL, tail_slopes=(1.0, 1.0))
-
-    s_i = float(sysm.lagrangian_speeds[i])
-    dense = np.concatenate(
-        [np.linspace(xs[k], xs[k + 1], 257)[:-1] for k in range(len(xs) - 1)]
-        + [xs[-1:]]
-    )
-    if s_i != 0.0:
-        deriv_vals = shape_derivative(sol, i, dense, ref)
+        dcorr = corr.derivative()
     else:
-        deriv_vals = tab.derivative()(dense)
-    floor = min(1.0, float(np.min(deriv_vals)))
-    if floor <= 0.0:
-        raise ShapeFloorError(
-            "shape map for component %d is not invertible: min derivative %.6g"
-            % (i, floor)
+        h = _density_integrand(sol, i, _check_ref(sysm, i, ref), w_bar)
+        h_tab = fit_piecewise(
+            lambda zs: h(sol.state_lagrangian(0.0, zs)), zeta, _SHAPE_FIT_RTOL
         )
-    d_max = max(1.0, float(np.max(deriv_vals)))
-    forward = MonotoneMap(
-        tab,
-        x_lo=float(xs[0]),
-        x_hi=float(xs[-1]),
-        d_min=floor * 0.999,
-        d_max=d_max * 1.001,
-        left_slope=1.0,
-        right_slope=1.0,
-        deriv=tab.derivative(),
-        tol=1e-11,
-    )
-    return ShapeFunction(
-        component=i,
-        route="generic",
-        forward=forward,
-        limit_speed=limit_speed_mixed(sol, i),
-        derivative_floor=floor,
+        prim = h_tab.antiderivative()
+        h_bar = float(h(w_bar))
+        target = float(zeta[-1]) if s_i > 0.0 else float(zeta[0])
+        c_i = _whole_line_sum(sol, i, w_bar)
+        p_target = float(prim(target))
+
+        def corr(zx):
+            return c_i + (p_target - prim(zx)) - h_bar * (target - zx)
+
+        def dcorr(zx):
+            return h_bar - h_tab(zx)
+
+    def deriv(xv):
+        n0 = sysm.density(sol.initial(xv))
+        return 1.0 + dcorr(sol.initial_coordinate(xv)) * n0
+
+    return _shape_from_correction(
+        sol, corr, deriv, i, "generic", limit_speed_mixed(sol, i)
     )
 
 
@@ -365,40 +366,37 @@ def _fast_correction(sol, st, mu_plus):
 
 
 def _shape_from_correction(sol, corr, deriv_at, component, route, limit_speed):
+    """Shape map x + corr(Z0(x)) with derivative ``deriv_at``: both routes.
+
+    The correction freezes once Z0(x) leaves the breakpoint images, so the
+    map is exactly affine outside the profile's core.  Raises
+    :class:`ShapeFloorError` when the derivative floor is not positive.
+    """
     xs = sol.initial.breakpoints
 
     def forward(xv):
-        zx = sol.initial_coordinate(np.asarray(xv, dtype=float))
-        return np.asarray(xv, dtype=float) + corr(zx)
+        xv = np.asarray(xv, dtype=float)
+        return xv + corr(sol.initial_coordinate(xv))
 
-    # The derivative is a ratio of affine functions per segment, so its
-    # extrema over the core sit at the breakpoints.
-    dvals = np.asarray(deriv_at(xs), dtype=float)
-    floor = float(np.min(dvals))
-    if floor <= 0.0:
-        raise GapConditionError(
-            "shape derivative nonpositive (%.6g) despite gap check" % floor
-        )
+    # The floor is sampled on 257 points per profile segment: the model
+    # derivatives are ratios of affine functions, monotone per segment, but
+    # the generic ones need not be.
+    dense = np.unique([np.linspace(a, b, 257) for a, b in zip(xs[:-1], xs[1:])])
+    dvals = np.asarray(deriv_at(dense), dtype=float)
     left_slope = float(deriv_at(np.array([xs[0] - 1.0]))[0])
     right_slope = float(deriv_at(np.array([xs[-1] + 1.0]))[0])
+    floor = min(float(np.min(dvals)), left_slope, right_slope)
+    if floor <= 0.0:
+        raise ShapeFloorError(
+            "shape map for component %d is not invertible: min derivative %.6g"
+            % (component, floor)
+        )
     fmap = MonotoneMap(
-        forward,
-        x_lo=float(xs[0]),
-        x_hi=float(xs[-1]),
-        d_min=min(floor, left_slope, right_slope),
+        forward, x_lo=float(xs[0]), x_hi=float(xs[-1]), d_min=floor,
         d_max=max(float(np.max(dvals)), left_slope, right_slope),
-        left_slope=left_slope,
-        right_slope=right_slope,
-        deriv=deriv_at,
-        tol=1e-11,
+        left_slope=left_slope, right_slope=right_slope, deriv=deriv_at, tol=1e-11,
     )
-    return ShapeFunction(
-        component=component,
-        route=route,
-        forward=fmap,
-        limit_speed=limit_speed,
-        derivative_floor=min(floor, left_slope, right_slope),
-    )
+    return ShapeFunction(component, route, fmap, limit_speed, derivative_floor=floor)
 
 
 def bi_shape(sol, side):

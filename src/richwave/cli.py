@@ -151,16 +151,10 @@ def cmd_plateau(cfg, out, tol, failures):
 
 def _model_shapes(sol):
     """Model-route shape per component: slow/fast closed forms, middle map."""
-    st = sol.system.bi_structure
     shapes = {}
-    for i in range(sol.system.n):
-        speed = sol.system.lagrangian_speeds[i]
+    for i, speed in enumerate(sol.system.lagrangian_speeds):
         if speed == 0.0:
             shapes[i] = asy.abi_middle_shape(sol)
-        elif i == st.mu:
-            shapes[i] = asy.bi_shape(sol, "slow")
-        elif i == st.lam:
-            shapes[i] = asy.bi_shape(sol, "fast")
         else:
             shapes[i] = asy.bi_shape(sol, "slow" if speed < 0 else "fast")
     return shapes
@@ -168,7 +162,10 @@ def _model_shapes(sol):
 
 def cmd_asymptotics(cfg, out, tol, failures):
     sol = _solution(cfg)
-    shapes = _model_shapes(sol)
+    try:
+        shapes = _model_shapes(sol)
+    except asy.GapConditionError as exc:
+        raise ConfigError("asymptotics: profile: %s" % exc) from exc
     prof = cfg.profile
     pad = 0.5 * (prof.breakpoints[-1] - prof.breakpoints[0])
     xs = np.linspace(
@@ -385,7 +382,8 @@ def main(argv=None):
     except (ConfigError, OSError) as exc:
         print("richwave: %s" % exc, file=sys.stderr)
         return 2
-    except (InversionError, QuadratureError, TabulationError) as exc:
+    except (InversionError, QuadratureError, TabulationError, asy.ShapeFloorError,
+            fv.BlowUpError) as exc:
         failures.append("%s: %s: %s" % (args.command, type(exc).__name__, exc))
     if failures:
         payload = {"command": args.command, "failures": failures}

@@ -177,6 +177,9 @@ def parse_config(raw, base_dir="."):
             "x_max": float(blk["x_max"]) if "x_max" in blk else None,
             "cfl": float(blk.get("cfl", 0.9)),
         }
+        cells, cfl = cfg.oracle["cells"], cfg.oracle["cfl"]
+        if min(cells, default=0) < 1 or not 0.0 < cfl <= 1.0:
+            raise ConfigError("oracle needs cell counts, each >= 1, and 0 < cfl <= 1")
     if "perturbation" in raw:
         _check_keys(raw["perturbation"], _PERT_KEYS, "perturbation")
         blk = raw["perturbation"]

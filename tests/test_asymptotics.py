@@ -28,6 +28,8 @@ from richwave import (
     tail_term,
     traveling_frame_position,
 )
+from richwave import asymptotics, quadrature
+from richwave.config import load_config
 
 
 @pytest.fixture(scope="module")
@@ -237,6 +239,44 @@ def test_gap_condition_error():
     sol = solve(bi1, prof)
     with pytest.raises(GapConditionError):
         bi_shape(sol, "slow")
+
+
+@pytest.mark.parametrize(
+    "make_sol",
+    [
+        lambda: solve(born_infeld(1.0), bi_tworamp_profile()),
+        lambda: solve(augmented_born_infeld(1.0), abi_middle_profile()),
+        lambda: solve(three_speed_system(), three_speed_profile()),
+    ],
+    ids=["bi-two-ramp", "abi-middle", "three-speed"],
+)
+def test_primitive_form_matches_pointwise_terms(make_sol):
+    # the tabulated primitive form against the pointwise quadratures of the
+    # coupling and density terms, on every component
+    sol = make_sol()
+    xs = np.linspace(-1.3, 1.3, 11)  # core points and both frozen tails
+    for i in range(sol.system.n):
+        shape = build_shape(sol, i)
+        want = [x + coupling_term(sol, i, x) + tail_term(sol, i, x) for x in xs]
+        assert np.max(np.abs(shape(xs) - np.array(want))) <= 1e-12
+
+
+def test_build_shape_on_presets_makes_no_integrate_call(monkeypatch):
+    original = quadrature.integrate
+    calls = []
+
+    def counting_integrate(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(asymptotics, "integrate", counting_integrate)
+    monkeypatch.setattr(quadrature, "integrate", counting_integrate)
+    for name in ("bi-two-ramp", "abi-middle"):
+        cfg = load_config(name)
+        sol = solve(cfg.system, cfg.profile)
+        for i in range(sol.system.n):
+            build_shape(sol, i)
+    assert calls == []
 
 
 def test_shape_floor_error_on_large_data():

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from richwave import cli
+from richwave.asymptotics import ShapeFloorError
 from richwave.cheb import TabulationError
 from richwave.cli import main
 from richwave.config import ConfigError, load_config, parse_config, preset_names
+from richwave.fv import BlowUpError
 from richwave.maps import InversionError
 from richwave.quadrature import QuadratureError
 
@@ -107,6 +109,29 @@ def test_bad_config_exits_2_without_traceback(tmp_path, capsys, cfg):
 
 
 @pytest.mark.parametrize(
+    "oracle",
+    [
+        {"t_final": 1.0, "cells": [0, 10]},
+        {"t_final": 1.0, "cells": []},
+        {"t_final": 1.0, "cells": [10, 20], "cfl": 5.0},
+        {"t_final": 1.0, "cells": [10, 20], "cfl": -1.0},
+    ],
+    ids=["zero-cells", "no-cells", "cfl-above-one", "negative-cfl"],
+)
+def test_bad_oracle_block_exits_2_without_traceback(tmp_path, capsys, oracle):
+    path = tmp_path / "bad.json"
+    path.write_text(
+        json.dumps({"model": {"name": "bi"}, "profile": _BI_RAMP, "oracle": oracle})
+    )
+    out = tmp_path / "o"
+    assert main(["oracle", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "Traceback" not in err
+    assert not (out / "failures.json").exists()
+
+
+@pytest.mark.parametrize(
     "extra",
     [
         {"grid": {"x_min": 1.0, "x_max": 1.0, "points": 5}},
@@ -130,6 +155,8 @@ def test_out_of_range_blocks_rejected(extra):
         InversionError("Z(t,.) inversion stalled"),
         QuadratureError("X(t=1, z=0.5): depth exceeded", interval=(0.25, 0.5)),
         TabulationError("segment did not converge"),
+        ShapeFloorError("shape map for component 0 is not invertible"),
+        BlowUpError("non-finite state after step at t = 0.5"),
     ],
     ids=lambda e: type(e).__name__,
 )
@@ -145,6 +172,26 @@ def test_numerical_failure_reported_in_failures_json(tmp_path, capsys, monkeypat
     payload = json.loads((out / "failures.json").read_text())
     assert payload["command"] == "solve"
     assert payload["failures"] == ["solve: %s: %s" % (type(error).__name__, error)]
+
+
+def test_asymptotics_without_full_gap_condition_exits_2(tmp_path, capsys):
+    # the solution exists (the mu dip sits left of the lam bump), but
+    # inf mu0 = 0.5 < sup lam0 = 0.7 defeats the model shape maps
+    cfg = {
+        "model": {"name": "bi"},
+        "profile": {
+            "breakpoints": [-1.0, -0.5, 0.0, 0.5, 1.0],
+            "values": [[1, -1], [0.5, -1], [1, -1], [1, 0.7], [1, -1]],
+        },
+    }
+    path = tmp_path / "gap.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    assert main(["asymptotics", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "gap condition" in err
+    assert "Traceback" not in err
+    assert not (out / "failures.json").exists()
 
 
 def test_solve_constant_rows_are_tail_state(tmp_path):

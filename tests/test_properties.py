@@ -8,7 +8,15 @@ from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
 from helpers import three_speed_system
-from richwave import PiecewiseProfile, augmented_born_infeld, born_infeld, solve
+from richwave import (
+    PiecewiseProfile,
+    abi_middle_shape,
+    augmented_born_infeld,
+    bi_shape,
+    born_infeld,
+    build_shape,
+    solve,
+)
 
 # |w_i| <= 0.8 keeps 1/N = 1 + 0.1 w1 + 0.15 w2 - 0.08 w3 >= 0.74, well inside
 # the three-speed system's admissible set 1/N > 0.05, for every mixture of
@@ -82,3 +90,32 @@ def test_born_infeld_identities(profile):
 @given(profile=profiles(st.tuples(_MU, _Q, _LAM)))
 def test_augmented_born_infeld_identities(profile):
     _check_born_infeld_identities(solve(augmented_born_infeld(1.0), profile))
+
+
+@st.composite
+def equal_tail_profiles(draw, state):
+    profile = draw(profiles(state))
+    values = profile.values.copy()
+    values[-1] = values[0]
+    return profile.with_values(values)
+
+
+@seed(20120420)
+@_EXAMPLES
+@given(
+    profile=st.one_of(
+        equal_tail_profiles(st.tuples(_MU, _LAM)),
+        equal_tail_profiles(st.tuples(_MU, _Q, _LAM)),
+    )
+)
+def test_generic_shapes_match_model_shapes(profile):
+    system = born_infeld(1.0) if profile.n == 2 else augmented_born_infeld(1.0)
+    sol = solve(system, profile)
+    xs = np.linspace(profile.breakpoints[0] - 1.0, profile.breakpoints[-1] + 1.0, 101)
+    for i, speed in enumerate(system.lagrangian_speeds):
+        if speed == 0.0:
+            model = abi_middle_shape(sol)
+        else:
+            model = bi_shape(sol, "slow" if speed < 0 else "fast")
+        # criterion 7's bound on the gap between the two routes
+        assert np.max(np.abs(build_shape(sol, i)(xs) - model(xs))) <= 1e-8
