@@ -392,8 +392,7 @@ def _shape_from_correction(sol, corr, deriv_at, component, route, limit_speed):
             % (component, floor)
         )
     fmap = MonotoneMap(
-        forward, x_lo=float(xs[0]), x_hi=float(xs[-1]), d_min=floor,
-        d_max=max(float(np.max(dvals)), left_slope, right_slope),
+        forward, x_lo=float(xs[0]), x_hi=float(xs[-1]),
         left_slope=left_slope, right_slope=right_slope, deriv=deriv_at, tol=1e-11,
     )
     return ShapeFunction(component, route, fmap, limit_speed, derivative_floor=floor)

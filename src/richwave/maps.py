@@ -1,4 +1,8 @@
-"""Strictly increasing scalar maps with affine tails and guarded inversion."""
+"""Strictly increasing maps with exact affine tails and their one inversion.
+
+:func:`invert_increasing` serves every inverse of the package: ``X0`` and
+the shape maps (through :class:`MonotoneMap`) and ``Z(t, .)``.
+"""
 
 import numpy as np
 
@@ -8,9 +12,77 @@ MAX_INVERT_ITERS = 200
 class InversionError(RuntimeError):
     """Inversion failed to meet its residual tolerance within the iteration cap.
 
-    Usually means the stated derivative bounds are violated (the map is not
-    actually monotone, or the target value sits in a jump).
+    Usually means the map is not actually increasing, or the target value
+    sits in a jump.  ``owner`` names the worst point: its index in
+    :func:`invert_increasing`, the target ``y`` in ``MonotoneMap.invert``
+    and ``(t, x)`` in ``LagrangianSolution.lagrangian_coordinate``.
     """
+
+    def __init__(self, message, owner=None):
+        super().__init__(message)
+        self.owner = owner
+
+
+def invert_increasing(f, df, y, lo, hi, f_lo, f_hi, left_slope, right_slope, tol):
+    """x with ``F_p(x) = y_p`` for increasing maps affine outside ``[lo_p, hi_p]``.
+
+    On its core ``F_p(x) = f(x, p)`` rises from ``f_lo_p`` to ``f_hi_p``;
+    beyond it ``F_p`` continues with ``left_slope_p``/``right_slope_p``, so
+    targets outside ``[f_lo_p, f_hi_p]`` take the exact affine inverse.  Core
+    targets run Newton with ``df(x, owner)`` (bisection if ``df`` is None)
+    from the secant guess, safeguarded by the sign-enclosing bracket; ``f``
+    and ``df`` get the indices of the points asked for as ``owner``.  A point
+    is done when ``|r| <= tol``, or when its bracket has collapsed to machine
+    width and ``|r| <= max(tol, 1024 eps (|y| + 1))``, the map's own noise.
+    ``y`` is 1-D; the other arguments broadcast against it.  Raises
+    :class:`InversionError` whose ``owner`` is the worst point's index.
+    """
+    # One array per argument; adding zeros is exact and cheaper than
+    # np.broadcast_arrays for the 1-16 point calls that dominate.
+    zero = np.zeros(np.shape(y))
+    y, lo, hi, f_lo, f_hi, left_slope, right_slope, tol = (
+        zero + a for a in (y, lo, hi, f_lo, f_hi, left_slope, right_slope, tol)
+    )
+    below = y < f_lo
+    above = y > f_hi
+    out = np.where(below, lo + (y - f_lo) / left_slope, hi + (y - f_hi) / right_slope)
+    idx = np.nonzero(~(below | above))[0]
+    if idx.size == 0:
+        return out
+    y, lo, hi, f_lo, f_hi, tol = (a[idx] for a in (y, lo, hi, f_lo, f_hi, tol))
+    x = np.clip(lo + (y - f_lo) * (hi - lo) / (f_hi - f_lo), lo, hi)
+    eps = np.finfo(float).eps
+    noise = np.maximum(tol, 1024.0 * eps * (np.abs(y) + 1.0))
+    for _ in range(MAX_INVERT_ITERS):
+        r = np.asarray(f(x, idx), dtype=float) - y
+        done = np.abs(r) <= tol
+        collapsed = (hi - lo) <= 4.0 * eps * np.maximum(1.0, np.abs(x))
+        done |= collapsed & (np.abs(r) <= noise)
+        if done.any():
+            out[idx[done]] = x[done]
+            if done.all():
+                return out
+            keep = ~done
+            idx, x, r, y, lo, hi, tol, noise = (
+                a[keep] for a in (idx, x, r, y, lo, hi, tol, noise)
+            )
+        pos = r > 0.0
+        hi = np.where(pos, np.minimum(hi, x), hi)
+        lo = np.where(pos, lo, np.maximum(lo, x))
+        if df is None:
+            x = 0.5 * (lo + hi)
+            continue
+        d = np.asarray(df(x, idx), dtype=float)
+        step = np.where(d > 0.0, r / np.where(d > 0.0, d, 1.0), np.nan)
+        cand = x - step
+        bad = ~np.isfinite(cand) | (cand <= lo) | (cand >= hi)
+        x = np.where(bad, 0.5 * (lo + hi), cand)
+    k = int(np.argmax(np.abs(r)))
+    raise InversionError(
+        "inversion stalled: worst residual %.3e after %d iterations (tol %.1e)"
+        % (abs(r[k]), MAX_INVERT_ITERS, tol[k]),
+        owner=int(idx[k]),
+    )
 
 
 class MonotoneMap:
@@ -18,24 +90,19 @@ class MonotoneMap:
 
     ``forward`` is a vectorized callable trusted on the core interval;
     outside it the map continues as ``F(edge) + slope * (x - edge)``.
-    ``d_min``/``d_max`` bound the derivative on the core (0 < d_min <= d_max)
-    and ``deriv``, when given, accelerates inversion with Newton steps.
+    ``deriv``, when given, accelerates inversion with Newton steps.
     Instances are immutable; inversion solves ``|F(x) - y| <= tol``.
     """
 
-    def __init__(self, forward, x_lo, x_hi, d_min, d_max,
-                 left_slope=None, right_slope=None, deriv=None, tol=1e-12):
-        if not (0.0 < d_min <= d_max):
-            raise ValueError("need 0 < d_min <= d_max, got [%g, %g]" % (d_min, d_max))
+    def __init__(self, forward, x_lo, x_hi, left_slope, right_slope, deriv=None,
+                 tol=1e-12):
         if not x_lo < x_hi:
             raise ValueError("core interval is empty")
         self._forward = forward
         self.x_lo = float(x_lo)
         self.x_hi = float(x_hi)
-        self.d_min = float(d_min)
-        self.d_max = float(d_max)
-        self.left_slope = float(d_min if left_slope is None else left_slope)
-        self.right_slope = float(d_min if right_slope is None else right_slope)
+        self.left_slope = float(left_slope)
+        self.right_slope = float(right_slope)
         if self.left_slope <= 0.0 or self.right_slope <= 0.0:
             raise ValueError("tail slopes must be positive")
         self._deriv = deriv
@@ -62,60 +129,23 @@ class MonotoneMap:
         return float(out[0]) if scalar else out
 
     def invert(self, y):
-        """x with |F(x) - y| <= tol; exact affine formula outside the core."""
-        y = np.asarray(y, dtype=float)
-        scalar = y.ndim == 0
-        yv = np.atleast_1d(y).astype(float)
-        out = np.empty_like(yv)
-        below = yv < self.f_lo
-        above = yv > self.f_hi
-        if below.any():
-            out[below] = self.x_lo + (yv[below] - self.f_lo) / self.left_slope
-        if above.any():
-            out[above] = self.x_hi + (yv[above] - self.f_hi) / self.right_slope
-        inner = ~(below | above)
-        if inner.any():
-            out[inner] = self._invert_core(yv[inner])
-        return float(out[0]) if scalar else out
+        """x with |F(x) - y| <= tol (:func:`invert_increasing`).
 
-    def _invert_core(self, y):
-        lo = np.full(y.shape, self.x_lo)
-        hi = np.full(y.shape, self.x_hi)
-        # Secant initial guess through the core endpoints.
-        x = self.x_lo + (y - self.f_lo) * (self.x_hi - self.x_lo) / (self.f_hi - self.f_lo)
-        x = np.clip(x, lo, hi)
-        done = np.zeros(y.shape, dtype=bool)
-        r = np.empty_like(y)
-        # When the bracket has shrunk to machine width, a residual at the
-        # forward map's own noise floor is accepted: the answer is as good
-        # as the map can represent.  Genuinely unreachable targets (residual
-        # far above noise) still fail below.
-        eps = np.finfo(float).eps
-        noise_tol = np.maximum(self.tol, 1024.0 * eps * (np.abs(y) + 1.0))
-        for _ in range(MAX_INVERT_ITERS):
-            act = ~done
-            r[act] = np.asarray(self._forward(x[act]), dtype=float) - y[act]
-            done |= np.abs(r) <= self.tol
-            collapsed = (hi - lo) <= 4.0 * eps * np.maximum(1.0, np.abs(x))
-            done |= collapsed & (np.abs(r) <= noise_tol)
-            if done.all():
-                return x
-            act = ~done
-            pos = act & (r > 0.0)
-            neg = act & (r <= 0.0)
-            hi[pos] = np.minimum(hi[pos], x[pos])
-            lo[neg] = np.maximum(lo[neg], x[neg])
-            if self._deriv is not None:
-                d = np.asarray(self._deriv(x[act]), dtype=float)
-                step = np.where(d > 0.0, r[act] / np.where(d > 0.0, d, 1.0), np.nan)
-                cand = x[act] - step
-                bad = ~np.isfinite(cand) | (cand <= lo[act]) | (cand >= hi[act])
-                cand[bad] = 0.5 * (lo[act] + hi[act])[bad]
-                x[act] = cand
-            else:
-                x[act] = 0.5 * (lo[act] + hi[act])
-        raise InversionError(
-            "inversion stalled: worst residual %.3e after %d iterations "
-            "(tol %.1e); derivative bounds are suspect"
-            % (float(np.max(np.abs(r[~done]))), MAX_INVERT_ITERS, self.tol)
-        )
+        An :class:`InversionError` names the worst target ``y``.
+        """
+        y = np.asarray(y, dtype=float)
+        yv = y.reshape(-1)
+        deriv = self._deriv
+        try:
+            out = invert_increasing(
+                lambda x, owner: self._forward(x),
+                None if deriv is None else lambda x, owner: deriv(x),
+                yv, self.x_lo, self.x_hi, self.f_lo, self.f_hi,
+                self.left_slope, self.right_slope, self.tol,
+            )
+        except InversionError as exc:
+            target = float(yv[exc.owner])
+            raise InversionError(
+                "F^-1(y=%.17g): %s" % (target, exc), owner=target
+            ) from exc
+        return float(out[0]) if y.ndim == 0 else out.reshape(y.shape)

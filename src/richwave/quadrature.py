@@ -16,6 +16,9 @@ vectorised form of the adaptive scheme of Gander & Gautschi, BIT 40 (2000)).
 import numpy as np
 
 MAX_DEPTH = 40
+# Probe points per panel and bisection cap of ``refine_sign_changes``.
+_SIGN_SAMPLES = 9
+_SIGN_ITERS = 52
 
 
 class QuadratureError(RuntimeError):
@@ -208,12 +211,12 @@ def bisect_brackets(f, lo, hi, vlo, iters):
     return 0.5 * (lo + hi)
 
 
-def refine_sign_changes(f, edges, samples=9, iters=52):
+def refine_sign_changes(f, edges):
     """Roots of ``f`` between consecutive ``edges``, located by bisection.
 
     Used to turn the sign changes of a difference of solutions into extra
     kinks so that ``integrate`` sees a smooth ``|f|`` on every panel.  Only
-    sign changes visible at ``samples`` probe points per panel are found,
+    sign changes visible at ``_SIGN_SAMPLES`` probe points per panel are found,
     which is all the piecewise-monotone integrands here need.  All detected
     brackets bisect together (:func:`bisect_brackets`).
     """
@@ -221,7 +224,8 @@ def refine_sign_changes(f, edges, samples=9, iters=52):
     if len(edges) < 2:
         return []
     xs = np.concatenate(
-        [np.linspace(edges[k], edges[k + 1], samples) for k in range(len(edges) - 1)]
+        [np.linspace(edges[k], edges[k + 1], _SIGN_SAMPLES)
+         for k in range(len(edges) - 1)]
     )
     vals = _feval(f, xs)
     # Drop bracket candidates that straddle a panel edge (duplicated points).
@@ -229,4 +233,4 @@ def refine_sign_changes(f, edges, samples=9, iters=52):
     flip = np.nonzero((sgn[:-1] * sgn[1:] < 0) & (np.diff(xs) > 0))[0]
     if flip.size == 0:
         return []
-    return list(bisect_brackets(f, xs[flip], xs[flip + 1], vals[flip], iters))
+    return list(bisect_brackets(f, xs[flip], xs[flip + 1], vals[flip], _SIGN_ITERS))

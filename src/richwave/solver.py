@@ -6,21 +6,26 @@ Lagrangian speed, and the Eulerian position map X(t, .) is recovered either
 by a time quadrature of M/N (any system; all points of a call share one
 adaptive pass) or, for Born-Infeld-like systems, by the closed form built
 from running primitives of the two extreme invariants.  Solution values at
-(t, x) follow by inverting X(t, .).
+(t, x) follow by inverting X(t, .) with ``maps.invert_increasing``, the
+inversion ``Z0`` uses too: outside the core [zeta_0 + min speed * t,
+zeta_K + max speed * t] every component is in a tail state, so X(t, .) is
+exactly affine there with slope 1/N and needs no Newton step.
 """
 
 import numpy as np
 
 from .cheb import fit_piecewise
-from .maps import InversionError, MonotoneMap
+from .maps import InversionError, MonotoneMap, invert_increasing
 from .quadrature import QuadratureError, bisect_brackets, integrate, integrate_many
 from .systems import AdmissibilityError
 
-MAX_NEWTON_ITERS = 200
 # Points per shared position-quadrature pass: bounds the panel arrays of one
 # pass (a box's kink search asks for ~1000 points at once) at no cost in
 # calls per point.
 _POINTS_PER_PASS = 128
+# Sample grid and bisection cap of the crossing-time search on a box side.
+_TIME_KINK_SAMPLES = 65
+_TIME_KINK_ITERS = 60
 
 
 class UnsupportedModelError(TypeError):
@@ -97,36 +102,28 @@ class LagrangianSolution:
         dense = np.concatenate(
             [np.linspace(xs[k], xs[k + 1], 129) for k in range(len(xs) - 1)]
         )
-        nv = self._n0(dense)
-        if nv.min() <= 0.0:
+        if self._n0(dense).min() <= 0.0:
             raise ValueError("density is not positive along the profile")
-        self.n_min = float(nv.min()) * 0.999
-        self.n_max = float(nv.max()) * 1.001
+        self._check_mixed_states(profile)
 
-        # Translation mixes component values that never co-occur at t = 0, so
-        # the density range along the evolution is bounded over the product
-        # box of per-component ranges (exact for piecewise-linear data).
-        # These bounds only seed the inversion bracket; sign-change expansion
-        # keeps the inversion correct even if they are slightly off.
-        self.mix_n_min, self.mix_n_max = self._mixed_density_range(profile)
-
+        # Both tails of Z0 and of every X(t, .) are exactly affine, with
+        # slopes N and 1/N at the constant tail states.
         n_left = self._n0.left_tail[0]
         n_right = self._n0.right_tail[0]
+        self._tail_slopes = (1.0 / n_left, 1.0 / n_right)
+        speeds = [f.speed for f in system.families]
+        self._speed_range = (min(speeds), max(speeds))
         self.z0_map = MonotoneMap(
             self._z0,
             x_lo=float(xs[0]),
             x_hi=float(xs[-1]),
-            d_min=self.n_min,
-            d_max=self.n_max,
             left_slope=n_left,
             right_slope=n_right,
             deriv=self._n0,
             tol=min(self.inv_tol, 1e-13),
         )
         self._x0 = fit_piecewise(
-            self.z0_map.invert,
-            self.zeta,
-            tail_slopes=(1.0 / n_left, 1.0 / n_right),
+            self.z0_map.invert, self.zeta, tail_slopes=self._tail_slopes
         )
 
         self._bi = system.bi_structure
@@ -139,12 +136,16 @@ class LagrangianSolution:
                 lambda z: profile.component(st.lam, self._x0(z)), self.zeta
             ).antiderivative(anchor=0.0, value=0.0)
 
-    def _mixed_density_range(self, profile):
-        gaps = check_translated_gap(self.system, profile)
-        if gaps is not None:
-            min_gap, max_gap = gaps
-            a = self.system.bi_structure.a
-            return (2.0 * a / max_gap) * 0.99, (2.0 * a / min_gap) * 1.01
+    def _check_mixed_states(self, profile):
+        """Raise unless every state translation can mix is admissible, N > 0.
+
+        Translation mixes component values that never co-occur at t = 0.  For
+        Born-Infeld data the translated gap decides (``check_translated_gap``);
+        otherwise the product box of per-component ranges is sampled on a
+        7-point mesh per axis (exact for piecewise-linear data).
+        """
+        if check_translated_gap(self.system, profile) is not None:
+            return
         axes = []
         for i in range(self.system.n):
             lo = float(profile.values[:, i].min())
@@ -152,16 +153,13 @@ class LagrangianSolution:
             axes.append(np.linspace(lo, hi, 7) if hi > lo else np.array([lo]))
         mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
         mesh = mesh.reshape(-1, self.system.n)
-        ok = self.system.admissible(mesh)
-        if not ok.all():
+        if not self.system.admissible(mesh).all():
             raise ValueError(
                 "translated component combinations leave the admissible domain; "
                 "the coordinate map could degenerate along the evolution"
             )
-        nv = self.system.density(mesh)
-        if nv.min() <= 0.0:
+        if self.system.density(mesh).min() <= 0.0:
             raise ValueError("density is not positive over the mixed-state box")
-        return float(nv.min()) * 0.99, float(nv.max()) * 1.01
 
     # -- initial coordinate maps ----------------------------------------------
 
@@ -261,87 +259,52 @@ class LagrangianSolution:
             return self.position_closed_form(t, z)
         return self.position_quadrature(t, z)
 
-    def lagrangian_coordinate(self, t, x):
-        """Z(t, x) = X(t, .)^{-1}(x): bracket from the mixed density bounds,
-        expand until the root is sign-enclosed, then safeguarded Newton.
+    def _core(self, t):
+        """``(z_lo, z_hi)``: outside it every component is in a tail state."""
+        lo, hi = self._speed_range
+        return self.zeta[0] + lo * t, self.zeta[-1] + hi * t
 
-        An :class:`InversionError` names the worst point's (t, x).
+    def lagrangian_coordinate(self, t, x):
+        """Z(t, x) = X(t, .)^{-1}(x) by :func:`maps.invert_increasing`.
+
+        ``X(t, .)`` is exactly affine with slopes ``1/N`` at the tail states
+        outside the core ``[z_lo, z_hi]`` (``_core``), so one batched
+        ``position`` call at both core edges settles every point in a tail;
+        core points run Newton with ``dX/dz = 1/N(w(t, z))``.  An
+        :class:`InversionError` names the worst point's (t, x).
         """
         t = np.asarray(t, dtype=float)
         x = np.asarray(x, dtype=float)
         if np.any(t < 0):
             raise ValueError("t must be nonnegative")
-        scalar = t.ndim == 0 and x.ndim == 0
-        tb, xb = np.broadcast_arrays(np.atleast_1d(t), np.atleast_1d(x))
-        tb = tb.reshape(-1).astype(float)
-        xb = xb.reshape(-1).astype(float)
-
-        c0 = np.atleast_1d(np.asarray(self.position(tb, np.zeros_like(tb)), dtype=float))
-        d = xb - c0
-        # X(t, .) - X(t, 0) lies between z/mix_n_max and z/mix_n_min.
-        lo = np.minimum(d * self.mix_n_min, d * self.mix_n_max) - 1e-9
-        hi = np.maximum(d * self.mix_n_min, d * self.mix_n_max) + 1e-9
-        r_lo = np.asarray(self.position(tb, lo), dtype=float) - xb
-        r_hi = np.asarray(self.position(tb, hi), dtype=float) - xb
-        width = np.maximum(hi - lo, 1.0)
-        for _ in range(80):
-            bad_lo = r_lo > 0.0
-            bad_hi = r_hi < 0.0
-            if not (bad_lo.any() or bad_hi.any()):
-                break
-            if bad_lo.any():
-                lo[bad_lo] -= width[bad_lo]
-                r_lo[bad_lo] = (
-                    np.asarray(self.position(tb[bad_lo], lo[bad_lo]), dtype=float)
-                    - xb[bad_lo]
-                )
-            if bad_hi.any():
-                hi[bad_hi] += width[bad_hi]
-                r_hi[bad_hi] = (
-                    np.asarray(self.position(tb[bad_hi], hi[bad_hi]), dtype=float)
-                    - xb[bad_hi]
-                )
-            width *= 2.0
-        else:
-            miss = np.maximum(r_lo, 0.0) + np.maximum(-r_hi, 0.0)
-            k = int(np.argmax(miss))
+        tb, xb = np.broadcast_arrays(t, x)
+        shape, tb, xb = tb.shape, tb.reshape(-1), xb.reshape(-1)
+        z_lo, z_hi = self._core(tb)
+        edges = self.position(np.concatenate([tb, tb]), np.concatenate([z_lo, z_hi]))
+        x_lo, x_hi = np.reshape(edges, (2, -1))
+        k = int(np.argmin(x_hi - x_lo))
+        if x_hi[k] <= x_lo[k]:
             raise InversionError(
-                "Z(t=%.17g, x=%.17g): could not sign-enclose Z(t,.) inversion "
-                "(bracket misses by %.3e)" % (tb[k], xb[k], miss[k])
+                "Z(t=%.17g, x=%.17g): X(t,.) is not increasing across its core"
+                % (tb[k], xb[k]),
+                owner=(float(tb[k]), float(xb[k])),
             )
-
-        z = np.clip(d * 0.5 * (self.mix_n_min + self.mix_n_max), lo, hi)
-        done = np.zeros(z.shape, dtype=bool)
         tol = np.maximum(self.inv_tol, 32.0 * np.finfo(float).eps * (np.abs(xb) + 1.0))
-        r = np.empty_like(z)
-        for _ in range(MAX_NEWTON_ITERS):
-            act = ~done
-            r[act] = np.asarray(self.position(tb[act], z[act]), dtype=float) - xb[act]
-            done |= np.abs(r) <= tol
-            # With the root sign-enclosed, a collapsed bracket means the
-            # position tables cannot resolve the residual any further.
-            done |= (hi - lo) <= 4.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(z))
-            if done.all():
-                break
-            act = ~done
-            pos = act & (r > 0.0)
-            neg = act & (r <= 0.0)
-            hi[pos] = np.minimum(hi[pos], z[pos])
-            lo[neg] = np.maximum(lo[neg], z[neg])
-            dens = self.system.density(self.state_lagrangian(tb[act], z[act]))
-            cand = z[act] - r[act] * dens
-            outside = (cand <= lo[act]) | (cand >= hi[act]) | ~np.isfinite(cand)
-            cand[outside] = 0.5 * (lo[act] + hi[act])[outside]
-            z[act] = cand
-        else:
-            k = int(np.argmax(np.where(done, -np.inf, np.abs(r))))
-            raise InversionError(
-                "Z(t=%.17g, x=%.17g): Z(t,.) inversion stalled: worst residual "
-                "%.3e (tol %.1e)" % (tb[k], xb[k], abs(r[k]), self.inv_tol)
+        try:
+            z = invert_increasing(
+                lambda zs, owner: self.position(tb[owner], zs),
+                lambda zs, owner: 1.0 / self.system.density(
+                    self.state_lagrangian(tb[owner], zs)
+                ),
+                xb, z_lo, z_hi, x_lo, x_hi, *self._tail_slopes, tol,
             )
-        if scalar:
-            return float(z[0])
-        return z.reshape(np.broadcast_shapes(np.asarray(t).shape, np.asarray(x).shape))
+        except InversionError as exc:
+            k = exc.owner
+            raise InversionError(
+                "Z(t=%.17g, x=%.17g): Z(t,.) %s" % (tb[k], xb[k], exc),
+                owner=(float(tb[k]), float(xb[k])),
+            ) from exc
+        return float(z[0]) if shape == () else z.reshape(shape)
 
     # -- solution values --------------------------------------------------------
 
@@ -374,9 +337,7 @@ class LagrangianSolution:
     def support_interval(self, t, margin=1.0):
         """Interval outside which w(t, .) is exactly constant, with margin."""
         t = float(t)
-        speeds = [f.speed for f in self.system.families]
-        z_lo = self.zeta[0] + min(speeds) * t
-        z_hi = self.zeta[-1] + max(speeds) * t
+        z_lo, z_hi = self._core(t)
         return (
             float(self.position(t, z_lo)) - margin,
             float(self.position(t, z_hi)) + margin,
@@ -429,14 +390,14 @@ class LagrangianSolution:
         )
         return float(res[0]), tuple(float(r) for r in res[1:])
 
-    def _time_kinks(self, x_side, t1, t2, samples=65, iters=60):
+    def _time_kinks(self, x_side, t1, t2):
         """Times at which a characteristic kink passes the fixed abscissa.
 
         The Eulerian path of breakpoint image zeta_k in family f is
         tau -> X(tau, zeta_k + speed_f tau); its crossings of x_side are
         bracketed on a sample grid and bisected.
         """
-        taus = np.linspace(t1, t2, samples)
+        taus = np.linspace(t1, t2, _TIME_KINK_SAMPLES)
         speeds = np.array([f.speed for f in self.system.families])
         zz = self.zeta[None, None, :] + speeds[None, :, None] * taus[:, None, None]
         paths = np.asarray(
@@ -453,5 +414,5 @@ class LagrangianSolution:
             return np.asarray(self.position(tau, zk + spd * tau), dtype=float) - x_side
 
         return list(bisect_brackets(
-            path, taus[flips[0]], taus[flips[0] + 1], paths[flips], iters
+            path, taus[flips[0]], taus[flips[0] + 1], paths[flips], _TIME_KINK_ITERS
         ))

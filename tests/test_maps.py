@@ -5,14 +5,14 @@ from richwave import InversionError, MonotoneMap
 
 
 def test_linear_map_inversion():
-    m = MonotoneMap(lambda x: 2.0 * x, x_lo=-10.0, x_hi=10.0, d_min=2.0, d_max=2.0,
+    m = MonotoneMap(lambda x: 2.0 * x, x_lo=-10.0, x_hi=10.0,
                     left_slope=2.0, right_slope=2.0)
     assert m.invert(5.0) == pytest.approx(2.5, abs=1e-12)
 
 
 def test_affine_tail_is_exact():
     # F(x) = x + 7 everywhere; beyond the core the inverse is the closed form
-    m = MonotoneMap(lambda x: x + 7.0, x_lo=0.0, x_hi=10.0, d_min=1.0, d_max=1.0,
+    m = MonotoneMap(lambda x: x + 7.0, x_lo=0.0, x_hi=10.0,
                     left_slope=1.0, right_slope=1.0)
     assert m.invert(100.0) == 93.0
     assert m.invert(-50.0) == -57.0
@@ -30,7 +30,6 @@ def test_round_trip_random_piecewise_affine():
             return np.interp(x, xp, fp)
 
         m = MonotoneMap(fwd, x_lo=float(xp[0]), x_hi=float(xp[-1]),
-                        d_min=float(slopes.min()), d_max=float(slopes.max()),
                         left_slope=float(slopes[0]), right_slope=float(slopes[-1]),
                         tol=1e-13)
         xs = rng.uniform(xp[0] - 2.0, xp[-1] + 2.0, size=1000)
@@ -41,7 +40,7 @@ def test_round_trip_random_piecewise_affine():
 
 def test_newton_with_derivative_matches_bisection():
     fwd = lambda x: x + 0.2 * np.sin(x)
-    kw = dict(x_lo=-6.0, x_hi=6.0, d_min=0.8, d_max=1.2,
+    kw = dict(x_lo=-6.0, x_hi=6.0,
               left_slope=1.2, right_slope=1.2, tol=1e-13)
     m_plain = MonotoneMap(fwd, **kw)
     m_newton = MonotoneMap(fwd, deriv=lambda x: 1.0 + 0.2 * np.cos(x), **kw)
@@ -55,14 +54,29 @@ def test_unreachable_target_raises():
     def fwd(x):
         return np.where(np.asarray(x) < 0.0, np.asarray(x), np.asarray(x) + 1.0)
 
-    m = MonotoneMap(fwd, x_lo=-5.0, x_hi=5.0, d_min=1.0, d_max=1.0,
+    m = MonotoneMap(fwd, x_lo=-5.0, x_hi=5.0,
                     left_slope=1.0, right_slope=1.0)
     with pytest.raises(InversionError):
         m.invert(0.5)
 
 
+def test_inversion_error_names_worst_target():
+    # F jumps over (0, 1) and (3, 13): 2 has a preimage, 0.5 misses by at
+    # most 1 and 7 by at least 4, so 7 is named
+    def fwd(x):
+        x = np.asarray(x)
+        return x + np.where(x < 0.0, 0.0, 1.0) + np.where(x < 2.0, 0.0, 10.0)
+
+    m = MonotoneMap(fwd, x_lo=-5.0, x_hi=5.0, left_slope=1.0, right_slope=1.0)
+    with pytest.raises(InversionError) as info:
+        m.invert(np.array([2.0, 0.5, 7.0]))
+    assert "F^-1(y=7)" in str(info.value)
+    assert "stalled" in str(info.value)
+    assert info.value.owner == 7.0
+
+
 def test_rejects_bad_bounds():
     with pytest.raises(ValueError):
-        MonotoneMap(lambda x: x, x_lo=0.0, x_hi=1.0, d_min=0.0, d_max=1.0)
+        MonotoneMap(lambda x: x, x_lo=0.0, x_hi=1.0, left_slope=0.0, right_slope=1.0)
     with pytest.raises(ValueError):
-        MonotoneMap(lambda x: -x, x_lo=0.0, x_hi=1.0, d_min=1.0, d_max=1.0)
+        MonotoneMap(lambda x: -x, x_lo=0.0, x_hi=1.0, left_slope=1.0, right_slope=1.0)

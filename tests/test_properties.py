@@ -51,6 +51,19 @@ _EXAMPLES = settings(
 )
 
 
+def _check_initial_values_and_far_tails(sol):
+    # evaluate(0, .) reproduces the profile at every breakpoint and 3 units
+    # into both tails
+    xs = sol.initial.breakpoints
+    pts = np.concatenate([xs, [xs[0] - 3.0, xs[-1] + 3.0]])
+    assert np.max(np.abs(sol.evaluate(0.0, pts) - sol.initial(pts))) <= 1e-10
+    # far inside both tails Z(t, .) is the affine tail formula
+    far = np.array([xs[0] - 1e3, xs[-1] + 1e3])
+    for t in (0.4, 1.7, 5.0):
+        back = sol.position(t, sol.lagrangian_coordinate(t, far))
+        assert np.max(np.abs(back - far)) <= 1e-9
+
+
 @seed(20120417)
 @_EXAMPLES
 @given(profile=profiles(st.tuples(_VALUE, _VALUE, _VALUE)))
@@ -63,6 +76,7 @@ def test_three_speed_position_map_identities(profile):
         assert np.all(np.diff(xs) > 0.0)
         back = sol.lagrangian_coordinate(t, xs)
         assert np.max(np.abs(back - zs)) <= 1e-9
+    _check_initial_values_and_far_tails(sol)
 
 
 def _check_born_infeld_identities(sol):
@@ -76,6 +90,7 @@ def _check_born_infeld_identities(sol):
         assert np.max(np.abs(back - zs)) <= 1e-9
     cons, entropies = sol.box_residuals((0.2, 1.4, -1.5, 1.5))
     assert max(cons, *entropies) <= 1e-8
+    _check_initial_values_and_far_tails(sol)
 
 
 @seed(20120418)

@@ -20,7 +20,7 @@ from richwave import (
     born_infeld,
     solve,
 )
-from richwave import quadrature, solver
+from richwave import maps, quadrature, solver
 
 
 @pytest.fixture(scope="module")
@@ -304,22 +304,51 @@ def test_box_residuals_one_integrate_call_per_side(three_sol, monkeypatch):
 
 def test_inversion_error_names_worst_point(tworamp_sol, monkeypatch):
     # one Newton step cannot meet the 1e-12 residual target
-    monkeypatch.setattr(solver, "MAX_NEWTON_ITERS", 1)
+    monkeypatch.setattr(maps, "MAX_INVERT_ITERS", 1)
     with pytest.raises(InversionError) as info:
         tworamp_sol.lagrangian_coordinate(1.5, 0.3)
     assert "stalled" in str(info.value)
     assert "t=1.5, x=%.17g" % 0.3 in str(info.value)
+    assert info.value.owner == (1.5, 0.3)
     monkeypatch.undo()
-    # a position map that never reaches x cannot sign-enclose the root; the
-    # point furthest from it is named
+    # a position map that is flat across the core cannot be inverted; the
+    # point where it is flattest is named
     monkeypatch.setattr(
         tworamp_sol, "position",
-        lambda t, z: np.full(np.broadcast(t, z).shape, 5.0),
+        lambda t, z: 5.0 - np.asarray(t) * 0.0 * z,
     )
     with pytest.raises(InversionError) as info:
         tworamp_sol.lagrangian_coordinate(2.0, np.array([0.0, -3.0, 1.0]))
-    assert "sign-enclose" in str(info.value)
+    assert "not increasing" in str(info.value)
+    assert "t=2, x=0" in str(info.value)
+    # a decreasing map: the steepest descent is the worst point
+    monkeypatch.setattr(tworamp_sol, "position", lambda t, z: -np.asarray(t) * z)
+    with pytest.raises(InversionError) as info:
+        tworamp_sol.lagrangian_coordinate(
+            np.array([0.5, 2.0, 1.0]), np.array([0.0, -3.0, 1.0])
+        )
+    assert "not increasing" in str(info.value)
     assert "t=2, x=-3" in str(info.value)
+
+
+def test_tail_points_need_one_position_call(tworamp_sol, three_sol, monkeypatch):
+    # X(t, .) is exactly affine outside its core, so targets beyond both core
+    # edges are settled by the one batched call at the edges
+    for sol in (tworamp_sol, three_sol):
+        calls = []
+        real = sol.position
+
+        def counting(t, z, real=real, calls=calls):
+            calls.append(np.size(z))
+            return real(t, z)
+
+        monkeypatch.setattr(sol, "position", counting)
+        t = np.array([0.0, 0.7, 3.0, 3.0])
+        x = np.array([-40.0, 55.0, -1e3, 2e3])
+        z = sol.lagrangian_coordinate(t, x)
+        assert calls == [8]
+        monkeypatch.undo()
+        assert np.max(np.abs(sol.position(t, z) - x)) <= 1e-9
 
 
 def test_generic_system_round_trip(three_sol):
