@@ -196,7 +196,7 @@ def _zero_speed_integrals(sol, i, zs, w_bar):
     zs = np.asarray(zs, dtype=float).reshape(-1)
     z_max = float(np.max(np.abs(sol.zeta)))
     tau_star = np.max((np.abs(zs)[:, None] + z_max) / np.abs(speeds), axis=1)
-    kinks = ((zs[:, None, None] - sol.zeta) / speeds[:, None]).reshape(len(zs), -1)
+    kinks = sol._crossing_times(zs)
 
     def f(tau, owner):
         w = sol.state_lagrangian(tau, zs[owner])
@@ -476,31 +476,28 @@ def decay_curve(sol, shape, times, margin=1.0):
     The prediction is the initial component composed with the inverse shape
     map in the frame moving at ``shape.limit_speed``; integration runs over
     the interval outside which both solution and prediction are exactly at
-    their shared tail values.
+    their shared tail values; all times share one ``integrate_abs`` pass.
     """
-    times = [float(t) for t in times]
-    if any(b <= a for a, b in zip(times, times[1:])):
+    ts = np.array([float(t) for t in times])
+    if np.any(np.diff(ts) <= 0.0):
         raise ValueError("times must be strictly increasing")
-    i = shape.component
-    prof = sol.initial
-    speed = shape.limit_speed
-    dists = []
-    for t in times:
-        lo1, hi1 = sol.support_interval(t, margin=margin)
-        plo = float(shape.forward.f_lo) + speed * t - margin
-        phi = float(shape.forward.f_hi) + speed * t + margin
-        lo, hi = min(lo1, plo), max(hi1, phi)
+    i, prof, speed = shape.component, sol.initial, shape.limit_speed
+    lo1, hi1 = sol.support_interval(ts, margin=margin)
+    plo = float(shape.forward.f_lo) + speed * ts - margin
+    phi = float(shape.forward.f_hi) + speed * ts + margin
 
-        def diff(xv):
-            pred = prof.component(i, shape.inverse(np.asarray(xv) - speed * t))
-            return sol.evaluate(t, xv)[..., i] - pred
+    def diff(xv, owner):
+        t = ts[owner]
+        pred = prof.component(i, shape.inverse(xv - speed * t))
+        return sol.evaluate(t, xv)[..., i] - pred
 
-        kinks = list(sol.solution_kinks(t, lo=lo, hi=hi))
-        kinks += [
-            v + speed * t
-            for v in np.asarray(shape.forward(prof.breakpoints), dtype=float)
-        ]
-        dists.append(integrate_abs(diff, lo, hi, kinks, tol=sol.quad_tol))
+    kinks = np.column_stack(
+        [sol.solution_kinks(ts), shape.forward(prof.breakpoints) + speed * ts[:, None]]
+    )
+    dists = integrate_abs(
+        diff, np.minimum(lo1, plo), np.maximum(hi1, phi), kinks, tol=sol.quad_tol
+    )
     return DecayReport(
-        component=i, route=shape.route, times=tuple(times), distances=tuple(dists)
+        component=i, route=shape.route, times=tuple(ts.tolist()),
+        distances=tuple(dists.tolist()),
     )

@@ -51,6 +51,7 @@ def invert_increasing(f, df, y, lo, hi, f_lo, f_hi, left_slope, right_slope, tol
         return out
     y, lo, hi, f_lo, f_hi, tol = (a[idx] for a in (y, lo, hi, f_lo, f_hi, tol))
     x = np.clip(lo + (y - f_lo) * (hi - lo) / (f_hi - f_lo), lo, hi)
+    r_lo, r_hi = f_lo - y, f_hi - y  # residuals at the bracket ends
     eps = np.finfo(float).eps
     noise = np.maximum(tol, 1024.0 * eps * (np.abs(y) + 1.0))
     for _ in range(MAX_INVERT_ITERS):
@@ -63,12 +64,13 @@ def invert_increasing(f, df, y, lo, hi, f_lo, f_hi, left_slope, right_slope, tol
             if done.all():
                 return out
             keep = ~done
-            idx, x, r, y, lo, hi, tol, noise = (
-                a[keep] for a in (idx, x, r, y, lo, hi, tol, noise)
+            idx, x, r, y, lo, hi, r_lo, r_hi, tol, noise = (
+                a[keep] for a in (idx, x, r, y, lo, hi, r_lo, r_hi, tol, noise)
             )
         pos = r > 0.0
         hi = np.where(pos, np.minimum(hi, x), hi)
         lo = np.where(pos, lo, np.maximum(lo, x))
+        r_lo, r_hi = np.where(pos, r_lo, r), np.where(pos, r, r_hi)
         if df is None:
             x = 0.5 * (lo + hi)
             continue
@@ -77,10 +79,11 @@ def invert_increasing(f, df, y, lo, hi, f_lo, f_hi, left_slope, right_slope, tol
         cand = x - step
         bad = ~np.isfinite(cand) | (cand <= lo) | (cand >= hi)
         x = np.where(bad, 0.5 * (lo + hi), cand)
-    k = int(np.argmax(np.abs(r)))
+    miss = np.minimum(np.abs(r_lo), np.abs(r_hi))  # worst: furthest from reach
+    k = int(np.argmax(miss))
     raise InversionError(
-        "inversion stalled: worst residual %.3e after %d iterations (tol %.1e)"
-        % (abs(r[k]), MAX_INVERT_ITERS, tol[k]),
+        "inversion stalled: worst miss %.3e after %d iterations (tol %.1e)"
+        % (miss[k], MAX_INVERT_ITERS, tol[k]),
         owner=int(idx[k]),
     )
 

@@ -82,7 +82,8 @@ def integrate_many(f, a, b, kinks=None, tol=1e-10):
     budget ``tol * (hi - lo) / |b_p - a_p|`` per component.  ``a_p == b_p``
     gives 0 and ``a_p > b_p`` flips the sign.  Returns shape ``(len(a),)``
     for scalar integrands and ``(len(a), m)`` for vector ones; when every
-    interval is empty ``f`` is never called and the zeros are ``(len(a),)``.
+    interval is empty (or there is none) ``f`` is never called and the zeros
+    are ``(len(a),)``.
 
     Raises :class:`QuadratureError` if any panel still fails its error budget
     after ``MAX_DEPTH`` bisection levels.
@@ -91,9 +92,7 @@ def integrate_many(f, a, b, kinks=None, tol=1e-10):
     b = np.asarray(b, dtype=float).reshape(-1)
     sign = np.where(b < a, -1.0, 1.0)
     a, b = np.minimum(a, b), np.maximum(a, b)
-    if kinks is None:
-        kinks = np.empty((len(a), 0))
-    kinks = np.asarray(kinks, dtype=float).reshape(len(a), -1)
+    kinks = np.empty((len(a), 0)) if kinks is None else np.asarray(kinks, dtype=float)
     full = a < b
     lo, hi, own = _panels(a[full], b[full], kinks[full])
     own = np.nonzero(full)[0][own]
@@ -177,16 +176,21 @@ def integrate(f, a, b, kinks=(), tol=1e-10):
 
 
 def integrate_abs(f, lo, hi, kinks, tol):
-    """L1 norm ``int_lo^hi |f|`` of a piecewise-smooth ``f`` to accuracy ``tol``.
+    """L1 norms ``int_lo_p^hi_p |f(., p)|`` of piecewise-smooth integrands.
 
-    ``kinks`` (any order, duplicates allowed) are where ``f`` loses
-    smoothness; those strictly inside ``(lo, hi)``, together with the sign
-    changes of ``f`` that :func:`refine_sign_changes` finds between them,
-    become panel boundaries, so ``|f|`` is smooth on every panel.
+    ``f(x, owner)`` follows :func:`integrate_many`; row ``p`` of ``kinks``
+    (any order, NaN-padded) holds where owner ``p``'s integrand loses
+    smoothness.  Those inside ``(lo_p, hi_p)`` and the sign changes found
+    between them (:func:`refine_sign_changes`) become panel edges.
     """
-    kinks = sorted(k for k in set(kinks) if lo < k < hi)
-    roots = refine_sign_changes(f, [lo] + kinks + [hi])
-    return integrate(lambda x: np.abs(f(x)), lo, hi, kinks=kinks + roots, tol=tol)
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    # Kinks clipped to lo or hi only make empty panels, which the probe skips.
+    inside = np.sort(np.clip(kinks, lo[:, None], hi[:, None]), axis=1)
+    roots = refine_sign_changes(f, np.column_stack([lo, inside, hi]))
+    return integrate_many(
+        lambda x, owner: np.abs(f(x, owner)), lo, hi,
+        np.column_stack([kinks, roots]), tol,
+    )
 
 
 def bisect_brackets(f, lo, hi, vlo, iters):
@@ -212,25 +216,31 @@ def bisect_brackets(f, lo, hi, vlo, iters):
 
 
 def refine_sign_changes(f, edges):
-    """Roots of ``f`` between consecutive ``edges``, located by bisection.
+    """Roots of ``f(., p)`` between consecutive edges of row ``p``, by bisection.
 
-    Used to turn the sign changes of a difference of solutions into extra
-    kinks so that ``integrate`` sees a smooth ``|f|`` on every panel.  Only
-    sign changes visible at ``_SIGN_SAMPLES`` probe points per panel are found,
-    which is all the piecewise-monotone integrands here need.  All detected
-    brackets bisect together (:func:`bisect_brackets`).
+    ``edges`` rows increase, NaN entries skipped; ``f(x, owner)`` follows
+    :func:`integrate_many`.  Only sign changes visible at ``_SIGN_SAMPLES``
+    probe points per panel are found, which is all the piecewise-monotone
+    integrands here need.  All panels share one probe call and all brackets
+    one :func:`bisect_brackets`.  Returns ``(P, R)`` NaN-padded roots.
     """
     edges = np.asarray(edges, dtype=float)
-    if len(edges) < 2:
-        return []
-    xs = np.concatenate(
-        [np.linspace(edges[k], edges[k + 1], _SIGN_SAMPLES)
-         for k in range(len(edges) - 1)]
-    )
-    vals = _feval(f, xs)
-    # Drop bracket candidates that straddle a panel edge (duplicated points).
+    valid = ~np.isnan(edges)
+    flat, owner = edges[valid], np.nonzero(valid)[0]
+    panel = (owner[:-1] == owner[1:]) & (flat[:-1] < flat[1:])
+    if not panel.any():
+        return np.full((len(edges), 0), np.nan)
+    xs = np.linspace(flat[:-1][panel], flat[1:][panel], _SIGN_SAMPLES, axis=1)
+    own = owner[:-1][panel]
+    vals = _feval(f, xs.reshape(-1), np.repeat(own, _SIGN_SAMPLES)).reshape(xs.shape)
     sgn = np.sign(vals)
-    flip = np.nonzero((sgn[:-1] * sgn[1:] < 0) & (np.diff(xs) > 0))[0]
-    if flip.size == 0:
-        return []
-    return list(bisect_brackets(f, xs[flip], xs[flip + 1], vals[flip], _SIGN_ITERS))
+    k, j = np.nonzero(sgn[:, :-1] * sgn[:, 1:] < 0)
+    own = own[k]
+    roots = bisect_brackets(
+        lambda x: f(x, own), xs[k, j], xs[k, j + 1], vals[k, j], _SIGN_ITERS
+    )
+    # Column of each root: its rank among its owner's (flips are by owner).
+    col = np.arange(len(own)) - np.searchsorted(own, own)
+    out = np.full((len(edges), col.max(initial=-1) + 1), np.nan)
+    out[own, col] = roots
+    return out

@@ -208,7 +208,6 @@ class LagrangianSolution:
         tf = tb.reshape(-1)
         zf = zb.reshape(-1)
         out = np.array(self._x0(zf), dtype=float)
-        speeds = np.array([f.speed for f in self.system.families if f.speed != 0.0])
 
         def ratio(tau, zs):
             w = self.state_lagrangian(tau, zs)
@@ -218,13 +217,12 @@ class LagrangianSolution:
         for start in range(0, len(moving), _POINTS_PER_PASS):
             idx = moving[start:start + _POINTS_PER_PASS]
             tc, zc = tf[idx], zf[idx]
-            kinks = (zc[:, None, None] - self.zeta) / speeds[:, None]
             try:
                 out[idx] += integrate_many(
                     lambda tau, owner: ratio(tau, zc[owner]),
                     np.zeros(len(idx)),
                     tc,
-                    kinks.reshape(len(idx), -1),
+                    self._crossing_times(zc),
                     tol=self.quad_tol,
                 )
             except QuadratureError as exc:
@@ -237,6 +235,11 @@ class LagrangianSolution:
         if tb.ndim == 0:
             return float(out[0])
         return out.reshape(tb.shape)
+
+    def _crossing_times(self, z):
+        """Times (z - zeta_k) / speed when moving kinks cross fiber z, per row."""
+        speeds = np.array([f.speed for f in self.system.families if f.speed != 0.0])
+        return ((z[:, None, None] - self.zeta) / speeds[:, None]).reshape(len(z), -1)
 
     def position_closed_form(self, t, z):
         """X(t, z) for Born-Infeld-like systems from the two running primitives."""
@@ -316,32 +319,25 @@ class LagrangianSolution:
         z = self.lagrangian_coordinate(t, x)
         return self.state_lagrangian(t, z)
 
-    def solution_kinks(self, t, lo=None, hi=None):
+    def solution_kinks(self, t):
         """Eulerian positions where some component loses smoothness at time t.
 
         These are the images X(t, zeta_k + speed * t) of the breakpoint
-        images under each family's translation.
+        images under each family's translation, from one ``position`` call;
+        shape ``t.shape + (families * len(zeta),)``, unsorted.
         """
-        t = float(t)
-        out = []
-        for fam in self.system.families:
-            zk = self.zeta + fam.speed * t
-            out.append(np.asarray(self.position(t, zk), dtype=float))
-        kinks = np.unique(np.concatenate(out))
-        if lo is not None:
-            kinks = kinks[kinks > lo]
-        if hi is not None:
-            kinks = kinks[kinks < hi]
-        return kinks
+        t = np.asarray(t, dtype=float)[..., None, None]
+        speeds = np.array([f.speed for f in self.system.families])
+        kinks = self.position(t, self.zeta + speeds[:, None] * t)
+        return np.reshape(kinks, t.shape[:-2] + (speeds.size * self.zeta.size,))
 
     def support_interval(self, t, margin=1.0):
-        """Interval outside which w(t, .) is exactly constant, with margin."""
-        t = float(t)
-        z_lo, z_hi = self._core(t)
-        return (
-            float(self.position(t, z_lo)) - margin,
-            float(self.position(t, z_hi)) + margin,
-        )
+        """Interval outside which w(t, .) is exactly constant, with margin;
+        both edges from one ``position`` call (arrays for array ``t``)."""
+        t = np.asarray(t, dtype=float)
+        x_lo, x_hi = np.asarray(self.position(t, np.stack(self._core(t))), dtype=float)
+        lo, hi = x_lo - margin, x_hi + margin
+        return (float(lo), float(hi)) if t.ndim == 0 else (lo, hi)
 
     # -- weak-form residuals ------------------------------------------------------
 
@@ -370,7 +366,7 @@ class LagrangianSolution:
 
             return integrate(
                 densities, A, B,
-                kinks=self.solution_kinks(t, lo=A, hi=B), tol=self.quad_tol,
+                kinks=self.solution_kinks(t), tol=self.quad_tol,
             )
 
         def time_integral(x_side):

@@ -20,43 +20,41 @@ class ScenarioError(ValueError):
     """A sweep scenario produced an unusable profile (tails or admissibility)."""
 
 
-def pair_distance(sol1, sol2, t):
-    """L1 distance between two solutions at time t: (total, per-component).
+def pair_distance(sol1, sol2, times):
+    """L1 distances between two solutions: one (total, per-component) per time.
 
     Components whose tail states differ are infinitely far apart.  At t = 0
     the distance is by definition the exact piecewise-linear profile
-    distance.
+    distance.  All ``(t > 0, component)`` owners share one
+    :func:`integrate_abs` pass.
     """
     p, q = sol1.initial, sol2.initial
     if p.n != q.n:
         raise ValueError("solutions have different component counts")
-    t = float(t)
     initial = [l1_distance(p, q, i) for i in range(p.n)]
     if all(d == 0.0 for d in initial):
         # identical initial data: by uniqueness the solutions coincide
-        return 0.0, tuple(initial)
-    per = []
-    for i in range(p.n):
-        if (p.values[0, i] != q.values[0, i]) or (p.values[-1, i] != q.values[-1, i]):
-            per.append(math.inf)
-            continue
-        if t == 0.0:
-            per.append(initial[i])
-            continue
-        lo1, hi1 = sol1.support_interval(t)
-        lo2, hi2 = sol2.support_interval(t)
-        lo, hi = min(lo1, lo2), max(hi1, hi2)
-        kinks = np.concatenate(
-            [sol1.solution_kinks(t, lo=lo, hi=hi), sol2.solution_kinks(t, lo=lo, hi=hi)]
-        )
+        return [(0.0, tuple(initial)) for _ in times]
+    comps = np.nonzero((p.values[0] == q.values[0]) & (p.values[-1] == q.values[-1]))[0]
+    nc = len(comps)
+    moving = np.asarray(times, dtype=float) > 0.0
+    ts = np.asarray(times, dtype=float)[moving]
+    lo1, hi1 = sol1.support_interval(ts)
+    lo2, hi2 = sol2.support_interval(ts)
+    kinks = np.column_stack([sol1.solution_kinks(ts), sol2.solution_kinks(ts)])
 
-        def diff(xv, i=i):
-            return sol1.evaluate(t, xv)[..., i] - sol2.evaluate(t, xv)[..., i]
+    def diff(xv, owner):  # owner k * nc + c: time ts[k], component comps[c]
+        t = ts[owner // nc]
+        w = sol1.evaluate(t, xv) - sol2.evaluate(t, xv)
+        return w[np.arange(len(xv)), comps[owner % nc]]
 
-        per.append(
-            integrate_abs(diff, lo, hi, kinks, tol=min(sol1.quad_tol, sol2.quad_tol))
-        )
-    return sum(per), tuple(per)
+    per = np.full((len(moving), p.n), math.inf)
+    per[np.ix_(~moving, comps)] = np.array(initial)[comps]
+    per[np.ix_(moving, comps)] = integrate_abs(
+        diff, np.repeat(np.minimum(lo1, lo2), nc), np.repeat(np.maximum(hi1, hi2), nc),
+        np.repeat(kinks, nc, axis=0), tol=min(sol1.quad_tol, sol2.quad_tol),
+    ).reshape(len(ts), nc)
+    return [(sum(row), tuple(row)) for row in per.tolist()]
 
 
 @dataclass
@@ -152,18 +150,14 @@ def stability_sweep(system, profile, perturb, amplitudes, times,
                 "perturbed profile inadmissible at amplitude %g: %s" % (amp, exc)
             ) from exc
         r0 = sum(l1_distance(profile, pert, i) for i in range(profile.n))
-        r_t, per = [], []
-        for t in times:
-            tot, comps = pair_distance(base, sol2, t)
-            r_t.append(tot)
-            per.append(comps)
+        r_t, per = zip(*pair_distance(base, sol2, times))
         reports.append(
             StabilityReport(
                 amplitude=float(amp),
                 r0=r0,
                 times=tuple(float(t) for t in times),
-                r_t=tuple(r_t),
-                per_component=tuple(per),
+                r_t=r_t,
+                per_component=per,
                 map_bounds=coordinate_map_bounds(base, sol2),
             )
         )

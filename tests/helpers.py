@@ -3,13 +3,18 @@
 The oracles here deliberately avoid the package's fast paths: the crossing
 oracle integrates the boundary characteristics as Eulerian ODEs with RK4,
 the Riemann-sum oracle is brute-force midpoint summation, the per-point
-position quadrature integrates one (t, z) at a time, and the per-law box
-residual integrates each conservation law in its own quadrature pass.
+position quadrature integrates one (t, z) at a time, the per-law box
+residual integrates each conservation law in its own quadrature pass, and
+the per-time decay curve and per-component pair distance run one L1
+integral each.
 """
+
+import math
 
 import numpy as np
 
-from richwave import Family, PiecewiseProfile, RichSystem, integrate
+from richwave import Family, PiecewiseProfile, RichSystem, integrate, l1_distance
+from richwave.quadrature import integrate_abs
 
 
 def bi_tworamp_profile():
@@ -236,8 +241,8 @@ def box_residuals_reference(sol, box):
     the same kinks.  Kept as the reference for the shared vector pass.
     """
     t1, t2, A, B = box
-    space1 = sol.solution_kinks(t1, lo=A, hi=B)
-    space2 = sol.solution_kinks(t2, lo=A, hi=B)
+    space1 = sol.solution_kinks(t1)
+    space2 = sol.solution_kinks(t2)
     time_a = sol._time_kinks(A, t1, t2)
     time_b = sol._time_kinks(B, t1, t2)
     density, flux = sol.system.density, sol.system.flux
@@ -353,3 +358,77 @@ def rk4_crossing_time(sol, p, q, dt=0.02, max_steps=500_000):
         if hi_t - lo_t < 1e-13 * max(1.0, hi_t):
             break
     return 0.5 * (lo_t + hi_t)
+
+
+def _l1_one(f, lo, hi, kinks, tol):
+    """One-owner :func:`integrate_abs` over the kinks strictly inside (lo, hi)."""
+    kinks = np.unique(np.asarray(kinks, dtype=float))
+    kinks = kinks[(kinks > lo) & (kinks < hi)]
+    return float(
+        integrate_abs(lambda x, owner: f(x), [lo], [hi], kinks[None, :], tol)[0]
+    )
+
+
+def decay_curve_reference(sol, shape, times, margin=1.0):
+    """Distances of ``asymptotics.decay_curve``, one L1 integral per time.
+
+    The per-time loop ``decay_curve`` ran before all times shared one pass;
+    kept as the reference for the batched call.
+    """
+    i = shape.component
+    prof = sol.initial
+    speed = shape.limit_speed
+    dists = []
+    for t in times:
+        t = float(t)
+        lo1, hi1 = sol.support_interval(t, margin=margin)
+        plo = float(shape.forward.f_lo) + speed * t - margin
+        phi = float(shape.forward.f_hi) + speed * t + margin
+        lo, hi = min(lo1, plo), max(hi1, phi)
+
+        def diff(xv, t=t):
+            pred = prof.component(i, shape.inverse(np.asarray(xv) - speed * t))
+            return sol.evaluate(t, xv)[..., i] - pred
+
+        kinks = list(sol.solution_kinks(t))
+        kinks += [
+            v + speed * t
+            for v in np.asarray(shape.forward(prof.breakpoints), dtype=float)
+        ]
+        dists.append(_l1_one(diff, lo, hi, kinks, sol.quad_tol))
+    return tuple(dists)
+
+
+def pair_distance_reference(sol1, sol2, t):
+    """``(total, per-component)`` of ``stability.pair_distance`` at one time,
+    one L1 integral per component.
+
+    The per-component loop ``pair_distance`` ran before every (time,
+    component) pair shared one pass; kept as the reference for the batched
+    call.
+    """
+    p, q = sol1.initial, sol2.initial
+    t = float(t)
+    initial = [l1_distance(p, q, i) for i in range(p.n)]
+    if all(d == 0.0 for d in initial):
+        return 0.0, tuple(initial)
+    per = []
+    for i in range(p.n):
+        if (p.values[0, i] != q.values[0, i]) or (p.values[-1, i] != q.values[-1, i]):
+            per.append(math.inf)
+            continue
+        if t == 0.0:
+            per.append(initial[i])
+            continue
+        lo1, hi1 = sol1.support_interval(t)
+        lo2, hi2 = sol2.support_interval(t)
+        lo, hi = min(lo1, lo2), max(hi1, hi2)
+        kinks = np.concatenate([sol1.solution_kinks(t), sol2.solution_kinks(t)])
+
+        def diff(xv, i=i):
+            return sol1.evaluate(t, xv)[..., i] - sol2.evaluate(t, xv)[..., i]
+
+        per.append(
+            _l1_one(diff, lo, hi, kinks, min(sol1.quad_tol, sol2.quad_tol))
+        )
+    return sum(per), tuple(per)

@@ -14,6 +14,9 @@ from richwave.maps import InversionError
 from richwave.quadrature import QuadratureError
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "bi-two-ramp")
+# L1 experiment outputs, kept apart from GOLDEN: perfbench requires every
+# file there to be written by ``solve``.
+GOLDEN_L1 = os.path.join(os.path.dirname(__file__), "golden", "l1")
 
 
 def read_csv(path):
@@ -217,20 +220,40 @@ def test_solve_simple_wave_is_shifted_initial(tmp_path):
     assert np.max(np.abs(vals[:, 1] - want)) < 1e-9
 
 
+def assert_csv_matches(got_path, want_path):
+    got_header, got_rows = read_csv(got_path)
+    want_header, want_rows = read_csv(want_path)
+    assert got_header == want_header
+    assert len(got_rows) == len(want_rows)
+    for g, w in zip(got_rows, want_rows):
+        for gv, wv in zip(g, w):
+            try:
+                assert float(gv) == pytest.approx(float(wv), abs=1e-8)
+            except ValueError:
+                assert gv == wv
+
+
 def test_solve_matches_golden_files(tmp_path):
     out = str(tmp_path / "o")
     assert main(["solve", "--config", "bi-two-ramp", "--out", out]) == 0
     for name in sorted(os.listdir(GOLDEN)):
-        got_header, got_rows = read_csv(os.path.join(out, name))
-        want_header, want_rows = read_csv(os.path.join(GOLDEN, name))
-        assert got_header == want_header
-        assert len(got_rows) == len(want_rows)
-        for g, w in zip(got_rows, want_rows):
-            for gv, wv in zip(g, w):
-                try:
-                    assert float(gv) == pytest.approx(float(wv), abs=1e-8)
-                except ValueError:
-                    assert gv == wv
+        assert_csv_matches(os.path.join(out, name), os.path.join(GOLDEN, name))
+
+
+@pytest.mark.parametrize(
+    "preset, command, name",
+    [
+        ("bi-two-ramp", "asymptotics", "decay.csv"),
+        ("bi-two-ramp", "stability", "stability.csv"),
+        ("abi-middle", "asymptotics", "decay.csv"),
+    ],
+)
+def test_l1_outputs_match_golden_files(tmp_path, preset, command, name):
+    out = str(tmp_path / "o")
+    assert main([command, "--config", preset, "--out", out]) == 0
+    assert_csv_matches(
+        os.path.join(out, name), os.path.join(GOLDEN_L1, "%s-%s" % (preset, name))
+    )
 
 
 def test_deterministic_output(tmp_path):

@@ -1,0 +1,124 @@
+"""The L1 experiments run one batched pass per call.
+
+``decay_curve`` integrates all its times and ``pair_distance`` all its
+``(t > 0, component)`` pairs in one ``integrate_abs`` call; each owner's
+probe, bisection and panels stay its own, so the batched results must equal
+the per-time and per-component references in ``helpers`` bit for bit.
+"""
+
+import numpy as np
+import pytest
+
+from helpers import (
+    bi_tworamp_profile,
+    decay_curve_reference,
+    pair_distance_reference,
+    three_speed_profile,
+    three_speed_system,
+)
+from richwave import (
+    PiecewiseProfile,
+    abi_middle_shape,
+    add_bump,
+    bi_shape,
+    born_infeld,
+    decay_curve,
+    pair_distance,
+    quadrature,
+    solve,
+)
+from richwave.config import load_config
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+@pytest.fixture(scope="module")
+def presets():
+    out = {}
+    for name in ("bi-two-ramp", "abi-middle"):
+        cfg = load_config(name)
+        out[name] = (solve(cfg.system, cfg.profile), cfg.decay_times)
+    return out
+
+
+@pytest.fixture(scope="module")
+def bi_pair():
+    bi = born_infeld(1.0)
+    return (
+        bi,
+        solve(bi, bi_tworamp_profile()),
+        solve(bi, add_bump(bi_tworamp_profile(), 0, 0.05, 0.3, 0.1)),
+    )
+
+
+@pytest.mark.parametrize(
+    "preset, shape",
+    [
+        ("bi-two-ramp", "slow"),
+        ("bi-two-ramp", "fast"),
+        ("abi-middle", "slow"),
+        ("abi-middle", "middle"),
+        ("abi-middle", "fast"),
+    ],
+)
+def test_batched_decay_curve_matches_per_time_loop(presets, preset, shape):
+    sol, times = presets[preset]
+    shp = abi_middle_shape(sol) if shape == "middle" else bi_shape(sol, shape)
+    got = decay_curve(sol, shp, times).distances
+    assert bits(got) == bits(decay_curve_reference(sol, shp, times))
+
+
+def _pairs(bi_pair):
+    bi, base, bumped = bi_pair
+    other_tails = solve(
+        bi, PiecewiseProfile([-1.0, 1.0], np.array([[1.5, -1.0], [1.5, -1.0]]))
+    )
+    three = three_speed_system()
+    prof = three_speed_profile()
+    return {
+        "bumped": (base, bumped, [0.0, 1.0, 4.0]),
+        "differing-tails": (base, other_tails, [0.0, 1.0, 2.5]),
+        "identical": (base, base, [0.0, 1.0]),
+        "three-speed": (
+            solve(three, prof),
+            solve(three, prof.with_values(0.5 * prof.values)),
+            [0.0, 0.5, 2.0],
+        ),
+    }
+
+
+@pytest.mark.parametrize(
+    "case", ["bumped", "differing-tails", "identical", "three-speed"]
+)
+def test_batched_pair_distance_matches_per_component_loop(bi_pair, case):
+    sol1, sol2, times = _pairs(bi_pair)[case]
+    got = pair_distance(sol1, sol2, times)
+    want = [pair_distance_reference(sol1, sol2, t) for t in times]
+    assert len(got) == len(times)
+    for (g_total, g_per), (w_total, w_per) in zip(got, want):
+        assert bits([g_total, *g_per]) == bits([w_total, *w_per])
+    if case == "identical":
+        assert all(total == 0.0 for total, _ in got)
+    if case == "differing-tails":
+        assert all(np.isinf(total) for total, _ in got)
+
+
+def test_one_sign_change_search_per_l1_call(monkeypatch, presets, bi_pair):
+    calls = []
+    real = quadrature.refine_sign_changes
+
+    def counting(f, edges):
+        calls.append(np.shape(edges)[0])
+        return real(f, edges)
+
+    monkeypatch.setattr(quadrature, "refine_sign_changes", counting)
+    sol, times = presets["bi-two-ramp"]
+    decay_curve(sol, bi_shape(sol, "slow"), times)
+    assert calls == [len(times)]
+    _, base, bumped = bi_pair
+    del calls[:]
+    pair_distance(base, bumped, [0.0, 1.0, 4.0])
+    # owners: two times > 0 times two components
+    assert calls == [4]

@@ -60,19 +60,28 @@ def test_unreachable_target_raises():
         m.invert(0.5)
 
 
-def test_inversion_error_names_worst_target():
-    # F jumps over (0, 1) and (3, 13): 2 has a preimage, 0.5 misses by at
-    # most 1 and 7 by at least 4, so 7 is named
+@pytest.mark.parametrize(
+    "targets, worst, miss",
+    [
+        # F jumps over (0, 1) and (3, 13): 2 has a preimage, 0.5 misses by
+        # at most 1 and 7 by at least 4, so 7 is named
+        ([2.0, 0.5, 7.0], 7.0, 4.0),
+        # both inside (0, 1): 0.9 misses by 0.1, 0.5 by 0.5, so 0.5 is named
+        ([0.9, 0.5], 0.5, 0.5),
+    ],
+    ids=["two-jumps", "one-jump"],
+)
+def test_inversion_error_names_worst_target(targets, worst, miss):
     def fwd(x):
         x = np.asarray(x)
         return x + np.where(x < 0.0, 0.0, 1.0) + np.where(x < 2.0, 0.0, 10.0)
 
     m = MonotoneMap(fwd, x_lo=-5.0, x_hi=5.0, left_slope=1.0, right_slope=1.0)
     with pytest.raises(InversionError) as info:
-        m.invert(np.array([2.0, 0.5, 7.0]))
-    assert "F^-1(y=7)" in str(info.value)
-    assert "stalled" in str(info.value)
-    assert info.value.owner == 7.0
+        m.invert(np.array(targets))
+    assert "F^-1(y=%.17g)" % worst in str(info.value)
+    assert "stalled: worst miss %.3e" % miss in str(info.value)
+    assert info.value.owner == worst
 
 
 def test_rejects_bad_bounds():

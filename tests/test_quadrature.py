@@ -245,8 +245,8 @@ def test_bisection_early_stop_is_bit_exact(iters):
 
 
 def test_refine_sign_changes_locates_roots():
-    roots = refine_sign_changes(lambda x: np.sin(x), [-4.0, 0.5, 4.0])
-    roots = sorted(roots)
+    roots = refine_sign_changes(lambda x, owner: np.sin(x), [[-4.0, 0.5, 4.0]])
+    roots = sorted(roots[0])
     assert len(roots) == 3
     assert roots[0] == pytest.approx(-math.pi, abs=1e-10)
     assert roots[1] == pytest.approx(0.0, abs=1e-10)
@@ -254,15 +254,56 @@ def test_refine_sign_changes_locates_roots():
 
 
 def test_refine_sign_changes_none():
-    assert refine_sign_changes(lambda x: 1.0 + 0.0 * x, [0.0, 1.0]) == []
+    roots = refine_sign_changes(lambda x, owner: 1.0 + 0.0 * x, [[0.0, 1.0]])
+    assert roots.shape == (1, 0)
 
 
 def test_integrate_abs_splits_at_kinks_and_sign_changes():
     # |sin| integrates exactly to 4 over [0, 2 pi] once its root at pi is a
     # panel edge; kinks outside (lo, hi) and duplicates are ignored
-    val = integrate_abs(np.sin, 0.0, 2.0 * math.pi, [0.0, 7.0, -1.0, 7.0], tol=1e-12)
+    val = integrate_abs(
+        lambda x, owner: np.sin(x), [0.0], [2.0 * math.pi], [[0.0, 7.0, -1.0, 7.0]],
+        tol=1e-12,
+    )[0]
     assert val == pytest.approx(4.0, abs=1e-11)
     tent = integrate_abs(
-        lambda x: 1.0 - np.abs(x), -2.0, 2.0, [0.0, 0.0, 5.0], tol=1e-13
-    )
+        lambda x, owner: 1.0 - np.abs(x), [-2.0], [2.0], [[0.0, 0.0, 5.0]], tol=1e-13
+    )[0]
     assert tent == pytest.approx(2.0, abs=1e-12)
+
+
+def test_no_integrals_give_empty_results_without_calls():
+    def f(x, owner):
+        raise AssertionError("integrand called")
+
+    assert integrate_many(f, [], []).shape == (0,)
+    assert integrate_many(f, [], [], np.empty((0, 3))).shape == (0,)
+    assert integrate_abs(f, [], [], np.empty((0, 4)), tol=1e-10).shape == (0,)
+    assert refine_sign_changes(f, np.empty((0, 2))).shape == (0, 0)
+
+
+def test_integrate_abs_owners_match_one_owner_calls():
+    # owners with different intervals, kinks (NaN-padded, some outside or
+    # repeated) and root counts give the bits of one call per owner
+    shift = np.array([0.3, -1.1, 2.0, 0.0])
+    freq = np.array([1.0, 3.0, 0.5, 7.0])
+    lo = np.array([-2.0, -3.0, 1.0, -1.0])
+    hi = np.array([2.5, 1.0, 6.0, 1.0])
+    kinks = np.array(
+        [[0.3, np.nan, 9.0], [-1.1, -1.1, np.nan], [2.0, 0.0, 6.0], [0.0, -1.0, 0.5]]
+    )
+
+    def f(x, owner):
+        return np.abs(x - shift[owner]) - 0.4 + 0.3 * np.sin(freq[owner] * x)
+
+    inside = np.sort(np.clip(kinks, lo[:, None], hi[:, None]), axis=1)
+    roots = refine_sign_changes(f, np.column_stack([lo, inside, hi]))
+    got = integrate_abs(f, lo, hi, kinks, tol=1e-11)
+    for p in range(4):
+        def one(x, owner, p=p):
+            return f(x, np.full(len(x), p))
+
+        want = integrate_abs(one, lo[p:p + 1], hi[p:p + 1], kinks[p:p + 1], tol=1e-11)
+        assert got[p:p + 1].view(np.int64) == want.view(np.int64)
+        assert np.sum(~np.isnan(roots[p])) >= 1
+    assert len({int(np.sum(~np.isnan(r))) for r in roots}) > 1

@@ -36,13 +36,13 @@ def bumped_sol(bi):
 
 def test_identical_solutions_distance_zero(base_sol):
     for t in (0.0, 1.0, 4.0):
-        total, per = pair_distance(base_sol, base_sol, t)
+        total, per = pair_distance(base_sol, base_sol, [t])[0]
         assert total == 0.0
         assert per == (0.0, 0.0)
 
 
 def test_distance_at_zero_time_is_profile_distance(base_sol, bumped_sol):
-    total, per = pair_distance(base_sol, bumped_sol, 0.0)
+    total, per = pair_distance(base_sol, bumped_sol, [0.0])[0]
     want = [
         l1_distance(base_sol.initial, bumped_sol.initial, i) for i in range(2)
     ]
@@ -57,7 +57,7 @@ def test_differing_tails_give_infinite_sentinel(bi, base_sol):
         bi,
         PiecewiseProfile([-1.0, 1.0], np.array([[1.5, -1.0], [1.5, -1.0]])),
     )
-    total, per = pair_distance(base_sol, other, 1.0)
+    total, per = pair_distance(base_sol, other, [1.0])[0]
     assert math.isinf(total)
     assert math.isinf(per[0])
     assert per[1] < math.inf
@@ -66,11 +66,11 @@ def test_differing_tails_give_infinite_sentinel(bi, base_sol):
 def test_distance_symmetry_and_triangle(bi, base_sol, bumped_sol):
     third = solve(bi, add_bump(bi_tworamp_profile(), 1, -0.5, 0.2, 0.05))
     t = 2.0
-    dab = pair_distance(base_sol, bumped_sol, t)[0]
-    dba = pair_distance(bumped_sol, base_sol, t)[0]
+    dab = pair_distance(base_sol, bumped_sol, [t])[0][0]
+    dba = pair_distance(bumped_sol, base_sol, [t])[0][0]
     assert dab == pytest.approx(dba, rel=1e-10)
-    dac = pair_distance(base_sol, third, t)[0]
-    dcb = pair_distance(third, bumped_sol, t)[0]
+    dac = pair_distance(base_sol, third, [t])[0][0]
+    dcb = pair_distance(third, bumped_sol, [t])[0][0]
     assert dab <= dac + dcb + 1e-9
 
 
@@ -78,7 +78,7 @@ def test_pair_distance_against_fv_oracle(bi, base_sol, bumped_sol):
     # the upwind scheme measures the same separation up to its own
     # discretization error, estimated from one refinement
     t = 5.0
-    exact = pair_distance(base_sol, bumped_sol, t)[0]
+    exact = pair_distance(base_sol, bumped_sol, [t])[0][0]
     lo, hi = base_sol.support_interval(t, margin=1.0)
     vals = []
     for cells in (1600, 3200):
