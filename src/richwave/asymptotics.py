@@ -470,34 +470,41 @@ def traveling_frame_position(sol, i, x, t):
     ) - limit_speed_mixed(sol, i) * np.asarray(t, dtype=float)
 
 
-def decay_curve(sol, shape, times, margin=1.0):
-    """L1 distance of component ``shape.component`` from its predicted wave.
+def decay_curve(sol, shapes, times, margin=1.0):
+    """L1 distances of components ``shape.component`` from their predicted waves.
 
-    The prediction is the initial component composed with the inverse shape
+    Each prediction is the initial component composed with the inverse shape
     map in the frame moving at ``shape.limit_speed``; integration runs over
     the interval outside which both solution and prediction are exactly at
-    their shared tail values; all times share one ``integrate_abs`` pass.
+    their shared tail values.  All ``(shape, time)`` pairs share one
+    ``integrate_abs`` pass; returns one :class:`DecayReport` per shape.
     """
     ts = np.array([float(t) for t in times])
     if np.any(np.diff(ts) <= 0.0):
         raise ValueError("times must be strictly increasing")
-    i, prof, speed = shape.component, sol.initial, shape.limit_speed
+    prof, nt = sol.initial, len(ts)
+    comp = np.array([shape.component for shape in shapes])
+    speed = np.array([[shape.limit_speed] for shape in shapes])
+    ends = np.array([[shape.forward.f_lo, shape.forward.f_hi] for shape in shapes])
+    fwd = np.array([shape.forward(prof.breakpoints) for shape in shapes])
     lo1, hi1 = sol.support_interval(ts, margin=margin)
-    plo = float(shape.forward.f_lo) + speed * ts - margin
-    phi = float(shape.forward.f_hi) + speed * ts + margin
+    lo = np.minimum(lo1, ends[:, :1] + speed * ts - margin)
+    hi = np.maximum(hi1, ends[:, 1:] + speed * ts + margin)
+    kinks = np.column_stack([
+        np.tile(sol.solution_kinks(ts), (len(shapes), 1)),
+        (fwd[:, None, :] + (speed * ts)[:, :, None]).reshape(lo.size, -1),
+    ])
 
     def diff(xv, owner):
-        t = ts[owner]
-        pred = prof.component(i, shape.inverse(xv - speed * t))
-        return sol.evaluate(t, xv)[..., i] - pred
+        s, k = np.divmod(owner, nt)
+        t = ts[k]
+        out = sol.evaluate(t, xv)[np.arange(len(xv)), comp[s]]
+        for j, shape in enumerate(shapes):
+            on = s == j
+            out[on] -= prof.component(comp[j], shape.inverse(xv[on] - speed[j] * t[on]))
+        return out
 
-    kinks = np.column_stack(
-        [sol.solution_kinks(ts), shape.forward(prof.breakpoints) + speed * ts[:, None]]
-    )
-    dists = integrate_abs(
-        diff, np.minimum(lo1, plo), np.maximum(hi1, phi), kinks, tol=sol.quad_tol
-    )
-    return DecayReport(
-        component=i, route=shape.route, times=tuple(ts.tolist()),
-        distances=tuple(dists.tolist()),
-    )
+    dists = integrate_abs(diff, lo.ravel(), hi.ravel(), kinks, tol=sol.quad_tol)
+    return [DecayReport(component=shape.component, route=shape.route,
+                        times=tuple(ts.tolist()), distances=tuple(d.tolist()))
+            for shape, d in zip(shapes, dists.reshape(lo.shape))]

@@ -208,7 +208,7 @@ def cmd_asymptotics(cfg, out, tol, failures):
     if times and times[0] == 0.0:
         times = times[1:]
     if times:
-        reports = [asy.decay_curve(sol, shapes[i], times) for i in range(sol.system.n)]
+        reports = asy.decay_curve(sol, [shapes[i] for i in range(sol.system.n)], times)
         write_csv(
             os.path.join(out, "decay.csv"),
             ["t"] + _component_headers(sol.system.n, stem="d"),

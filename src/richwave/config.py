@@ -50,11 +50,14 @@ def _check_required(block, required, where):
         raise ConfigError("%s requires key(s) %s" % (where, missing))
 
 
-def _nonnegative_times(values, where):
+def _increasing_times(values, where):
     times = [float(t) for t in values]
     for t in times:
         if not t >= 0.0:
             raise ConfigError("%s must be >= 0, got %r" % (where, t))
+    for t0, t1 in zip(times, times[1:]):
+        if not t0 < t1:
+            raise ConfigError("%s must be strictly increasing, got %r" % (where, times))
     return times
 
 
@@ -195,8 +198,8 @@ def parse_config(raw, base_dir="."):
         cfg.quad_tol = float(blk.get("quadrature", cfg.quad_tol))
         cfg.inv_tol = float(blk.get("inversion", cfg.inv_tol))
         cfg.verify_tol = float(blk.get("verify", cfg.verify_tol))
-    cfg.times = _nonnegative_times(raw.get("times", []), "times")
-    cfg.decay_times = _nonnegative_times(raw.get("decay_times", []), "decay_times")
+    cfg.times = _increasing_times(raw.get("times", []), "times")
+    cfg.decay_times = _increasing_times(raw.get("decay_times", []), "decay_times")
     cfg.amplitudes = [float(v) for v in raw.get("amplitudes", [])]
     for box in raw.get("boxes", []):
         if len(box) != 4:

@@ -19,6 +19,8 @@ MAX_DEPTH = 40
 # Probe points per panel and bisection cap of ``refine_sign_changes``.
 _SIGN_SAMPLES = 9
 _SIGN_ITERS = 52
+# Bisection steps replayed from one integrand call of ``bisect_brackets``.
+_BISECT_LEVELS = 4
 
 
 class QuadratureError(RuntimeError):
@@ -197,21 +199,37 @@ def bisect_brackets(f, lo, hi, vlo, iters):
     """Midpoints of the brackets ``[lo_k, hi_k]`` after ``iters`` bisections.
 
     ``lo``, ``hi`` and ``vlo`` are float arrays; ``vlo`` holds the nonzero
-    values ``f(lo)``, of the opposite sign to ``f(hi)``.  All brackets
-    bisect together, one vectorized ``f`` call per step.  The loop stops
-    early once every bracket's midpoint equals one of its ends: from then on
-    each step leaves the bracket unchanged or collapses it onto that end, so
-    the returned midpoints are those of the full ``iters`` steps.
+    values ``f(lo)``, of the opposite sign to ``f(hi)``; ``f(x, owner)`` gets
+    each point's bracket index.  One ``f`` call serves ``_BISECT_LEVELS``
+    steps: it takes every bracket's dyadic points, each ``0.5 * (a + b)`` of
+    its parents, and the steps replay on those values, so brackets end
+    exactly where one-step bisection ends.  The loop stops early once every
+    bracket's midpoint equals one of its ends: from then on each step leaves
+    the bracket unchanged or collapses it onto that end, so the returned
+    midpoints are those of the full ``iters`` steps.
     """
-    for _ in range(iters):
+    rows = np.arange(len(lo))
+    for start in range(0, iters, _BISECT_LEVELS):
         mid = 0.5 * (lo + hi)
         if np.all((mid == lo) | (mid == hi)):
             break
-        vm = _feval(f, mid)
-        left = vlo * vm <= 0.0
-        hi = np.where(left, mid, hi)
-        vlo = np.where(left, vlo, vm)
-        lo = np.where(left, lo, mid)
+        levels = min(_BISECT_LEVELS, iters - start)
+        width = 2 ** levels
+        edges = np.empty((len(lo), width + 1))
+        edges[:, 0], edges[:, width] = lo, hi
+        for d in range(1, levels + 1):
+            e = edges[:, ::width >> d]
+            e[:, 1::2] = 0.5 * (e[:, :-1:2] + e[:, 2::2])
+        inner = edges[:, 1:-1]
+        vals = _feval(f, inner.ravel(), np.repeat(rows, width - 1)).reshape(inner.shape)
+        # Replay the steps: ``at`` is the edge index of each bracket's lo.
+        at = np.zeros(len(lo), dtype=int)
+        for d in range(1, levels + 1):
+            vm = vals[rows, at + (width >> d) - 1]
+            left = vlo * vm <= 0.0
+            vlo = np.where(left, vlo, vm)
+            at = np.where(left, at, at + (width >> d))
+        lo, hi = edges[rows, at], edges[rows, at + 1]
     return 0.5 * (lo + hi)
 
 
@@ -237,7 +255,7 @@ def refine_sign_changes(f, edges):
     k, j = np.nonzero(sgn[:, :-1] * sgn[:, 1:] < 0)
     own = own[k]
     roots = bisect_brackets(
-        lambda x: f(x, own), xs[k, j], xs[k, j + 1], vals[k, j], _SIGN_ITERS
+        lambda x, b: f(x, own[b]), xs[k, j], xs[k, j + 1], vals[k, j], _SIGN_ITERS
     )
     # Column of each root: its rank among its owner's (flips are by owner).
     col = np.arange(len(own)) - np.searchsorted(own, own)

@@ -406,8 +406,10 @@ class LagrangianSolution:
         spd = speeds[flips[1]]
         zk = self.zeta[flips[2]]
 
-        def path(tau):
-            return np.asarray(self.position(tau, zk + spd * tau), dtype=float) - x_side
+        def path(tau, k):
+            return np.asarray(
+                self.position(tau, zk[k] + spd[k] * tau), dtype=float
+            ) - x_side
 
         return list(bisect_brackets(
             path, taus[flips[0]], taus[flips[0] + 1], paths[flips], _TIME_KINK_ITERS

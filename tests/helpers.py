@@ -6,7 +6,7 @@ the Riemann-sum oracle is brute-force midpoint summation, the per-point
 position quadrature integrates one (t, z) at a time, the per-law box
 residual integrates each conservation law in its own quadrature pass, and
 the per-time decay curve and per-component pair distance run one L1
-integral each.
+integral each, and plain bisection makes one integrand call per step.
 """
 
 import math
@@ -358,6 +358,24 @@ def rk4_crossing_time(sol, p, q, dt=0.02, max_steps=500_000):
         if hi_t - lo_t < 1e-13 * max(1.0, hi_t):
             break
     return 0.5 * (lo_t + hi_t)
+
+
+def bisect_full_cap(f, lo, hi, vlo, iters):
+    """Plain bisection: ``iters`` steps, one ``f(x, owner)`` call per step.
+
+    The fixed-count loop of one step per call, kept as the reference for
+    the early stop and the multilevel replay of
+    ``quadrature.bisect_brackets``.
+    """
+    owner = np.arange(len(lo))
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        vm = np.asarray(f(mid, owner), dtype=float)
+        left = vlo * vm <= 0.0
+        hi = np.where(left, mid, hi)
+        vlo = np.where(left, vlo, vm)
+        lo = np.where(left, lo, mid)
+    return 0.5 * (lo + hi)
 
 
 def _l1_one(f, lo, hi, kinks, tol):

@@ -165,14 +165,14 @@ def test_criterion_6_traveling_wave_decay(scenarios):
     ok = True
     details = []
     for side in ("slow", "fast"):
-        rep = decay_curve(sol, bi_shape(sol, side), times)
+        rep = decay_curve(sol, [bi_shape(sol, side)], times)[0]
         ok &= rep.distances[-1] < 0.1 * rep.distances[0]
         details.append(
             "%s d(5)=%.3e d(80)=%.3e" % (side, rep.distances[0], rep.distances[-1])
         )
     simple = scenarios["bi-simple-wave"]
     for side in ("slow", "fast"):
-        rep = decay_curve(simple, bi_shape(simple, side), times)
+        rep = decay_curve(simple, [bi_shape(simple, side)], times)[0]
         ok &= max(rep.distances) <= 1e-8
         details.append("simple-%s max %.2e" % (side, max(rep.distances)))
     _report(6, "L1 decay to the traveling wave", ok, "; ".join(details))

@@ -367,7 +367,7 @@ def test_three_speed_shapes_match_long_time_limit():
 
 def test_decay_zero_for_constant_data(constant_sol):
     shape = build_shape(constant_sol, 0)
-    rep = decay_curve(constant_sol, shape, [1.0, 5.0])
+    rep = decay_curve(constant_sol, [shape], [1.0, 5.0])[0]
     assert max(rep.distances) < 1e-10
     assert rep.ratio == 0.0 or rep.distances[0] < 1e-10
 
@@ -375,16 +375,16 @@ def test_decay_zero_for_constant_data(constant_sol):
 def test_decay_simple_wave_is_exact(bi):
     sol = solve(bi, bi_simple_wave_profile())
     for side in ("slow", "fast"):
-        rep = decay_curve(sol, bi_shape(sol, side), [1.0, 5.0, 20.0])
+        rep = decay_curve(sol, [bi_shape(sol, side)], [1.0, 5.0, 20.0])[0]
         assert max(rep.distances) <= 1e-8
 
 
 def test_decay_two_ramp_interaction(tworamp_sol):
-    rep = decay_curve(tworamp_sol, bi_shape(tworamp_sol, "slow"), [5.0, 80.0])
+    rep = decay_curve(tworamp_sol, [bi_shape(tworamp_sol, "slow")], [5.0, 80.0])[0]
     assert rep.decreased
     assert rep.distances[-1] < 0.1 * rep.distances[0]
 
 
 def test_decay_requires_increasing_times(tworamp_sol):
     with pytest.raises(ValueError):
-        decay_curve(tworamp_sol, bi_shape(tworamp_sol, "slow"), [5.0, 2.0])
+        decay_curve(tworamp_sol, [bi_shape(tworamp_sol, "slow")], [5.0, 2.0])

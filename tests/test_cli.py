@@ -8,7 +8,13 @@ from richwave import cli
 from richwave.asymptotics import ShapeFloorError
 from richwave.cheb import TabulationError
 from richwave.cli import main
-from richwave.config import ConfigError, load_config, parse_config, preset_names
+from richwave.config import (
+    ConfigError,
+    load_config,
+    parse_config,
+    preset_names,
+    preset_path,
+)
 from richwave.fv import BlowUpError
 from richwave.maps import InversionError
 from richwave.quadrature import QuadratureError
@@ -193,6 +199,23 @@ def test_asymptotics_without_full_gap_condition_exits_2(tmp_path, capsys):
     assert main(["asymptotics", "--config", str(path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "gap condition" in err
+    assert "Traceback" not in err
+    assert not (out / "failures.json").exists()
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [{"decay_times": [4.0, 2.0]}, {"times": [0.0, 8.0, 2.0], "decay_times": []}],
+    ids=["decay-times", "times-fallback"],
+)
+def test_asymptotics_with_unordered_times_exits_2(tmp_path, capsys, extra):
+    cfg = dict(json.loads(preset_path("bi-two-ramp").read_text()), **extra)
+    path = tmp_path / "unordered.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    assert main(["asymptotics", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "strictly increasing" in err
     assert "Traceback" not in err
     assert not (out / "failures.json").exists()
 

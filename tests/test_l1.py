@@ -1,9 +1,10 @@
 """The L1 experiments run one batched pass per call.
 
-``decay_curve`` integrates all its times and ``pair_distance`` all its
-``(t > 0, component)`` pairs in one ``integrate_abs`` call; each owner's
-probe, bisection and panels stay its own, so the batched results must equal
-the per-time and per-component references in ``helpers`` bit for bit.
+``decay_curve`` integrates all its ``(shape, time)`` pairs and
+``pair_distance`` all its ``(t > 0, component)`` pairs in one
+``integrate_abs`` call; each owner's probe, bisection and panels stay its
+own, so the batched results must equal the per-time and per-component
+references in ``helpers`` bit for bit.
 """
 
 import numpy as np
@@ -43,6 +44,24 @@ def presets():
     return out
 
 
+_SHAPES = {"bi-two-ramp": ("slow", "fast"), "abi-middle": ("slow", "middle", "fast")}
+
+
+def _shape(sol, name):
+    return abi_middle_shape(sol) if name == "middle" else bi_shape(sol, name)
+
+
+@pytest.fixture(scope="module")
+def batched_decay(presets):
+    # one decay_curve call per preset for all its shapes
+    out = {}
+    for preset, names in _SHAPES.items():
+        sol, times = presets[preset]
+        reports = decay_curve(sol, [_shape(sol, n) for n in names], times)
+        out.update({(preset, n): r for n, r in zip(names, reports)})
+    return out
+
+
 @pytest.fixture(scope="module")
 def bi_pair():
     bi = born_infeld(1.0)
@@ -63,11 +82,14 @@ def bi_pair():
         ("abi-middle", "fast"),
     ],
 )
-def test_batched_decay_curve_matches_per_time_loop(presets, preset, shape):
+def test_batched_decay_curve_matches_per_time_loop(
+    presets, batched_decay, preset, shape
+):
     sol, times = presets[preset]
-    shp = abi_middle_shape(sol) if shape == "middle" else bi_shape(sol, shape)
-    got = decay_curve(sol, shp, times).distances
-    assert bits(got) == bits(decay_curve_reference(sol, shp, times))
+    shp = _shape(sol, shape)
+    rep = batched_decay[preset, shape]
+    assert (rep.component, rep.route) == (shp.component, shp.route)
+    assert bits(rep.distances) == bits(decay_curve_reference(sol, shp, times))
 
 
 def _pairs(bi_pair):
@@ -115,8 +137,12 @@ def test_one_sign_change_search_per_l1_call(monkeypatch, presets, bi_pair):
 
     monkeypatch.setattr(quadrature, "refine_sign_changes", counting)
     sol, times = presets["bi-two-ramp"]
-    decay_curve(sol, bi_shape(sol, "slow"), times)
+    decay_curve(sol, [bi_shape(sol, "slow")], times)
     assert calls == [len(times)]
+    del calls[:]
+    decay_curve(sol, [bi_shape(sol, "slow"), bi_shape(sol, "fast")], times)
+    # owners: two shapes times every time
+    assert calls == [2 * len(times)]
     _, base, bumped = bi_pair
     del calls[:]
     pair_distance(base, bumped, [0.0, 1.0, 4.0])

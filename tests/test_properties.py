@@ -79,6 +79,16 @@ def test_three_speed_position_map_identities(profile):
     _check_initial_values_and_far_tails(sol)
 
 
+@seed(20120421)
+@_EXAMPLES
+@given(profile=profiles(st.tuples(_VALUE, _VALUE, _VALUE)))
+def test_three_speed_box_residuals(profile):
+    # moving kinks cross the box sides, so _time_kinks has brackets to bisect
+    sol = solve(three_speed_system(), profile)
+    cons, entropies = sol.box_residuals((0.2, 1.4, -1.5, 1.5))
+    assert max(cons, *entropies) <= 1e-8
+
+
 def _check_born_infeld_identities(sol):
     zs = np.linspace(-6.0, 6.0, 41)
     # the closed form at t = 0 reproduces X0 up to its table rounding

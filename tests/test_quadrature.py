@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import bisect_full_cap
 from richwave import QuadratureError, integrate, quadrature
 from richwave.quadrature import (
     bisect_brackets,
@@ -190,19 +191,7 @@ def test_vector_failure_names_owner_and_interval():
     assert lo < 1.0 / 3.0 < hi
 
 
-def _bisect_full_cap(f, lo, hi, vlo, iters):
-    # the fixed-count loop, kept as the reference for the early stop
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        vm = f(mid)
-        left = vlo * vm <= 0.0
-        hi = np.where(left, mid, hi)
-        vlo = np.where(left, vlo, vm)
-        lo = np.where(left, lo, mid)
-    return 0.5 * (lo + hi)
-
-
-@pytest.mark.parametrize("iters", [20, 52, 60, 80])
+@pytest.mark.parametrize("iters", [7, 20, 52, 53, 60, 61, 80])
 def test_bisection_early_stop_is_bit_exact(iters):
     rng = np.random.default_rng(11)
     roots = rng.uniform(-50.0, 50.0, size=40)
@@ -212,25 +201,27 @@ def test_bisection_early_stop_is_bit_exact(iters):
     lo = roots - rng.uniform(1e-6, 3.0, size=40)
     hi = roots + rng.uniform(1e-6, 3.0, size=40)
     slope = np.where(rng.uniform(size=40) < 0.5, -1.0, 1.0)
+    levels = quadrature._BISECT_LEVELS
 
     def run(roots, lo, hi, slope, bisect):
         calls = []
 
-        def f(x):
+        def f(x, owner):
             calls.append(1)
-            return slope * np.sinh(x - roots)
+            return slope[owner] * np.sinh(x - roots[owner])
 
         mids = bisect(f, lo, hi, slope * np.sinh(lo - roots), iters)
         return mids.view(np.int64).tolist(), len(calls)
 
-    want, full = run(roots, lo, hi, slope, _bisect_full_cap)
+    want, full = run(roots, lo, hi, slope, bisect_full_cap)
     got, early = run(roots, lo, hi, slope, bisect_brackets)
     assert got == want
     assert full == iters
-    # every bracket reaches one ulp within 55 bisections
-    assert early <= iters
-    if iters >= 60:
-        assert early < iters
+    # every bracket reaches one ulp within 58 bisections, the first 60
+    # levels of calls of _BISECT_LEVELS = 4
+    assert early <= math.ceil(iters / levels)
+    if iters > 60:
+        assert early < math.ceil(iters / levels)
 
     args = (
         np.concatenate([roots, near_zero]),
@@ -238,10 +229,33 @@ def test_bisection_early_stop_is_bit_exact(iters):
         np.concatenate([hi, [1.0, 1.0]]),
         np.concatenate([slope, [1.0, -1.0]]),
     )
-    want, _ = run(*args, _bisect_full_cap)
+    want, _ = run(*args, bisect_full_cap)
     got, early = run(*args, bisect_brackets)
     assert got == want
-    assert early == iters
+    # one call per _BISECT_LEVELS steps, the last one for the remainder
+    assert early == math.ceil(iters / levels)
+
+
+def test_bisection_of_no_brackets_calls_nothing():
+    def f(x, owner):
+        raise AssertionError("integrand called")
+
+    empty = np.empty(0)
+    assert bisect_brackets(f, empty, empty, empty, 52).shape == (0,)
+
+
+def test_refine_sign_changes_call_count():
+    calls = []
+
+    def f(x, owner):
+        calls.append(1)
+        return np.sin(x + owner)
+
+    roots = refine_sign_changes(f, [[-4.0, 0.5, 4.0], [-4.0, 0.3, 4.0]])
+    assert np.sum(~np.isnan(roots)) == 5
+    # one probe call, then one call per _BISECT_LEVELS bisection steps
+    levels = quadrature._BISECT_LEVELS
+    assert len(calls) <= 1 + math.ceil(quadrature._SIGN_ITERS / levels)
 
 
 def test_refine_sign_changes_locates_roots():

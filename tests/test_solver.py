@@ -6,6 +6,7 @@ import pytest
 from helpers import (
     bi_simple_wave_profile,
     bi_tworamp_profile,
+    bisect_full_cap,
     box_residuals_reference,
     position_quadrature_reference,
     three_speed_profile,
@@ -275,6 +276,19 @@ def test_residuals_of_wrong_evaluator_match_per_law_reference(
     assert len(got) == sol.system.n + 1
     assert np.all(got > 1e-3)
     assert np.max(np.abs(got - want)) <= 1e-9
+
+
+@pytest.mark.parametrize("which", ["bi", "three"])
+def test_time_kinks_match_plain_bisection(which, tworamp_sol, three_sol, monkeypatch):
+    # the multilevel bisection ends on the bits of one step per call
+    sol = tworamp_sol if which == "bi" else three_sol
+    t1, t2, A, B = (0.3, 1.7, -2.1, 1.4) if which == "bi" else (0.0, 1.0, -1.5, 1.5)
+    got = [sol._time_kinks(x, t1, t2) for x in (A, B)]
+    monkeypatch.setattr(solver, "bisect_brackets", bisect_full_cap)
+    want = [sol._time_kinks(x, t1, t2) for x in (A, B)]
+    assert min(len(g) for g in got) > 0
+    for g, w in zip(got, want):
+        assert np.array_equal(np.array(g).view(np.int64), np.array(w).view(np.int64))
 
 
 def test_bad_box_rejected_before_any_work(three_sol, monkeypatch):
