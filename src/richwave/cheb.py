@@ -3,35 +3,30 @@
 Coordinate maps and running primitives are smooth between profile
 breakpoints and exactly affine outside the outermost ones, so a Chebyshev
 interpolant per segment plus linear tails represents them to near machine
-accuracy with cheap vectorized evaluation.
+accuracy with cheap vectorized evaluation.  :class:`StackedCheb` evaluates
+tables on shared breaks, such as a primitive and its integrand, in one pass.
 """
 
 import numpy as np
 from numpy.polynomial import chebyshev as _C
 
 _DEGREES = (16, 32, 64, 128, 256)
+# Points per StackedCheb recurrence: bounds the gathered coefficient block.
+_STACK_CHUNK = 4096
 
 
 class TabulationError(RuntimeError):
     """A segment interpolant failed to converge to the requested accuracy."""
 
 
-def _fit_segment(f, a, b, rtol):
-    """Chebyshev coefficients of f on [a, b], degree chosen by tail decay."""
-    for deg in _DEGREES:
-        nodes = np.cos(np.pi * np.arange(deg + 1) / deg)  # second kind, [-1, 1]
-        x = 0.5 * (a + b) + 0.5 * (b - a) * nodes
-        vals = np.asarray(f(x), dtype=float)
-        coef = _C.chebfit(nodes, vals, deg)
-        scale = max(np.max(np.abs(coef)), 1e-300)
-        tail = np.max(np.abs(coef[-3:]))
-        if tail <= rtol * scale + 1e-300:
-            cut = np.nonzero(np.abs(coef) > rtol * scale * 0.1)[0]
-            return coef[: cut[-1] + 1] if cut.size else coef[:1]
-    raise TabulationError(
-        "Chebyshev fit on [%g, %g] did not converge (tail %.3e of scale %.3e)"
-        % (a, b, tail, scale)
-    )
+def _clenshaw(c, tt):
+    """Series ``sum_k c[k] T_k(tt)``, ``len(c) >= 2``, in chebval's operation order."""
+    x2 = 2.0 * tt
+    c0 = c[-2]
+    c1 = c[-1]
+    for k in range(len(c) - 3, -1, -1):
+        c0, c1 = c[k] - c1, c0 + c1 * x2
+    return c0 + c1 * tt
 
 
 class PiecewiseCheb:
@@ -82,15 +77,8 @@ class PiecewiseCheb:
             # a point on the last break stays in the last segment.
             seg = np.searchsorted(b[1:-1], xi, side="right")
             tt = (2.0 * xi - self._sums[seg]) / self._widths[seg]
-            # Clenshaw recurrence over all points at once, in chebval's
-            # operation order (Trefethen, ATAP ch. 3).
-            c = self._table[:, seg]
-            x2 = 2.0 * tt
-            c0 = c[-2]
-            c1 = c[-1]
-            for k in range(len(c) - 3, -1, -1):
-                c0, c1 = c[k] - c1, c0 + c1 * x2
-            out[inner] = c0 + c1 * tt
+            # One Clenshaw recurrence over all points at once.
+            out[inner] = _clenshaw(self._table[:, seg], tt)
         return float(out[0]) if scalar else out
 
     def derivative(self):
@@ -142,32 +130,99 @@ class PiecewiseCheb:
         return PiecewiseCheb(self.breaks, coefs, lt, rt)
 
 
-def fit_piecewise(f, breaks, rtol=1e-13, tail_slopes=(0.0, 0.0), validate=True):
+class StackedCheb:
+    """Rows of equally many :class:`PiecewiseCheb` on shared breaks, one pass.
+
+    ``x`` of shape ``(len(rows), m)`` gives ``out[j, q]``, table ``j`` of row
+    ``q`` at ``x[q]`` with the table's own bits, from one ``searchsorted``,
+    then one gather and one Clenshaw recurrence per chunk of points."""
+
+    def __init__(self, rows):
+        first = rows[0][0]
+        self.breaks, self._sums, self._widths = first.breaks, first._sums, first._widths
+        self._nseg = len(first.coefs)
+        # (degree, table, row * segment), zero-padded exactly as PiecewiseCheb.
+        depth = max(2, max(len(c) for row in rows for tab in row for c in tab.coefs))
+        self._table = np.zeros((depth, len(rows[0]), len(rows) * self._nseg))
+        for q, row in enumerate(rows):
+            for j, tab in enumerate(row):
+                for k, c in enumerate(tab.coefs):
+                    self._table[: len(c), j, q * self._nseg + k] = c
+        # (value or slope, row, table) of each side's linear tail.
+        self._tails = [np.moveaxis([[getattr(t, s) for t in r] for r in rows], -1, 0)
+                       for s in ("left_tail", "right_tail")]
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        rows, m = x.shape
+        xf = x.reshape(-1)
+        out = np.empty((xf.size, self._table.shape[1]))
+        b = self.breaks
+        left = xf < b[0]
+        right = xf > b[-1]
+        for mask, edge, (v, s) in zip((left, right), (b[0], b[-1]), self._tails):
+            if mask.any():
+                r = np.nonzero(mask)[0] // m  # the row of each point
+                out[mask] = v[r] + s[r] * (xf[mask] - edge)[:, None]
+        inner = np.nonzero(~(left | right))[0]
+        xi = xf[inner]
+        seg = np.searchsorted(b[1:-1], xi, side="right")
+        tt = (2.0 * xi - self._sums[seg]) / self._widths[seg]
+        seg += inner // m * self._nseg
+        # np.take gathers contiguous rows for the recurrence; chunks bound them.
+        for lo in range(0, inner.size, _STACK_CHUNK):
+            c = slice(lo, lo + _STACK_CHUNK)
+            out[inner[c]] = _clenshaw(np.take(self._table, seg[c], axis=2), tt[c]).T
+        return out.T.reshape(out.shape[1], rows, m)
+
+
+def fit_piecewise(f, breaks, rtol=1e-13, tail_slopes=(0.0, 0.0)):
     """Tabulate ``f`` (vectorized, smooth between ``breaks``) segment by segment.
 
-    The tails continue linearly from the edge values with ``tail_slopes``.
-    With ``validate`` the interpolant is spot-checked at off-node points.
+    ``f`` is called once per rung of the degree ladder on the nodes of every
+    segment still unresolved (the first call also takes both edges), then on
+    off-node check points of all segments, so it must evaluate each point
+    independently of its batch.  The tails continue with ``tail_slopes``.
     """
     breaks = np.asarray(breaks, dtype=float)
     if breaks.ndim != 1 or len(breaks) < 2 or np.any(np.diff(breaks) <= 0):
         raise ValueError("breaks must be strictly increasing with length >= 2")
-    coefs = [
-        _fit_segment(f, breaks[k], breaks[k + 1], rtol)
-        for k in range(len(breaks) - 1)
-    ]
-    left = float(np.asarray(f(np.array([breaks[0]])))[0])
-    right = float(np.asarray(f(np.array([breaks[-1]])))[0])
-    out = PiecewiseCheb(breaks, coefs, (left, tail_slopes[0]), (right, tail_slopes[1]))
-    if validate:
-        for k in range(len(breaks) - 1):
-            a, b = breaks[k], breaks[k + 1]
-            probe = a + (b - a) * np.array([0.123456, 0.5432101, 0.87654321])
-            got = out(probe)
-            want = np.asarray(f(probe), dtype=float)
-            scale = max(1.0, float(np.max(np.abs(want))))
-            if np.max(np.abs(got - want)) > 100.0 * rtol * scale:
-                raise TabulationError(
-                    "tabulation check failed on [%g, %g]: error %.3e"
-                    % (a, b, float(np.max(np.abs(got - want))))
-                )
+    lo, hi = breaks[:-1], breaks[1:]
+    coefs = [None] * len(lo)
+    todo, ends = np.arange(len(lo)), breaks[[0, -1]]
+    for deg in _DEGREES:
+        nodes = np.cos(np.pi * np.arange(deg + 1) / deg)  # second kind, [-1, 1]
+        a, b = lo[todo, None], hi[todo, None]
+        x = (0.5 * (a + b) + 0.5 * (b - a) * nodes).reshape(-1)
+        vals = np.asarray(f(np.concatenate([x, ends])), dtype=float)
+        if ends.size:
+            ends, edge_vals = ends[:0], vals[-2:]
+        unresolved = []
+        for k, v in zip(todo, vals[: x.size].reshape(len(todo), deg + 1)):
+            coef = _C.chebfit(nodes, v, deg)
+            scale = max(np.max(np.abs(coef)), 1e-300)
+            tail = np.max(np.abs(coef[-3:]))
+            if tail <= rtol * scale + 1e-300:
+                cut = np.nonzero(np.abs(coef) > rtol * scale * 0.1)[0]
+                coefs[k] = coef[: cut[-1] + 1] if cut.size else coef[:1]
+            else:
+                unresolved.append((k, tail, scale))
+        if not unresolved:
+            break
+        todo = np.array([k for k, _, _ in unresolved])
+    else:
+        k, tail, scale = unresolved[0]
+        raise TabulationError("Chebyshev fit on [%g, %g] did not converge (tail %.3e "
+                              "of scale %.3e)" % (lo[k], hi[k], tail, scale))
+    out = PiecewiseCheb(breaks, coefs, (edge_vals[0], tail_slopes[0]),
+                        (edge_vals[1], tail_slopes[1]))
+    probe = lo[:, None] + np.outer(hi - lo, [0.123456, 0.5432101, 0.87654321])
+    got = out(probe)
+    want = np.asarray(f(probe.reshape(-1)), dtype=float).reshape(probe.shape)
+    scale = np.maximum(1.0, np.max(np.abs(want), axis=1))
+    err = np.max(np.abs(got - want), axis=1)
+    k = np.argmax(err > 100.0 * rtol * scale)  # the first failing segment, if any
+    if err[k] > 100.0 * rtol * scale[k]:
+        raise TabulationError("tabulation check failed on [%g, %g]: error %.3e"
+                              % (lo[k], hi[k], err[k]))
     return out

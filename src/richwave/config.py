@@ -192,12 +192,18 @@ def parse_config(raw, base_dir="."):
             "center": float(blk["center"]),
             "half_width": float(blk["half_width"]),
         }
+        if not (0 <= cfg.perturbation["component"] < system.n
+                and cfg.perturbation["half_width"] > 0.0):
+            raise ConfigError("perturbation needs 0 <= component < %d and "
+                              "half_width > 0, got %r" % (system.n, blk))
     if "tolerances" in raw:
         _check_keys(raw["tolerances"], _TOL_KEYS, "tolerances")
         blk = raw["tolerances"]
         cfg.quad_tol = float(blk.get("quadrature", cfg.quad_tol))
         cfg.inv_tol = float(blk.get("inversion", cfg.inv_tol))
         cfg.verify_tol = float(blk.get("verify", cfg.verify_tol))
+        if not all(0.0 < float(v) < np.inf for v in blk.values()):  # NaN fails
+            raise ConfigError("tolerances must be finite and > 0, got %r" % blk)
     cfg.times = _increasing_times(raw.get("times", []), "times")
     cfg.decay_times = _increasing_times(raw.get("decay_times", []), "decay_times")
     cfg.amplitudes = [float(v) for v in raw.get("amplitudes", [])]
@@ -210,6 +216,8 @@ def parse_config(raw, base_dir="."):
         cfg.boxes.append((t1, t2, lo, hi))
     cfg.output = str(raw.get("output", cfg.output))
     cfg.shape_samples = int(raw.get("shape_samples", cfg.shape_samples))
+    if cfg.shape_samples < 1:
+        raise ConfigError("shape_samples must be >= 1, got %d" % cfg.shape_samples)
     if "plateau_factors" in raw:
         cfg.plateau_factors = tuple(float(v) for v in raw["plateau_factors"])
     return cfg

@@ -1,7 +1,8 @@
 """Strictly increasing maps with exact affine tails and their one inversion.
 
 :func:`invert_increasing` serves every inverse of the package: ``X0`` and
-the shape maps (through :class:`MonotoneMap`) and ``Z(t, .)``.
+the shape maps (through :class:`MonotoneMap`) and ``Z(t, .)``, whose map
+gives value and slope together (one table pass per step on Born-Infeld).
 """
 
 import numpy as np
@@ -23,15 +24,17 @@ class InversionError(RuntimeError):
         self.owner = owner
 
 
-def invert_increasing(f, df, y, lo, hi, f_lo, f_hi, left_slope, right_slope, tol):
+def invert_increasing(f, y, lo, hi, f_lo, f_hi, left_slope, right_slope, tol):
     """x with ``F_p(x) = y_p`` for increasing maps affine outside ``[lo_p, hi_p]``.
 
-    On its core ``F_p(x) = f(x, p)`` rises from ``f_lo_p`` to ``f_hi_p``;
-    beyond it ``F_p`` continues with ``left_slope_p``/``right_slope_p``, so
-    targets outside ``[f_lo_p, f_hi_p]`` take the exact affine inverse.  Core
-    targets run Newton with ``df(x, owner)`` (bisection if ``df`` is None)
-    from the secant guess, safeguarded by the sign-enclosing bracket; ``f``
-    and ``df`` get the indices of the points asked for as ``owner``.  A point
+    On its core ``F_p`` rises from ``f_lo_p`` to ``f_hi_p``; beyond it
+    ``F_p`` continues with ``left_slope_p``/``right_slope_p``, so targets
+    outside ``[f_lo_p, f_hi_p]`` take the exact affine inverse.  Core
+    targets run Newton from the secant guess, safeguarded by the
+    sign-enclosing bracket.  ``f(x, owner)`` gets the indices of the points
+    asked for as ``owner`` and returns ``(F, F')`` at ``x``; ``F'`` may be a
+    callable ``(x, owner)`` run only on the points still iterating, or None
+    to bisect the bracket instead.  A point
     is done when ``|r| <= tol``, or when its bracket has collapsed to machine
     width and ``|r| <= max(tol, 1024 eps (|y| + 1))``, the map's own noise.
     ``y`` is 1-D; the other arguments broadcast against it.  Raises
@@ -55,7 +58,8 @@ def invert_increasing(f, df, y, lo, hi, f_lo, f_hi, left_slope, right_slope, tol
     eps = np.finfo(float).eps
     noise = np.maximum(tol, 1024.0 * eps * (np.abs(y) + 1.0))
     for _ in range(MAX_INVERT_ITERS):
-        r = np.asarray(f(x, idx), dtype=float) - y
+        v, d = f(x, idx)
+        r = np.asarray(v, dtype=float) - y
         done = np.abs(r) <= tol
         collapsed = (hi - lo) <= 4.0 * eps * np.maximum(1.0, np.abs(x))
         done |= collapsed & (np.abs(r) <= noise)
@@ -67,14 +71,15 @@ def invert_increasing(f, df, y, lo, hi, f_lo, f_hi, left_slope, right_slope, tol
             idx, x, r, y, lo, hi, r_lo, r_hi, tol, noise = (
                 a[keep] for a in (idx, x, r, y, lo, hi, r_lo, r_hi, tol, noise)
             )
+            d = np.asarray(d)[keep] if np.ndim(d) else d
         pos = r > 0.0
         hi = np.where(pos, np.minimum(hi, x), hi)
         lo = np.where(pos, lo, np.maximum(lo, x))
         r_lo, r_hi = np.where(pos, r_lo, r), np.where(pos, r, r_hi)
-        if df is None:
+        if d is None:
             x = 0.5 * (lo + hi)
             continue
-        d = np.asarray(df(x, idx), dtype=float)
+        d = np.asarray(d(x, idx) if callable(d) else d, dtype=float)
         step = np.where(d > 0.0, r / np.where(d > 0.0, d, 1.0), np.nan)
         cand = x - step
         bad = ~np.isfinite(cand) | (cand <= lo) | (cand >= hi)
@@ -108,7 +113,7 @@ class MonotoneMap:
         self.right_slope = float(right_slope)
         if self.left_slope <= 0.0 or self.right_slope <= 0.0:
             raise ValueError("tail slopes must be positive")
-        self._deriv = deriv
+        self._slope = None if deriv is None else (lambda x, owner: deriv(x))
         self.tol = float(tol)
         self.f_lo = float(np.asarray(forward(np.array([self.x_lo])))[0])
         self.f_hi = float(np.asarray(forward(np.array([self.x_hi])))[0])
@@ -138,11 +143,10 @@ class MonotoneMap:
         """
         y = np.asarray(y, dtype=float)
         yv = y.reshape(-1)
-        deriv = self._deriv
+        fwd, slope = self._forward, self._slope
         try:
             out = invert_increasing(
-                lambda x, owner: self._forward(x),
-                None if deriv is None else lambda x, owner: deriv(x),
+                lambda x, owner: (fwd(x), slope),
                 yv, self.x_lo, self.x_hi, self.f_lo, self.f_hi,
                 self.left_slope, self.right_slope, self.tol,
             )

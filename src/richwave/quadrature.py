@@ -239,8 +239,9 @@ def refine_sign_changes(f, edges):
     ``edges`` rows increase, NaN entries skipped; ``f(x, owner)`` follows
     :func:`integrate_many`.  Only sign changes visible at ``_SIGN_SAMPLES``
     probe points per panel are found, which is all the piecewise-monotone
-    integrands here need.  All panels share one probe call and all brackets
-    one :func:`bisect_brackets`.  Returns ``(P, R)`` NaN-padded roots.
+    integrands here need (a lone zero probe is one).  All panels share one
+    probe call and all brackets one :func:`bisect_brackets`.  Returns
+    ``(P, R)`` NaN-padded roots.
     """
     edges = np.asarray(edges, dtype=float)
     valid = ~np.isnan(edges)
@@ -253,11 +254,15 @@ def refine_sign_changes(f, edges):
     vals = _feval(f, xs.reshape(-1), np.repeat(own, _SIGN_SAMPLES)).reshape(xs.shape)
     sgn = np.sign(vals)
     k, j = np.nonzero(sgn[:, :-1] * sgn[:, 1:] < 0)
-    own = own[k]
     roots = bisect_brackets(
-        lambda x, b: f(x, own[b]), xs[k, j], xs[k, j + 1], vals[k, j], _SIGN_ITERS
+        lambda x, b: f(x, own[k[b]]), xs[k, j], xs[k, j + 1], vals[k, j], _SIGN_ITERS
     )
-    # Column of each root: its rank among its owner's (flips are by owner).
+    # A lone zero probe between opposite signs is a root; zero runs are not.
+    kz, jz = np.nonzero((sgn[:, 1:-1] == 0) & (sgn[:, :-2] * sgn[:, 2:] < 0))
+    pk = np.concatenate([k, kz])
+    order = np.argsort(pk, kind="stable")
+    own, roots = own[pk[order]], np.concatenate([roots, xs[kz, jz + 1]])[order]
+    # Column of each root: its rank among its owner's (panels are by owner).
     col = np.arange(len(own)) - np.searchsorted(own, own)
     out = np.full((len(edges), col.max(initial=-1) + 1), np.nan)
     out[own, col] = roots

@@ -9,12 +9,13 @@ from running primitives of the two extreme invariants.  Solution values at
 (t, x) follow by inverting X(t, .) with ``maps.invert_increasing``, the
 inversion ``Z0`` uses too: outside the core [zeta_0 + min speed * t,
 zeta_K + max speed * t] every component is in a tail state, so X(t, .) is
-exactly affine there with slope 1/N and needs no Newton step.
+exactly affine there with slope 1/N and needs no Newton step.  On
+Born-Infeld-like systems one table pass gives X and Newton's slope 1/N.
 """
 
 import numpy as np
 
-from .cheb import fit_piecewise
+from .cheb import StackedCheb, fit_piecewise
 from .maps import InversionError, MonotoneMap, invert_increasing
 from .quadrature import QuadratureError, bisect_brackets, integrate, integrate_many
 from .systems import AdmissibilityError
@@ -128,13 +129,14 @@ class LagrangianSolution:
 
         self._bi = system.bi_structure
         if self._bi is not None:
-            st = self._bi
-            self._p_mu = fit_piecewise(
-                lambda z: profile.component(st.mu, self._x0(z)), self.zeta
-            ).antiderivative(anchor=0.0, value=0.0)
-            self._p_lam = fit_piecewise(
-                lambda z: profile.component(st.lam, self._x0(z)), self.zeta
-            ).antiderivative(anchor=0.0, value=0.0)
+            comp = profile.component
+            mu, lam = (fit_piecewise(lambda z, i=i: comp(i, self._x0(z)), self.zeta)
+                       for i in (self._bi.mu, self._bi.lam))
+            self._p_mu = mu.antiderivative(anchor=0.0, value=0.0)
+            self._p_lam = lam.antiderivative(anchor=0.0, value=0.0)
+            # Rows read at z + a t and z - a t; column 1 is each primitive's slope.
+            self._stacked = StackedCheb([[self._p_mu], [self._p_lam]])
+            self._stacked_slope = StackedCheb([[self._p_mu, mu], [self._p_lam, lam]])
 
     def _check_mixed_states(self, profile):
         """Raise unless every state translation can mix is admissible, N > 0.
@@ -253,14 +255,29 @@ class LagrangianSolution:
         z = np.asarray(z, dtype=float)
         return (self._p_mu(z + a * t) - self._p_lam(z - a * t)) / (2.0 * a)
 
+    def _closed_form_pass(self, table, t, z):
+        """The closed form of each column of a stacked table, one pass."""
+        a = self._bi.a
+        u = np.stack([z + a * t, z - a * t])
+        v = table(u.reshape(2, -1))
+        return ((v[:, 0] - v[:, 1]) / (2.0 * a)).reshape(v.shape[:1] + u.shape[1:])
+
     def position(self, t, z):
         """X(t, z); closed form when the system supports it, else quadrature.
 
         Strictly increasing in z with dX/dz = 1/N at the translated state.
         """
-        if self._bi is not None:
-            return self.position_closed_form(t, z)
-        return self.position_quadrature(t, z)
+        if self._bi is None:
+            return self.position_quadrature(t, z)
+        t, z = np.asarray(t, dtype=float), np.asarray(z, dtype=float)
+        x = self._closed_form_pass(self._stacked, t, z)[0]
+        return float(x) if x.ndim == 0 else x
+
+    def _position_and_slope(self, t, z):
+        """``(X(t, z), dX/dz)`` for 1-D ``t``, ``z`` on Born-Infeld-like
+        systems: one table pass, ``dX/dz = (mu - lam) / 2a`` from the
+        primitives' integrands."""
+        return tuple(self._closed_form_pass(self._stacked_slope, t, z))
 
     def _core(self, t):
         """``(z_lo, z_hi)``: outside it every component is in a tail state."""
@@ -293,12 +310,13 @@ class LagrangianSolution:
                 owner=(float(tb[k]), float(xb[k])),
             )
         tol = np.maximum(self.inv_tol, 32.0 * np.finfo(float).eps * (np.abs(xb) + 1.0))
+        # Born-Infeld: X and slope in one table pass; else 1/N where Newton runs.
+        step = self._position_and_slope if self._bi is not None else (
+            lambda t, z: (self.position(t, z), lambda zs, o: 1.0 / self.system.density(
+                self.state_lagrangian(tb[o], zs))))
         try:
             z = invert_increasing(
-                lambda zs, owner: self.position(tb[owner], zs),
-                lambda zs, owner: 1.0 / self.system.density(
-                    self.state_lagrangian(tb[owner], zs)
-                ),
+                lambda zs, owner: step(tb[owner], zs),
                 xb, z_lo, z_hi, x_lo, x_hi, *self._tail_slopes, tol,
             )
         except InversionError as exc:

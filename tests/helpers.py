@@ -6,14 +6,18 @@ the Riemann-sum oracle is brute-force midpoint summation, the per-point
 position quadrature integrates one (t, z) at a time, the per-law box
 residual integrates each conservation law in its own quadrature pass, and
 the per-time decay curve and per-component pair distance run one L1
-integral each, and plain bisection makes one integrand call per step.
+integral each, plain bisection makes one integrand call per step, and the
+per-segment Chebyshev fit calls its function once per segment and rung.
 """
 
 import math
 
 import numpy as np
 
+from numpy.polynomial import chebyshev as C
+
 from richwave import Family, PiecewiseProfile, RichSystem, integrate, l1_distance
+from richwave.cheb import _DEGREES, PiecewiseCheb, TabulationError
 from richwave.quadrature import integrate_abs
 
 
@@ -450,3 +454,34 @@ def pair_distance_reference(sol1, sol2, t):
             _l1_one(diff, lo, hi, kinks, min(sol1.quad_tol, sol2.quad_tol))
         )
     return sum(per), tuple(per)
+
+
+def _fit_segment_reference(f, a, b, rtol):
+    for deg in _DEGREES:
+        nodes = np.cos(np.pi * np.arange(deg + 1) / deg)
+        x = 0.5 * (a + b) + 0.5 * (b - a) * nodes
+        vals = np.asarray(f(x), dtype=float)
+        coef = C.chebfit(nodes, vals, deg)
+        scale = max(np.max(np.abs(coef)), 1e-300)
+        tail = np.max(np.abs(coef[-3:]))
+        if tail <= rtol * scale + 1e-300:
+            cut = np.nonzero(np.abs(coef) > rtol * scale * 0.1)[0]
+            return coef[: cut[-1] + 1] if cut.size else coef[:1]
+    raise TabulationError("Chebyshev fit on [%g, %g] did not converge" % (a, b))
+
+
+def fit_piecewise_reference(f, breaks, rtol=1e-13, tail_slopes=(0.0, 0.0)):
+    """``cheb.fit_piecewise`` (without validation) segment by segment.
+
+    The loop ``fit_piecewise`` ran before every rung took one ``f`` call for
+    all unresolved segments: one call per segment and rung, then one per
+    edge.  Kept as the reference the rung-batched fit must equal bit for bit.
+    """
+    breaks = np.asarray(breaks, dtype=float)
+    coefs = [
+        _fit_segment_reference(f, breaks[k], breaks[k + 1], rtol)
+        for k in range(len(breaks) - 1)
+    ]
+    left = float(np.asarray(f(np.array([breaks[0]])))[0])
+    right = float(np.asarray(f(np.array([breaks[-1]])))[0])
+    return PiecewiseCheb(breaks, coefs, (left, tail_slopes[0]), (right, tail_slopes[1]))

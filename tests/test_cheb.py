@@ -2,9 +2,17 @@ import numpy as np
 import pytest
 from numpy.polynomial import chebyshev as C
 
-from helpers import three_speed_profile, three_speed_system
-from richwave import solve
-from richwave.cheb import PiecewiseCheb, fit_piecewise
+from helpers import (
+    abi_middle_profile,
+    bi_tworamp_profile,
+    fit_piecewise_reference,
+    three_speed_profile,
+    three_speed_system,
+)
+from richwave import (
+    asymptotics, augmented_born_infeld, born_infeld, cheb, solve, solver,
+)
+from richwave.cheb import _DEGREES, PiecewiseCheb, StackedCheb, fit_piecewise
 
 
 def reference_call(f, x):
@@ -49,6 +57,14 @@ def mixed_table():
     breaks = np.cumsum(rng.uniform(0.05, 1.5, len(lengths) + 1)) - 3.0
     coefs = [rng.normal(size=m) * 0.5 ** np.arange(m) for m in lengths]
     return PiecewiseCheb(breaks, coefs, (0.7, -0.3), (-1.1, 2.5))
+
+
+def table_on(breaks, seed):
+    """Random table on given breaks: mixed lengths, random tails."""
+    rng = np.random.default_rng(seed)
+    lengths = rng.integers(1, 16, len(breaks) - 1)
+    coefs = [rng.normal(size=m) * 0.5 ** np.arange(m) for m in lengths]
+    return PiecewiseCheb(breaks, coefs, rng.normal(size=2), rng.normal(size=2))
 
 
 def fitted_tables():
@@ -117,3 +133,109 @@ def test_stacked_state_lagrangian_matches_per_component_loop():
         for i, s in enumerate(sol.system.lagrangian_speeds)
     ]
     assert same_bits(sol.state_lagrangian(t[2, 0], z[2, 3]), point)
+
+
+@pytest.mark.parametrize("chunk", [None, 7], ids=["one-chunk", "many-chunks"])
+def test_stacked_tables_match_each_table_bit_for_bit(chunk, monkeypatch):
+    if chunk is not None:
+        monkeypatch.setattr(cheb, "_STACK_CHUNK", chunk)
+    base = mixed_table()
+    rows = [[base, table_on(base.breaks, 8), table_on(base.breaks, 9)],
+            [table_on(base.breaks, 10), table_on(base.breaks, 11),
+             table_on(base.breaks, 12)]]
+    x = np.stack([probe_points(base, seed=1), probe_points(base, seed=2)])
+    got = StackedCheb(rows)(x)
+    assert got.shape == (3,) + x.shape
+    for q, row in enumerate(rows):
+        for j, tab in enumerate(row):
+            assert same_bits(got[j, q], tab(x[q]))
+    assert StackedCheb(rows)(np.empty((2, 0))).shape == (3, 2, 0)
+
+
+def _recorded_fits(monkeypatch, build):
+    """(fitted table, f, breaks, kwargs) of every fit_piecewise call in build()."""
+    fits = []
+
+    def recording(f, breaks, rtol=1e-13, **kw):
+        out = fit_piecewise(f, breaks, rtol, **kw)
+        fits.append((out, f, breaks, dict(kw, rtol=rtol)))
+        return out
+
+    for module in (solver, asymptotics):
+        monkeypatch.setattr(module, "fit_piecewise", recording)
+    build()
+    monkeypatch.undo()
+    return fits
+
+
+_FIT_CASES = {
+    # _n0, _x0 and the mu/lam integrand tables of p_mu and p_lam
+    "bi-two-ramp": (lambda: solve(born_infeld(1.0), bi_tworamp_profile()), 4),
+    "abi-middle": (lambda: solve(augmented_born_infeld(1.0), abi_middle_profile()), 4),
+    # _n0 and X0 of a three-speed system
+    "three-speed": (lambda: solve(three_speed_system(), three_speed_profile()), 2),
+    # the generic shape corrections: a moving and a zero-speed family
+    "shape-moving": (
+        lambda: asymptotics.build_shape(
+            solve(born_infeld(1.0), bi_tworamp_profile()), 0), 4 + 1),
+    "shape-zero-speed": (
+        lambda: asymptotics.build_shape(
+            solve(augmented_born_infeld(1.0), abi_middle_profile()), 1), 4 + 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_FIT_CASES))
+def test_rung_batched_fit_matches_per_segment_reference(case, monkeypatch):
+    build, count = _FIT_CASES[case]
+    fits = _recorded_fits(monkeypatch, build)
+    assert len(fits) == count
+    for out, f, breaks, kw in fits:
+        want = fit_piecewise_reference(f, breaks, kw["rtol"], kw.get("tail_slopes", (0.0, 0.0)))
+        assert len(out.coefs) == len(want.coefs)
+        for got_c, want_c in zip(out.coefs, want.coefs):
+            assert same_bits(got_c, want_c)
+        assert same_bits(out.left_tail, want.left_tail)
+        assert same_bits(out.right_tail, want.right_tail)
+
+
+def _rungs_used(f, breaks):
+    """Rungs of the degree ladder the per-segment reference climbs."""
+    sizes = []
+
+    def sizing(x):
+        sizes.append(len(x))
+        return f(x)
+
+    fit_piecewise_reference(sizing, breaks)
+    return _DEGREES.index(max(sizes) - 1) + 1
+
+
+def _x0_inversion():
+    sol = solve(born_infeld(1.0), bi_tworamp_profile())
+    return sol.z0_map.invert, sol.zeta
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: (np.exp, np.array([0.0, 0.5, 1.0])),
+        lambda: (lambda x: np.exp(np.sin(9.0 * x)) + np.abs(x),
+                 np.array([-1.0, -0.3, 0.0, 0.2, 1.0])),
+        lambda: (lambda x: np.sin(40.0 * x), np.array([0.0, 0.1, 2.0])),
+        _x0_inversion,
+    ],
+    ids=["one-rung", "mixed-rungs", "one-slow-segment", "x0-inversion"],
+)
+def test_fit_calls_f_once_per_rung_and_once_to_check(make):
+    f, breaks = make()
+    rungs = _rungs_used(f, breaks)
+    calls = []
+
+    def counting(x):
+        calls.append(len(x))
+        return f(x)
+
+    fit_piecewise(counting, breaks)
+    assert len(calls) == rungs + 1
+    if make is _x0_inversion:
+        assert rungs == 1  # so a Born-Infeld solve inverts Z0 twice for X0

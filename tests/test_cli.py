@@ -159,6 +159,39 @@ def test_out_of_range_blocks_rejected(extra):
 
 
 @pytest.mark.parametrize(
+    "command, extra",
+    [
+        ("stability", {"perturbation": {"component": 5, "center": 0.05,
+                                        "half_width": 0.3}}),
+        ("stability", {"perturbation": {"component": -1, "center": 0.05,
+                                        "half_width": 0.3}}),
+        ("stability", {"perturbation": {"component": 0, "center": 0.05,
+                                        "half_width": -0.3}}),
+        ("asymptotics", {"shape_samples": 0}),
+        ("solve", {"tolerances": {"quadrature": 0.0}}),
+        ("solve", {"tolerances": {"quadrature": float("nan")}}),
+        ("solve", {"tolerances": {"inversion": -1e-12}}),
+        ("validate", {"tolerances": {"verify": float("inf")}}),
+    ],
+    ids=["component-too-large", "component-negative", "negative-half-width",
+         "zero-shape-samples", "zero-quadrature-tol", "nan-quadrature-tol",
+         "negative-inversion-tol", "infinite-verify-tol"],
+)
+def test_values_that_would_crash_or_hang_exit_2(tmp_path, capsys, command, extra):
+    # each of these ended in a traceback, or (zero or NaN tolerance) never
+    # returned, before parse_config checked the ranges
+    cfg = dict(json.loads(preset_path("bi-two-ramp").read_text()), **extra)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "Traceback" not in err
+    assert not (out / "failures.json").exists()
+
+
+@pytest.mark.parametrize(
     "error",
     [
         InversionError("Z(t,.) inversion stalled"),

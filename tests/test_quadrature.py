@@ -267,6 +267,31 @@ def test_refine_sign_changes_locates_roots():
     assert roots[2] == pytest.approx(math.pi, abs=1e-10)
 
 
+def test_root_on_a_probe_point_is_returned():
+    # x = -1 is a probe point of the panel [-4, 0]: its value is exactly 0,
+    # so neither neighbouring pair of probes changes sign
+    roots = refine_sign_changes(lambda x, owner: np.sin(x + 1.0), [[-4.0, 0.0, 4.0]])
+    assert roots.shape == (1, 2)
+    assert -1.0 in roots[0]
+    assert roots[0][roots[0] != -1.0][0] == pytest.approx(math.pi - 1.0, abs=1e-12)
+    # per owner, next to a bisected root of another owner
+    roots = refine_sign_changes(
+        lambda x, owner: np.sin(x + 1.0 + 0.5 * owner),
+        [[-4.0, 0.0, 4.0], [-4.0, 0.0, 4.0]],
+    )
+    assert -1.0 in roots[0] and -1.5 in roots[1]
+
+
+def test_zero_runs_give_no_roots():
+    # identically 0 on a plateau, as the L1 integrands are: no panel edges,
+    # whatever the signs on either side
+    def plateau(x, owner):
+        return np.where(np.abs(x) <= 1.0, 0.0, np.sign(x) * (owner + 1.0))
+
+    roots = refine_sign_changes(plateau, [[-4.0, 4.0, np.nan], [-2.0, 0.0, 2.0]])
+    assert roots.shape == (2, 0)
+
+
 def test_refine_sign_changes_none():
     roots = refine_sign_changes(lambda x, owner: 1.0 + 0.0 * x, [[0.0, 1.0]])
     assert roots.shape == (1, 0)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    abi_middle_profile,
     bi_simple_wave_profile,
     bi_tworamp_profile,
     bisect_full_cap,
@@ -14,6 +15,7 @@ from helpers import (
 )
 from richwave import (
     AdmissibilityError,
+    augmented_born_infeld,
     InversionError,
     PiecewiseProfile,
     QuadratureError,
@@ -21,7 +23,7 @@ from richwave import (
     born_infeld,
     solve,
 )
-from richwave import maps, quadrature, solver
+from richwave import cheb, maps, quadrature, solver, systems
 
 
 @pytest.fixture(scope="module")
@@ -185,6 +187,71 @@ def test_position_derivative_is_reciprocal_density(tworamp_sol):
         fd = (tworamp_sol.position(t, zs + h) - tworamp_sol.position(t, zs - h)) / (2 * h)
         want = 1.0 / tworamp_sol.system.density(tworamp_sol.state_lagrangian(t, zs))
         assert np.max(np.abs(fd - want)) < 1e-6
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("which", ["bi-two-ramp", "abi-middle"])
+def test_stacked_pass_is_closed_form_with_density_slope(which, tworamp_sol):
+    sol = tworamp_sol if which == "bi-two-ramp" else solve(
+        augmented_born_infeld(1.0), abi_middle_profile()
+    )
+    rng = np.random.default_rng(21)
+    t = np.repeat([0.0, 0.4, 3.0, 25.0], 60)
+    # core points and points past both core edges, where both primitives
+    # or only one of them run on their affine tails
+    z_lo, z_hi = sol._core(t)
+    z = rng.uniform(z_lo - 30.0, z_hi + 30.0)
+    z[::7] = z_lo[::7]
+    z[3::7] = z_hi[3::7]
+    assert (z < z_lo).any() and (z > z_hi).any() and ((z > z_lo) & (z < z_hi)).any()
+    want = sol.position_closed_form(t, z)
+    assert _same_bits(sol.position(t, z), want)
+    assert _same_bits(sol.position(t.reshape(12, 20), z.reshape(12, 20)),
+                      want.reshape(12, 20))
+    got = sol.position(float(t[5]), float(z[5]))
+    assert type(got) is float and _same_bits(got, want[5])
+    assert sol.position(np.zeros((3, 0)), np.zeros((3, 0))).shape == (3, 0)
+    x, slope = sol._position_and_slope(t, z)
+    assert _same_bits(x, want)
+    density = 1.0 / sol.system.density(sol.state_lagrangian(t, z))
+    assert np.max(np.abs(slope / density - 1.0)) <= 1e-13
+
+
+def test_born_infeld_newton_step_is_one_table_pass(tworamp_sol, monkeypatch):
+    passes, tables, densities, steps = [], [], [], []
+    for owner, name, log in ((cheb.StackedCheb, "__call__", passes),
+                             (cheb.PiecewiseCheb, "__call__", tables),
+                             (systems.RichSystem, "density", densities)):
+        real = getattr(owner, name)
+
+        def counting(self, *args, real=real, log=log):
+            log.append(1)
+            return real(self, *args)
+
+        monkeypatch.setattr(owner, name, counting)
+    real_invert = solver.invert_increasing
+
+    def spying(f, *args):
+        def step(zs, owner):
+            before = len(passes), len(tables), len(densities)
+            out = f(zs, owner)
+            steps.append((len(passes) - before[0], len(tables) - before[1],
+                          len(densities) - before[2]))
+            return out
+
+        return real_invert(step, *args)
+
+    monkeypatch.setattr(solver, "invert_increasing", spying)
+    x = np.linspace(-4.0, 4.0, 33)
+    z = tworamp_sol.lagrangian_coordinate(2.5, x)
+    monkeypatch.undo()
+    assert len(steps) >= 3
+    assert set(steps) == {(1, 0, 0)}
+    assert np.max(np.abs(tworamp_sol.position(2.5, z) - x)) <= 1e-11
 
 
 def test_generic_position_matches_closed_form_on_grid(tworamp_sol):
