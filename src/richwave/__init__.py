@@ -15,12 +15,8 @@ from .asymptotics import (
     abi_middle_shape,
     bi_shape,
     build_shape,
-    coupling_term,
     decay_curve,
     limit_speed_mixed,
-    shape_derivative,
-    tail_term,
-    traveling_frame_position,
 )
 from .cheb import TabulationError
 from .fv import BlowUpError, ErrorTable, FvGrid, run, run_and_compare, step

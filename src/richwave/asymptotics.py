@@ -126,32 +126,6 @@ def limit_speed_mixed(sol, i):
 # -- generic route (equal tails) ----------------------------------------------
 
 
-def _escape_integral(sol, f, zx, s):
-    """int of f from zx to the core end that a speed-s fiber escapes through
-    (f vanishes beyond it, so the improper integral is a finite quadrature)."""
-    target = float(sol.zeta[-1]) if s > 0 else float(sol.zeta[0])
-    return integrate(f, zx, target, kinks=sol.zeta, tol=_SHAPE_QUAD_TOL)
-
-
-def tail_term(sol, i, x):
-    """Density part of the shape correction for component i at x.
-
-    Integral of 1/N(translated initial data) - 1/N(tail state) from Z0(x)
-    toward the family's escape direction; identically zero for zero-speed
-    families.
-    """
-    w_bar = _equal_tails_state(sol)
-    s = sol.system.lagrangian_speeds[i]
-    if s == 0.0:
-        return 0.0
-    inv_bar = 1.0 / float(sol.system.density(w_bar))
-
-    def f(xi):
-        return 1.0 / sol.system.density(sol.state_lagrangian(0.0, xi)) - inv_bar
-
-    return _escape_integral(sol, f, float(sol.initial_coordinate(x)), s)
-
-
 def _slot_eigenvalue(sol, eig_index, slot, values, w_bar):
     """Eigenvalue of ``eig_index`` at the tail state with one slot replaced."""
     values = np.asarray(values, dtype=float)
@@ -205,43 +179,6 @@ def _zero_speed_integrals(sol, i, zs, w_bar):
     return integrate_many(f, np.zeros_like(zs), tau_star, kinks, tol=_SHAPE_QUAD_TOL)
 
 
-def coupling_term(sol, i, x, ref=None):
-    """Interaction part of the shape correction for component i at x.
-
-    For a moving family: perturbation integrals of eigenvalues with one
-    component excursion, weighted by reciprocal Lagrangian speed gaps, the
-    whole-line ones over strictly faster (slower) components plus half-line
-    ones for every component carried by i's own family, read through any
-    reference component with a distinct eigenvalue.  For a zero-speed
-    family: the time integral of the component's own eigenvalue along its
-    fiber, truncated at the exact horizon past which all moving arguments
-    have left the core.
-    """
-    w_bar = _equal_tails_state(sol)
-    sysm = sol.system
-    s_i = float(sysm.lagrangian_speeds[i])
-    zx = float(sol.initial_coordinate(x))
-    if s_i == 0.0:
-        return float(_zero_speed_integrals(sol, i, zx, w_bar)[0])
-
-    ref = _check_ref(sysm, i, ref)
-    total = _whole_line_sum(sol, i, w_bar)
-    # Half-line terms: one single-slot perturbation integral per component
-    # the family carries (they all translate at speed_i, so each window
-    # freezes at Z0(x)); with one component per family this is the single
-    # slot-i term of the strictly hyperbolic formula.
-    gap = s_i - float(sysm.lagrangian_speeds[ref])
-    lam_bar_ref = float(sysm.eigenvalue(ref, w_bar))
-    for j in sysm.families[sysm.family_of[i]].components:
-
-        def f_slot(xi, j=j):
-            vals = sol.state_lagrangian(0.0, xi)[..., j]
-            return _slot_eigenvalue(sol, ref, j, vals, w_bar) - lam_bar_ref
-
-        total += _escape_integral(sol, f_slot, zx, s_i) / gap
-    return total
-
-
 def _density_integrand(sol, i, ref, w_bar):
     """h(w) = 1/N(w) + sum over the slots j of i's family of
     eigenvalue_ref(tail state with slot j = w_j) / (speed_i - speed_ref)."""
@@ -257,28 +194,13 @@ def _density_integrand(sol, i, ref, w_bar):
     return h
 
 
-def shape_derivative(sol, i, x, ref=None):
-    """Closed-form derivative of the generic shape map (moving families only).
-
-    psi'(x) = 1 - N(w0(x)) * (h(w0(x)) - h(tail state)), with the integrand
-    h of :func:`_density_integrand`.
-    """
-    w_bar = _equal_tails_state(sol)
-    sysm = sol.system
-    if sysm.lagrangian_speeds[i] == 0.0:
-        raise ValueError("closed-form derivative needs a nonzero Lagrangian speed")
-    h = _density_integrand(sol, i, _check_ref(sysm, i, ref), w_bar)
-    w0x = sol.initial(x)
-    return 1.0 - sysm.density(w0x) * (h(w0x) - float(h(w_bar)))
-
-
 def build_shape(sol, i, ref=None):
     """Generic-route shape map x + corr(Z0(x)) for component i.
 
     corr is tabulated once over the breakpoint images ``zeta``.  A moving
     family's correction is the whole-line sum C_i plus the integral of
-    h - h(tail state) from Z0(x) to the escape end: the sum of
-    :func:`coupling_term` and :func:`tail_term`, read from the running
+    h - h(tail state) from Z0(x) to the escape end (the sum of the
+    coupling and tail perturbation integrals), read from the running
     primitive of the tabulated h (not of h - h(tail), which is zero to
     rounding on constant segments, where the fit's relative stopping test
     fails).  A zero-speed family's time integrals are tabulated directly.
@@ -381,8 +303,7 @@ def _shape_from_correction(sol, corr, deriv_at, component, route, limit_speed):
     # The floor is sampled on 257 points per profile segment: the model
     # derivatives are ratios of affine functions, monotone per segment, but
     # the generic ones need not be.
-    dense = np.unique([np.linspace(a, b, 257) for a, b in zip(xs[:-1], xs[1:])])
-    dvals = np.asarray(deriv_at(dense), dtype=float)
+    dvals = np.asarray(deriv_at(sol.initial.segment_samples(257)), dtype=float)
     left_slope = float(deriv_at(np.array([xs[0] - 1.0]))[0])
     right_slope = float(deriv_at(np.array([xs[-1] + 1.0]))[0])
     floor = min(float(np.min(dvals)), left_slope, right_slope)
@@ -455,19 +376,6 @@ def abi_middle_shape(sol):
 
 
 # -- convergence measurements ------------------------------------------------------
-
-
-def traveling_frame_position(sol, i, x, t):
-    """Position map along component i's fiber, recentred on the limit speed.
-
-    X(t, Z0(x) + speed_i t) - limit_speed t; converges to the shape map at x
-    (exactly, past a finite horizon, for compact-core profiles).
-    """
-    s = sol.system.lagrangian_speeds[i]
-    zx = sol.initial_coordinate(np.asarray(x, dtype=float))
-    return np.asarray(
-        sol.position(t, zx + s * np.asarray(t, dtype=float)), dtype=float
-    ) - limit_speed_mixed(sol, i) * np.asarray(t, dtype=float)
 
 
 def decay_curve(sol, shapes, times, margin=1.0):

@@ -3,8 +3,10 @@
 Coordinate maps and running primitives are smooth between profile
 breakpoints and exactly affine outside the outermost ones, so a Chebyshev
 interpolant per segment plus linear tails represents them to near machine
-accuracy with cheap vectorized evaluation.  :class:`StackedCheb` evaluates
-tables on shared breaks, such as a primitive and its integrand, in one pass.
+accuracy with cheap vectorized evaluation.  One evaluator serves every
+table: :class:`StackedCheb` evaluates rows of tables on shared breaks, such
+as a primitive and its integrand, in one pass, and a :class:`PiecewiseCheb`
+call is a stack of one table on one row.
 """
 
 import numpy as np
@@ -34,6 +36,8 @@ class PiecewiseCheb:
 
     ``tails`` holds ``(value, slope)`` for the linear continuation at each
     end: ``f(x) = value + slope * (x - edge)``.  Immutable after construction.
+    A call evaluates ``x`` of any shape as a one-table :class:`StackedCheb`
+    on one row; a 0-d ``x`` gives a ``float``.
     """
 
     def __init__(self, breaks, coefs, left_tail, right_tail):
@@ -41,45 +45,12 @@ class PiecewiseCheb:
         self.coefs = [np.asarray(c, dtype=float) for c in coefs]
         self.left_tail = (float(left_tail[0]), float(left_tail[1]))
         self.right_tail = (float(right_tail[0]), float(right_tail[1]))
-        # Coefficient table, one column per segment, zero-padded at the
-        # high-degree end: leading zeros pass through the Clenshaw recurrence
-        # exactly, so every column evaluates bit-for-bit like chebval on its
-        # own coefficients (only a top coefficient of -0.0, which no fit
-        # produces, could flip the sign of an exact-zero result).  At least
-        # two rows so the recurrence needs no special case for constant
-        # segments.
-        rows = max(2, max(len(c) for c in self.coefs))
-        self._table = np.zeros((rows, len(self.coefs)))
-        for k, c in enumerate(self.coefs):
-            self._table[: len(c), k] = c
-        b = self.breaks
-        self._sums = b[:-1] + b[1:]
-        self._widths = b[1:] - b[:-1]
+        self._stack = StackedCheb([[self]])
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        xv = np.atleast_1d(x)
-        out = np.empty_like(xv)
-        b = self.breaks
-        left = xv < b[0]
-        right = xv > b[-1]
-        if left.any():
-            v, s = self.left_tail
-            out[left] = v + s * (xv[left] - b[0])
-        if right.any():
-            v, s = self.right_tail
-            out[right] = v + s * (xv[right] - b[-1])
-        inner = ~(left | right)
-        if inner.any():
-            xi = xv[inner]
-            # Searching the interior breaks yields the segment index directly;
-            # a point on the last break stays in the last segment.
-            seg = np.searchsorted(b[1:-1], xi, side="right")
-            tt = (2.0 * xi - self._sums[seg]) / self._widths[seg]
-            # One Clenshaw recurrence over all points at once.
-            out[inner] = _clenshaw(self._table[:, seg], tt)
-        return float(out[0]) if scalar else out
+        out = self._stack(x.reshape(1, -1))
+        return float(out[0, 0, 0]) if x.ndim == 0 else out.reshape(x.shape)
 
     def derivative(self):
         b = self.breaks
@@ -134,46 +105,69 @@ class StackedCheb:
     """Rows of equally many :class:`PiecewiseCheb` on shared breaks, one pass.
 
     ``x`` of shape ``(len(rows), m)`` gives ``out[j, q]``, table ``j`` of row
-    ``q`` at ``x[q]`` with the table's own bits, from one ``searchsorted``,
-    then one gather and one Clenshaw recurrence per chunk of points."""
+    ``q`` at ``x[q]``.  Every segment of every table is one column of a
+    ``(depth, tables * rows * segments)`` coefficient array, zero-padded at
+    the high-degree end.  The zeros pass through the Clenshaw recurrence
+    exactly, so each point gets the bits of ``chebval`` on its segment's own
+    coefficients (only a top coefficient of -0.0, which no fit produces,
+    could flip the sign of an exact-zero result).  A call masks both affine
+    tails, makes one ``searchsorted`` on the interior breaks, then one column
+    gather and one recurrence per chunk of points.
+    """
 
     def __init__(self, rows):
-        first = rows[0][0]
-        self.breaks, self._sums, self._widths = first.breaks, first._sums, first._widths
-        self._nseg = len(first.coefs)
-        # (degree, table, row * segment), zero-padded exactly as PiecewiseCheb.
-        depth = max(2, max(len(c) for row in rows for tab in row for c in tab.coefs))
-        self._table = np.zeros((depth, len(rows[0]), len(rows) * self._nseg))
-        for q, row in enumerate(rows):
-            for j, tab in enumerate(row):
-                for k, c in enumerate(tab.coefs):
-                    self._table[: len(c), j, q * self._nseg + k] = c
-        # (value or slope, row, table) of each side's linear tail.
-        self._tails = [np.moveaxis([[getattr(t, s) for t in r] for r in rows], -1, 0)
+        b = self.breaks = rows[0][0].breaks
+        self._sums, self._widths = b[:-1] + b[1:], b[1:] - b[:-1]
+        self._nseg = len(b) - 1
+        # Segment k of table j in row q is column (j * len(rows) + q) * nseg + k;
+        # at least two coefficient rows, so a constant segment needs no
+        # special case in the recurrence.
+        cols = [c for j in range(len(rows[0])) for row in rows for c in row[j].coefs]
+        self._table = np.zeros((max(2, max(map(len, cols))), len(cols)))
+        for k, c in enumerate(cols):
+            self._table[: len(c), k] = c
+        self._offsets = np.arange(len(rows[0]))[:, None] * (len(rows) * self._nseg)
+        # (value, slope) of each side's linear tail, each of shape (table, row).
+        self._tails = [tuple(np.transpose([[getattr(t, s) for t in r] for r in rows]))
                        for s in ("left_tail", "right_tail")]
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         rows, m = x.shape
         xf = x.reshape(-1)
-        out = np.empty((xf.size, self._table.shape[1]))
+        out = np.empty((len(self._offsets), xf.size))
         b = self.breaks
         left = xf < b[0]
         right = xf > b[-1]
+        # Results go in one table row at a time: a 1-D fancy assignment is
+        # several times cheaper than a 2-D one on small calls.
         for mask, edge, (v, s) in zip((left, right), (b[0], b[-1]), self._tails):
-            if mask.any():
-                r = np.nonzero(mask)[0] // m  # the row of each point
-                out[mask] = v[r] + s[r] * (xf[mask] - edge)[:, None]
+            idx = np.nonzero(mask)[0]
+            if idx.size:
+                if rows > 1:
+                    r = idx // m  # the row of each point
+                    v, s = v[:, r], s[:, r]
+                for row, val in zip(out, v + s * (xf[idx] - edge)):
+                    row[idx] = val
         inner = np.nonzero(~(left | right))[0]
-        xi = xf[inner]
-        seg = np.searchsorted(b[1:-1], xi, side="right")
-        tt = (2.0 * xi - self._sums[seg]) / self._widths[seg]
-        seg += inner // m * self._nseg
-        # np.take gathers contiguous rows for the recurrence; chunks bound them.
-        for lo in range(0, inner.size, _STACK_CHUNK):
-            c = slice(lo, lo + _STACK_CHUNK)
-            out[inner[c]] = _clenshaw(np.take(self._table, seg[c], axis=2), tt[c]).T
-        return out.T.reshape(out.shape[1], rows, m)
+        if inner.size:
+            xi = xf[inner]
+            # The interior breaks give the segment directly; a point on the
+            # last break stays in the last segment.
+            seg = np.searchsorted(b[1:-1], xi, side="right")
+            tt = (2.0 * xi - self._sums[seg]) / self._widths[seg]
+            if rows > 1:
+                seg += inner // m * self._nseg
+            # np.take gathers contiguous columns; chunks bound the block.
+            for lo in range(0, inner.size, _STACK_CHUNK):
+                c = slice(lo, lo + _STACK_CHUNK)
+                cols, tc = seg[c], tt[c]
+                if len(out) > 1:  # each table's column, table-major
+                    cols, tc = (cols + self._offsets).reshape(-1), np.tile(tc, len(out))
+                vals = _clenshaw(np.take(self._table, cols, axis=1), tc)
+                for row, val in zip(out, vals.reshape(len(out), -1)):
+                    row[inner[c]] = val
+        return out.reshape(len(out), rows, m)
 
 
 def fit_piecewise(f, breaks, rtol=1e-13, tail_slopes=(0.0, 0.0)):

@@ -312,13 +312,7 @@ def cmd_oracle(cfg, out, tol, failures):
 
 def cmd_validate(cfg, out, tol, failures):
     prof = cfg.profile
-    axes = []
-    for i in range(prof.n):
-        lo = float(prof.values[:, i].min())
-        hi = float(prof.values[:, i].max())
-        axes.append(np.linspace(lo, hi, 5) if hi > lo else np.array([lo]))
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, prof.n)
-    probes = np.vstack([prof.values, mesh])
+    probes = np.vstack([prof.values, prof.range_mesh(5)])
     diag = validate_system(cfg.system, probes)
     rows = [[c.name, c.passed, c.worst, c.detail] for c in diag.checks]
     for c in diag.failures():

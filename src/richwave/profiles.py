@@ -57,6 +57,21 @@ class PiecewiseProfile:
             out[..., i] = np.interp(x, self.breakpoints, self.values[:, i])
         return out
 
+    def segment_samples(self, count):
+        """Sorted union of ``count`` equispaced points on every segment,
+        breakpoints included once."""
+        xs = self.breakpoints
+        return np.unique(np.linspace(xs[:-1], xs[1:], count))
+
+    def range_mesh(self, count):
+        """States of the product mesh over each component's value range,
+        ``count`` points per non-constant axis; shape ``(points, n)``.
+
+        Its size grows as ``count ** n``."""
+        axes = [np.linspace(lo, hi, count) if hi > lo else np.array([lo])
+                for lo, hi in zip(self.values.min(axis=0), self.values.max(axis=0))]
+        return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, self.n)
+
     def component(self, i, x):
         return np.interp(np.asarray(x, dtype=float), self.breakpoints, self.values[:, i])
 

@@ -39,11 +39,7 @@ def check_profile_admissible(system, profile):
     The segment interiors are sampled, which is exact for the affine
     admissibility predicates of the catalog systems.
     """
-    xs = profile.breakpoints
-    sample = np.unique(
-        np.concatenate([np.linspace(xs[k], xs[k + 1], 9) for k in range(len(xs) - 1)])
-    )
-    system.check_admissible(profile(sample))
+    system.check_admissible(profile(profile.segment_samples(9)))
 
 
 def check_translated_gap(system, profile):
@@ -100,10 +96,7 @@ class LagrangianSolution:
         self._z0 = self._n0.antiderivative(anchor=0.0, value=0.0)
         self.zeta = self._z0(xs)
 
-        dense = np.concatenate(
-            [np.linspace(xs[k], xs[k + 1], 129) for k in range(len(xs) - 1)]
-        )
-        if self._n0(dense).min() <= 0.0:
+        if self._n0(profile.segment_samples(129)).min() <= 0.0:
             raise ValueError("density is not positive along the profile")
         self._check_mixed_states(profile)
 
@@ -148,13 +141,7 @@ class LagrangianSolution:
         """
         if check_translated_gap(self.system, profile) is not None:
             return
-        axes = []
-        for i in range(self.system.n):
-            lo = float(profile.values[:, i].min())
-            hi = float(profile.values[:, i].max())
-            axes.append(np.linspace(lo, hi, 7) if hi > lo else np.array([lo]))
-        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-        mesh = mesh.reshape(-1, self.system.n)
+        mesh = profile.range_mesh(7)
         if not self.system.admissible(mesh).all():
             raise ValueError(
                 "translated component combinations leave the admissible domain; "

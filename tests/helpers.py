@@ -6,8 +6,12 @@ the Riemann-sum oracle is brute-force midpoint summation, the per-point
 position quadrature integrates one (t, z) at a time, the per-law box
 residual integrates each conservation law in its own quadrature pass, and
 the per-time decay curve and per-component pair distance run one L1
-integral each, plain bisection makes one integrand call per step, and the
-per-segment Chebyshev fit calls its function once per segment and rung.
+integral each, plain bisection makes one integrand call per step, the
+per-segment Chebyshev fit calls its function once per segment and rung, and
+the per-domain plateau check evaluates each domain on its own.  The
+pointwise shape-correction quadratures (``tail_term``, ``coupling_term``),
+the closed-form generic shape derivative and the traveling-frame position
+are the oracles the asymptotics tables and criterion 7 are tested against.
 """
 
 import math
@@ -17,7 +21,18 @@ import numpy as np
 from numpy.polynomial import chebyshev as C
 
 from richwave import Family, PiecewiseProfile, RichSystem, integrate, l1_distance
+from richwave.asymptotics import (
+    _SHAPE_QUAD_TOL,
+    _check_ref,
+    _density_integrand,
+    _equal_tails_state,
+    _slot_eigenvalue,
+    _whole_line_sum,
+    _zero_speed_integrals,
+    limit_speed_mixed,
+)
 from richwave.cheb import _DEGREES, PiecewiseCheb, TabulationError
+from richwave.plateau import PlateauCheck
 from richwave.quadrature import integrate_abs
 
 
@@ -485,3 +500,136 @@ def fit_piecewise_reference(f, breaks, rtol=1e-13, tail_slopes=(0.0, 0.0)):
     left = float(np.asarray(f(np.array([breaks[0]])))[0])
     right = float(np.asarray(f(np.array([breaks[-1]])))[0])
     return PiecewiseCheb(breaks, coefs, (left, tail_slopes[0]), (right, tail_slopes[1]))
+
+
+def _escape_integral(sol, f, zx, s):
+    """int of f from zx to the core end that a speed-s fiber escapes through
+    (f vanishes beyond it, so the improper integral is a finite quadrature)."""
+    target = float(sol.zeta[-1]) if s > 0 else float(sol.zeta[0])
+    return integrate(f, zx, target, kinks=sol.zeta, tol=_SHAPE_QUAD_TOL)
+
+
+def tail_term(sol, i, x):
+    """Density part of the shape correction for component i at x.
+
+    Integral of 1/N(translated initial data) - 1/N(tail state) from Z0(x)
+    toward the family's escape direction; identically zero for zero-speed
+    families.
+    """
+    w_bar = _equal_tails_state(sol)
+    s = sol.system.lagrangian_speeds[i]
+    if s == 0.0:
+        return 0.0
+    inv_bar = 1.0 / float(sol.system.density(w_bar))
+
+    def f(xi):
+        return 1.0 / sol.system.density(sol.state_lagrangian(0.0, xi)) - inv_bar
+
+    return _escape_integral(sol, f, float(sol.initial_coordinate(x)), s)
+
+
+def coupling_term(sol, i, x, ref=None):
+    """Interaction part of the shape correction for component i at x.
+
+    For a moving family: perturbation integrals of eigenvalues with one
+    component excursion, weighted by reciprocal Lagrangian speed gaps, the
+    whole-line ones over strictly faster (slower) components plus half-line
+    ones for every component carried by i's own family, read through any
+    reference component with a distinct eigenvalue.  For a zero-speed
+    family: the time integral of the component's own eigenvalue along its
+    fiber, truncated at the exact horizon past which all moving arguments
+    have left the core.
+    """
+    w_bar = _equal_tails_state(sol)
+    sysm = sol.system
+    s_i = float(sysm.lagrangian_speeds[i])
+    zx = float(sol.initial_coordinate(x))
+    if s_i == 0.0:
+        return float(_zero_speed_integrals(sol, i, zx, w_bar)[0])
+
+    ref = _check_ref(sysm, i, ref)
+    total = _whole_line_sum(sol, i, w_bar)
+    # Half-line terms: one single-slot perturbation integral per component
+    # the family carries (they all translate at speed_i, so each window
+    # freezes at Z0(x)); with one component per family this is the single
+    # slot-i term of the strictly hyperbolic formula.
+    gap = s_i - float(sysm.lagrangian_speeds[ref])
+    lam_bar_ref = float(sysm.eigenvalue(ref, w_bar))
+    for j in sysm.families[sysm.family_of[i]].components:
+
+        def f_slot(xi, j=j):
+            vals = sol.state_lagrangian(0.0, xi)[..., j]
+            return _slot_eigenvalue(sol, ref, j, vals, w_bar) - lam_bar_ref
+
+        total += _escape_integral(sol, f_slot, zx, s_i) / gap
+    return total
+
+
+def shape_derivative(sol, i, x, ref=None):
+    """Closed-form derivative of the generic shape map (moving families only).
+
+    psi'(x) = 1 - N(w0(x)) * (h(w0(x)) - h(tail state)), with the integrand
+    h of :func:`_density_integrand`.
+    """
+    w_bar = _equal_tails_state(sol)
+    sysm = sol.system
+    if sysm.lagrangian_speeds[i] == 0.0:
+        raise ValueError("closed-form derivative needs a nonzero Lagrangian speed")
+    h = _density_integrand(sol, i, _check_ref(sysm, i, ref), w_bar)
+    w0x = sol.initial(x)
+    return 1.0 - sysm.density(w0x) * (h(w0x) - float(h(w_bar)))
+
+
+def traveling_frame_position(sol, i, x, t):
+    """Position map along component i's fiber, recentred on the limit speed.
+
+    X(t, Z0(x) + speed_i t) - limit_speed t; converges to the shape map at x
+    (exactly, past a finite horizon, for compact-core profiles).
+    """
+    s = sol.system.lagrangian_speeds[i]
+    zx = sol.initial_coordinate(np.asarray(x, dtype=float))
+    return np.asarray(
+        sol.position(t, zx + s * np.asarray(t, dtype=float)), dtype=float
+    ) - limit_speed_mixed(sol, i) * np.asarray(t, dtype=float)
+
+
+def verify_pattern_reference(solution, pattern, t, t2=None, samples=7,
+                             plateau_tol=1e-9, shift_tol=1e-8, inset=1e-3):
+    """``plateau.verify_pattern``'s checks with one ``position`` call per
+    family boundary and one ``evaluate`` per domain (two per wave domain).
+
+    The per-domain loop ``verify_pattern`` ran before it batched every
+    domain into one ``evaluate`` per time; kept as its bit-for-bit reference.
+    """
+    if t2 is None:
+        t2 = 1.5 * t
+    sysm = solution.system
+    s = pattern.family_count
+    minus = np.array([pattern.boundary(p, "-", t) for p in range(s)])
+    plus = np.array([pattern.boundary(p, "+", t) for p in range(s)])
+    checks = []
+    spans = [("D0", minus[0] - 2.0, minus[0])]
+    for p in range(s - 1):
+        spans.append(("D%d" % (s + p + 1), plus[p], minus[p + 1]))
+    spans.append(("D%d" % (2 * s), plus[-1], plus[-1] + 2.0))
+    for label, lo, hi in spans:
+        width = hi - lo
+        xs = np.linspace(lo + inset * width, hi - inset * width, samples)
+        got = solution.evaluate(t, xs)
+        want = pattern.constant_state(label)
+        worst = float(np.max(np.abs(got - want)))
+        checks.append(PlateauCheck(label, "plateau", worst, plateau_tol))
+    for p in range(s):
+        label = "D%d" % (p + 1)
+        comp = sysm.families[p].components[0]
+        speed = float(sysm.eigenvalue(comp, pattern.plateau_states[p]))
+        width = plus[p] - minus[p]
+        xs = np.linspace(
+            minus[p] + inset * width, plus[p] - inset * width, samples
+        )
+        w1 = solution.evaluate(t, xs)
+        w2 = solution.evaluate(t2, xs + speed * (t2 - t))
+        cols = list(sysm.families[p].components)
+        worst = float(np.max(np.abs(w2[..., cols] - w1[..., cols])))
+        checks.append(PlateauCheck(label, "shift", worst, shift_tol))
+    return checks

@@ -10,17 +10,21 @@ import time
 import numpy as np
 import pytest
 
-from helpers import random_abi_states, random_bi_states, rk4_crossing_time
+from helpers import (
+    coupling_term,
+    random_abi_states,
+    random_bi_states,
+    rk4_crossing_time,
+    shape_derivative,
+)
 from richwave import (
     abi_middle_shape,
     augmented_born_infeld,
     bi_shape,
     born_infeld,
     build_shape,
-    coupling_term,
     decay_curve,
     run_and_compare,
-    shape_derivative,
     solve,
     stability_sweep,
     triangle_perturbation,

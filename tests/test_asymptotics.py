@@ -7,9 +7,13 @@ from helpers import (
     bi_simple_wave_profile,
     bi_tworamp_profile,
     bump_profile_2,
+    coupling_term,
     separable_two_speed_system,
+    shape_derivative,
+    tail_term,
     three_speed_profile,
     three_speed_system,
+    traveling_frame_position,
 )
 from richwave import (
     GapConditionError,
@@ -21,12 +25,8 @@ from richwave import (
     bi_shape,
     born_infeld,
     build_shape,
-    coupling_term,
     decay_curve,
-    shape_derivative,
     solve,
-    tail_term,
-    traveling_frame_position,
 )
 from richwave import asymptotics, quadrature
 from richwave.config import load_config

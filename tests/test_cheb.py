@@ -94,6 +94,25 @@ def test_padded_clenshaw_matches_per_segment_chebval(f):
     assert same_bits(f(x), reference_call(f, x))
 
 
+def kernel_inputs(f):
+    """Inputs that take each path of the evaluator alone: inner points over
+    several chunks, tails only, core only, and no points."""
+    b = f.breaks
+    rng = np.random.default_rng(5)
+    core = rng.uniform(b[0], b[-1], 2 * cheb._STACK_CHUNK + 17)
+    tails = np.concatenate([b[0] - rng.uniform(0.0, 5.0, 30),
+                            b[-1] + rng.uniform(0.0, 5.0, 30)])
+    return {"chunks": core, "tail-only": tails, "core-only": core[:50],
+            "empty": np.empty(0)}
+
+
+@pytest.mark.parametrize("kind", ["chunks", "tail-only", "core-only", "empty"])
+@pytest.mark.parametrize("f", [mixed_table()] + fitted_tables())
+def test_every_input_kind_matches_per_segment_chebval(f, kind):
+    x = kernel_inputs(f)[kind]
+    assert same_bits(f(x), reference_call(f, x))
+
+
 def test_single_segment_of_one_coefficient():
     f = PiecewiseCheb([0.0, 1.0], [[2.5]], (2.5, 0.0), (2.5, 0.0))
     x = np.array([-1.0, 0.0, 0.25, 1.0, 2.0])
@@ -101,20 +120,22 @@ def test_single_segment_of_one_coefficient():
 
 
 def test_shape_preserved_for_2d_input():
-    f = mixed_table()
-    x = probe_points(f, seed=3)[:460].reshape(23, 20)
-    got = f(x)
-    assert got.shape == x.shape
-    assert same_bits(got, reference_call(f, x))
+    for f in [mixed_table()] + fitted_tables():
+        x = probe_points(f, seed=3)
+        x = x[: x.size - x.size % 5].reshape(-1, 5)
+        got = f(x)
+        assert got.shape == x.shape
+        assert same_bits(got, reference_call(f, x))
 
 
 def test_zero_d_input_returns_python_float():
-    f = mixed_table()
-    for xv in (f.breaks[0] - 1.0, f.breaks[3], 0.5 * (f.breaks[4] + f.breaks[5]),
-               f.breaks[-1], f.breaks[-1] + 2.0):
-        got = f(np.float64(xv))
-        assert type(got) is float
-        assert same_bits(got, reference_call(f, xv))
+    for f in [mixed_table()] + fitted_tables():
+        b = f.breaks
+        for xv in (b[0] - 1.0, b[0], np.nextafter(b[0], -np.inf), b[3],
+                   0.5 * (b[2] + b[3]), b[-1], np.nextafter(b[-1], np.inf), b[-1] + 2.0):
+            got = f(np.float64(xv))
+            assert type(got) is float
+            assert same_bits(got, reference_call(f, xv))
 
 
 def test_stacked_state_lagrangian_matches_per_component_loop():

@@ -9,6 +9,9 @@ from helpers import (
     bi_tworamp_profile,
     bi_with_passenger,
     rk4_crossing_time,
+    three_speed_profile,
+    three_speed_system,
+    verify_pattern_reference,
 )
 from richwave import (
     NotDecomposedError,
@@ -19,6 +22,7 @@ from richwave import (
     verify_pattern,
     wave_pattern,
 )
+from richwave.config import load_config
 
 
 @pytest.fixture(scope="module")
@@ -234,3 +238,33 @@ def test_constant_multiplicity_family():
     )
     report = verify_pattern(sol, pattern, t)
     assert report.passed, [(c.domain, c.kind, c.worst) for c in report.checks]
+
+
+def _preset_solution(name):
+    cfg = load_config(name)
+    return solve(cfg.system, cfg.profile)
+
+
+_PATTERN_CASES = {
+    "three-speed": lambda: solve(three_speed_system(), three_speed_profile()),
+    "bi-two-ramp": lambda: _preset_solution("bi-two-ramp"),
+    "abi-middle": lambda: _preset_solution("abi-middle"),
+    "stability-sweep": lambda: _preset_solution("stability-sweep"),
+}
+
+
+@pytest.mark.parametrize("factor", [1.1, 2.0])
+@pytest.mark.parametrize("case", sorted(_PATTERN_CASES))
+def test_batched_verify_matches_per_domain_reference(case, factor):
+    sol = _PATTERN_CASES[case]()
+    pattern = wave_pattern(sol)
+    t = factor * pattern.settling_time
+    s = pattern.family_count
+    per_family = [[pattern.boundary(p, side, t) for p in range(s)] for side in "-+"]
+    assert np.array_equal(np.array(pattern.boundaries(t)).view(np.int64),
+                          np.array(per_family).view(np.int64))
+    got = verify_pattern(sol, pattern, t).checks
+    want = verify_pattern_reference(sol, pattern, t)
+    assert [(c.domain, c.kind, c.tol) for c in got] == [
+        (c.domain, c.kind, c.tol) for c in want]
+    assert [c.worst.hex() for c in got] == [c.worst.hex() for c in want]

@@ -105,3 +105,26 @@ def test_profile_file_rejects_bad_columns(tmp_path):
     path.write_text("# richwave-profile v1, n=2\n0 1\n")
     with pytest.raises(ValueError):
         read_profile(path)
+
+
+@pytest.mark.parametrize("count", [9, 129, 257])
+def test_segment_samples_are_the_union_of_per_segment_grids(count):
+    p = PiecewiseProfile([-1.0, -0.3, 0.1, 0.45, 2.0], np.zeros((5, 1)))
+    xs = p.breakpoints
+    want = np.unique(np.concatenate(
+        [np.linspace(xs[k], xs[k + 1], count) for k in range(len(xs) - 1)]))
+    got = p.segment_samples(count)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert got.size == (len(xs) - 1) * (count - 1) + 1
+
+
+def test_range_mesh_spans_each_component_range():
+    vals = np.array([[1.0, 0.0, -1.0], [1.3, 0.0, -0.7], [0.8, 0.0, -1.0]])
+    p = PiecewiseProfile([-1.0, 0.0, 1.0], vals)
+    mesh = p.range_mesh(5)
+    assert mesh.shape == (5 * 1 * 5, 3)
+    assert np.array_equal(mesh[:, 1], np.zeros(25))
+    for i in (0, 2):
+        axis = np.linspace(vals[:, i].min(), vals[:, i].max(), 5)
+        assert np.array_equal(np.unique(mesh[:, i]), axis)
+    assert p.range_mesh(7).shape == (49, 3)
