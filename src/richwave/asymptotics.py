@@ -114,12 +114,7 @@ def limit_speed_mixed(sol, i):
     state when the tails are equal.
     """
     sysm = sol.system
-    fam = sysm.family_of[i]
-    w = np.where(
-        np.asarray(sysm.family_of) < fam,
-        sol.initial.right_tail,
-        sol.initial.left_tail,
-    )
+    w = sysm.mixed_state(sol.initial.left_tail, sol.initial.right_tail, sysm.family_of[i])
     return float(sysm.eigenvalue(i, w))
 
 
@@ -166,7 +161,8 @@ def _zero_speed_integrals(sol, i, zs, w_bar):
     crossing times (z - zeta_k) / s as kinks.
     """
     lam_bar = float(sol.system.eigenvalue(i, w_bar))
-    speeds = np.array([f.speed for f in sol.system.families if f.speed != 0.0])
+    speeds = sol.system.family_speeds
+    speeds = speeds[speeds != 0.0]
     zs = np.asarray(zs, dtype=float).reshape(-1)
     z_max = float(np.max(np.abs(sol.zeta)))
     tau_star = np.max((np.abs(zs)[:, None] + z_max) / np.abs(speeds), axis=1)
@@ -263,30 +259,6 @@ def _bi_pieces(sol):
     return st, lam_minus, mu_plus
 
 
-def _slow_correction(sol, st, lam_minus):
-    """x-dependent part of the slow shape: frozen-primitive form of the
-    running integral of (lam in Lagrangian coordinates - its left limit)."""
-    p_lam = sol._p_lam
-    z_lo = float(sol.zeta[0])
-    base = float(p_lam(z_lo))
-
-    def corr(zx):
-        return ((p_lam(zx) - base) - lam_minus * (zx - z_lo)) / (2.0 * st.a)
-
-    return corr
-
-
-def _fast_correction(sol, st, mu_plus):
-    p_mu = sol._p_mu
-    z_hi = float(sol.zeta[-1])
-    top = float(p_mu(z_hi))
-
-    def corr(zx):
-        return ((top - p_mu(zx)) - mu_plus * (z_hi - zx)) / (2.0 * st.a)
-
-    return corr
-
-
 def _shape_from_correction(sol, corr, deriv_at, component, route, limit_speed):
     """Shape map x + corr(Z0(x)) with derivative ``deriv_at``: both routes.
 
@@ -319,6 +291,34 @@ def _shape_from_correction(sol, corr, deriv_at, component, route, limit_speed):
     return ShapeFunction(component, route, fmap, limit_speed, derivative_floor=floor)
 
 
+def _model_shape(sol, slow, fast, component, route, limit_speed):
+    """Born-Infeld model shape map from the slow correction, the fast one or
+    their sum (the middle map).
+
+    Each correction is the frozen-primitive form of a running integral in
+    Lagrangian coordinates: of lam minus its left limit from the left end
+    (slow), of mu minus its right limit to the right end (fast).
+    """
+    st, lam_minus, mu_plus = _bi_pieces(sol)
+    prof = sol.initial
+    z_lo, z_hi = float(sol.zeta[0]), float(sol.zeta[-1])
+    base, top = float(sol._p_lam(z_lo)), float(sol._p_mu(z_hi))
+
+    def corr(zx):
+        parts = []
+        if slow:
+            parts.append(((sol._p_lam(zx) - base) - lam_minus * (zx - z_lo)) / (2.0 * st.a))
+        if fast:
+            parts.append(((top - sol._p_mu(zx)) - mu_plus * (z_hi - zx)) / (2.0 * st.a))
+        return sum(parts[1:], parts[0])
+
+    def deriv(xv):
+        mu0, lam0 = prof.component(st.mu, xv), prof.component(st.lam, xv)
+        return ((mu_plus if fast else mu0) - (lam_minus if slow else lam0)) / (mu0 - lam0)
+
+    return _shape_from_correction(sol, corr, deriv, component, route, limit_speed)
+
+
 def bi_shape(sol, side):
     """Born-Infeld shape map: ``side`` is "slow" (mu component) or "fast" (lam).
 
@@ -326,53 +326,22 @@ def bi_shape(sol, side):
     and the gap condition; no smallness assumption.
     """
     st, lam_minus, mu_plus = _bi_pieces(sol)
-    prof = sol.initial
-
-    def mu0(xv):
-        return prof.component(st.mu, xv)
-
-    def lam0(xv):
-        return prof.component(st.lam, xv)
-
     if side == "slow":
-        corr = _slow_correction(sol, st, lam_minus)
-
-        def deriv(xv):
-            return (mu0(xv) - lam_minus) / (mu0(xv) - lam0(xv))
-
-        return _shape_from_correction(sol, corr, deriv, st.mu, "bi-slow", lam_minus)
+        return _model_shape(sol, True, False, st.mu, "bi-slow", lam_minus)
     if side == "fast":
-        corr = _fast_correction(sol, st, mu_plus)
-
-        def deriv(xv):
-            return (mu_plus - lam0(xv)) / (mu0(xv) - lam0(xv))
-
-        return _shape_from_correction(sol, corr, deriv, st.lam, "bi-fast", mu_plus)
+        return _model_shape(sol, False, True, st.lam, "bi-fast", mu_plus)
     raise ValueError("side must be 'slow' or 'fast'")
 
 
 def abi_middle_shape(sol):
-    """Middle-family shape map of the augmented system: both corrections at once."""
-    st, lam_minus, mu_plus = _bi_pieces(sol)
+    """Middle-family shape map of the augmented system: the slow plus the
+    fast correction."""
+    _, lam_minus, mu_plus = _bi_pieces(sol)
     zero_fams = [f for f in sol.system.families if f.speed == 0.0]
     if not zero_fams:
         raise UnsupportedModelError("system has no zero-speed family")
-    comp = zero_fams[0].components[0]
-    prof = sol.initial
-    slow = _slow_correction(sol, st, lam_minus)
-    fast = _fast_correction(sol, st, mu_plus)
-
-    def corr(zx):
-        return slow(zx) + fast(zx)
-
-    def deriv(xv):
-        return (mu_plus - lam_minus) / (
-            prof.component(st.mu, xv) - prof.component(st.lam, xv)
-        )
-
-    return _shape_from_correction(
-        sol, corr, deriv, comp, "abi-middle", 0.5 * (lam_minus + mu_plus)
-    )
+    return _model_shape(sol, True, True, zero_fams[0].components[0], "abi-middle",
+                        0.5 * (lam_minus + mu_plus))
 
 
 # -- convergence measurements ------------------------------------------------------

@@ -45,9 +45,8 @@ class WavePattern:
     def boundaries(self, t):
         """Arrays (minus, plus) of all family boundary positions at time t,
         from one ``position`` call."""
-        speeds = np.array([f.speed for f in self.solution.system.families])
         t = np.asarray(t, dtype=float)
-        z = np.array(self.z_edges)[:, None] + speeds * t
+        z = np.array(self.z_edges)[:, None] + self.solution.system.family_speeds * t
         minus, plus = np.asarray(self.solution.position(t, z), dtype=float)
         return minus, plus
 
@@ -102,29 +101,22 @@ def wave_pattern(solution):
     z_minus = float(solution.initial_coordinate(-L))
     z_plus = float(solution.initial_coordinate(L))
     gap = z_plus - z_minus
-    speeds = [f.speed for f in sysm.families]
+    speeds = sysm.family_speeds.tolist()
     crossing = {}
     for p in range(len(speeds)):
         for q in range(p + 1, len(speeds)):
             crossing[(p, q)] = gap / (speeds[q] - speeds[p])
     settling = max(crossing.values()) if crossing else None
 
-    states = []
-    for p in range(len(speeds) + 1):
-        w = np.array(
-            [
-                prof.right_tail[c] if sysm.family_of[c] < p else prof.left_tail[c]
-                for c in range(sysm.n)
-            ]
-        )
-        states.append(w)
+    states = tuple(sysm.mixed_state(prof.left_tail, prof.right_tail, p)
+                   for p in range(len(speeds) + 1))
     return WavePattern(
         solution=solution,
         half_width=L,
         z_edges=(z_minus, z_plus),
         crossing_times=crossing,
         settling_time=settling,
-        plateau_states=tuple(states),
+        plateau_states=states,
     )
 
 

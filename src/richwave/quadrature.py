@@ -240,8 +240,9 @@ def refine_sign_changes(f, edges):
     :func:`integrate_many`.  Only sign changes visible at ``_SIGN_SAMPLES``
     probe points per panel are found, which is all the piecewise-monotone
     integrands here need (a lone zero probe is one).  All panels share one
-    probe call and all brackets one :func:`bisect_brackets`.  Returns
-    ``(P, R)`` NaN-padded roots.
+    probe call, in which an edge between two panels of one row is probed
+    once, and all brackets one :func:`bisect_brackets`.  Returns ``(P, R)``
+    NaN-padded roots.
     """
     edges = np.asarray(edges, dtype=float)
     valid = ~np.isnan(edges)
@@ -251,7 +252,13 @@ def refine_sign_changes(f, edges):
         return np.full((len(edges), 0), np.nan)
     xs = np.linspace(flat[:-1][panel], flat[1:][panel], _SIGN_SAMPLES, axis=1)
     own = owner[:-1][panel]
-    vals = _feval(f, xs.reshape(-1), np.repeat(own, _SIGN_SAMPLES)).reshape(xs.shape)
+    # A panel starting where its owner's previous panel ends reuses that probe.
+    shared = np.flatnonzero((own[1:] == own[:-1]) & (xs[1:, 0] == xs[:-1, -1])) + 1
+    probe = np.ones(xs.shape, dtype=bool)
+    probe[shared, 0] = False
+    vals = np.empty(xs.shape)
+    vals[probe] = _feval(f, xs[probe], np.repeat(own, probe.sum(axis=1)))
+    vals[shared, 0] = vals[shared - 1, -1]
     sgn = np.sign(vals)
     k, j = np.nonzero(sgn[:, :-1] * sgn[:, 1:] < 0)
     roots = bisect_brackets(

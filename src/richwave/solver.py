@@ -17,16 +17,13 @@ import numpy as np
 
 from .cheb import StackedCheb, fit_piecewise
 from .maps import InversionError, MonotoneMap, invert_increasing
-from .quadrature import QuadratureError, bisect_brackets, integrate, integrate_many
+from .quadrature import QuadratureError, integrate, integrate_many, refine_sign_changes
 from .systems import AdmissibilityError
 
 # Points per shared position-quadrature pass: bounds the panel arrays of one
 # pass (a box's kink search asks for ~1000 points at once) at no cost in
 # calls per point.
 _POINTS_PER_PASS = 128
-# Sample grid and bisection cap of the crossing-time search on a box side.
-_TIME_KINK_SAMPLES = 65
-_TIME_KINK_ITERS = 60
 
 
 class UnsupportedModelError(TypeError):
@@ -105,8 +102,7 @@ class LagrangianSolution:
         n_left = self._n0.left_tail[0]
         n_right = self._n0.right_tail[0]
         self._tail_slopes = (1.0 / n_left, 1.0 / n_right)
-        speeds = [f.speed for f in system.families]
-        self._speed_range = (min(speeds), max(speeds))
+        self._speed_range = (system.family_speeds[0], system.family_speeds[-1])
         self.z0_map = MonotoneMap(
             self._z0,
             x_lo=float(xs[0]),
@@ -227,7 +223,8 @@ class LagrangianSolution:
 
     def _crossing_times(self, z):
         """Times (z - zeta_k) / speed when moving kinks cross fiber z, per row."""
-        speeds = np.array([f.speed for f in self.system.families if f.speed != 0.0])
+        speeds = self.system.family_speeds
+        speeds = speeds[speeds != 0.0]
         return ((z[:, None, None] - self.zeta) / speeds[:, None]).reshape(len(z), -1)
 
     def position_closed_form(self, t, z):
@@ -332,7 +329,7 @@ class LagrangianSolution:
         shape ``t.shape + (families * len(zeta),)``, unsorted.
         """
         t = np.asarray(t, dtype=float)[..., None, None]
-        speeds = np.array([f.speed for f in self.system.families])
+        speeds = self.system.family_speeds
         kinks = self.position(t, self.zeta + speeds[:, None] * t)
         return np.reshape(kinks, t.shape[:-2] + (speeds.size * self.zeta.size,))
 
@@ -395,27 +392,17 @@ class LagrangianSolution:
         """Times at which a characteristic kink passes the fixed abscissa.
 
         The Eulerian path of breakpoint image zeta_k in family f is
-        tau -> X(tau, zeta_k + speed_f tau); its crossings of x_side are
-        bracketed on a sample grid and bisected.
+        tau -> X(tau, zeta_k + speed_f tau); each path is one owner of
+        :func:`refine_sign_changes` on 8 equal panels of [t1, t2].
         """
-        taus = np.linspace(t1, t2, _TIME_KINK_SAMPLES)
-        speeds = np.array([f.speed for f in self.system.families])
-        zz = self.zeta[None, None, :] + speeds[None, :, None] * taus[:, None, None]
-        paths = np.asarray(
-            self.position(taus[:, None, None], zz), dtype=float
-        ) - x_side
-        sgn = np.sign(paths)
-        flips = np.nonzero(sgn[:-1] * sgn[1:] < 0)
-        if len(flips[0]) == 0:
-            return []
-        spd = speeds[flips[1]]
-        zk = self.zeta[flips[2]]
+        speeds = self.system.family_speeds
+        spd = np.repeat(speeds, self.zeta.size)
+        zk = np.tile(self.zeta, speeds.size)
 
         def path(tau, k):
             return np.asarray(
                 self.position(tau, zk[k] + spd[k] * tau), dtype=float
             ) - x_side
 
-        return list(bisect_brackets(
-            path, taus[flips[0]], taus[flips[0] + 1], paths[flips], _TIME_KINK_ITERS
-        ))
+        roots = refine_sign_changes(path, np.tile(np.linspace(t1, t2, 9), (spd.size, 1)))
+        return roots[~np.isnan(roots)]

@@ -44,8 +44,9 @@ class RichSystem:
                  admissibility_note="admissibility predicate", bi_structure=None):
         self.name = name
         self.families = tuple(families)
-        speeds = [f.speed for f in self.families]
-        if any(b <= a for a, b in zip(speeds, speeds[1:])):
+        # Per-family Lagrangian speed, in family order.
+        self.family_speeds = np.array([f.speed for f in self.families])
+        if np.any(np.diff(self.family_speeds) <= 0.0):
             raise ValueError("family Lagrangian speeds must strictly increase")
         comps = [c for f in self.families for c in f.components]
         self.n = len(comps)
@@ -56,14 +57,17 @@ class RichSystem:
             for c in range(self.n)
         )
         # Per-component Lagrangian speed (constant within a family).
-        self.lagrangian_speeds = np.array(
-            [self.families[self.family_of[c]].speed for c in range(self.n)]
-        )
+        self.lagrangian_speeds = self.family_speeds[list(self.family_of)]
         self._density = density
         self._flux = flux
         self._admissible = admissible
         self.admissibility_note = admissibility_note
         self.bi_structure = bi_structure
+
+    def mixed_state(self, left, right, p):
+        """State with ``right`` values on the components of families below
+        ``p`` and ``left`` values elsewhere."""
+        return np.where(np.asarray(self.family_of) < p, right, left)
 
     # -- state functionals ---------------------------------------------------
 

@@ -8,7 +8,9 @@ residual integrates each conservation law in its own quadrature pass, and
 the per-time decay curve and per-component pair distance run one L1
 integral each, plain bisection makes one integrand call per step, the
 per-segment Chebyshev fit calls its function once per segment and rung, and
-the per-domain plateau check evaluates each domain on its own.  The
+the per-domain plateau check evaluates each domain on its own, the box
+time-side kink search bisects the sign flips of its own 65-point grid, and
+the three Born-Infeld model shapes are written out one by one.  The
 pointwise shape-correction quadratures (``tail_term``, ``coupling_term``),
 the closed-form generic shape derivative and the traveling-frame position
 are the oracles the asymptotics tables and criterion 7 are tested against.
@@ -23,9 +25,11 @@ from numpy.polynomial import chebyshev as C
 from richwave import Family, PiecewiseProfile, RichSystem, integrate, l1_distance
 from richwave.asymptotics import (
     _SHAPE_QUAD_TOL,
+    _bi_pieces,
     _check_ref,
     _density_integrand,
     _equal_tails_state,
+    _shape_from_correction,
     _slot_eigenvalue,
     _whole_line_sum,
     _zero_speed_integrals,
@@ -33,7 +37,7 @@ from richwave.asymptotics import (
 )
 from richwave.cheb import _DEGREES, PiecewiseCheb, TabulationError
 from richwave.plateau import PlateauCheck
-from richwave.quadrature import integrate_abs
+from richwave.quadrature import bisect_brackets, integrate_abs
 
 
 def bi_tworamp_profile():
@@ -633,3 +637,67 @@ def verify_pattern_reference(solution, pattern, t, t2=None, samples=7,
         worst = float(np.max(np.abs(w2[..., cols] - w1[..., cols])))
         checks.append(PlateauCheck(label, "shift", worst, shift_tol))
     return checks
+
+
+def time_kinks_reference(sol, x_side, t1, t2):
+    """``LagrangianSolution._time_kinks`` as its own search: the sign flips
+    of every path on a 65-point grid of [t1, t2], then 60 steps of
+    ``bisect_brackets``.  Kept as the bit-for-bit reference for the search
+    through ``refine_sign_changes``; roots ordered by (family, breakpoint)."""
+    taus = np.linspace(t1, t2, 65)
+    speeds = np.array([f.speed for f in sol.system.families])
+    zz = sol.zeta[None, None, :] + speeds[None, :, None] * taus[:, None, None]
+    paths = np.asarray(sol.position(taus[:, None, None], zz), dtype=float) - x_side
+    sgn = np.sign(paths)
+    flips = np.nonzero(sgn[:-1] * sgn[1:] < 0)
+    spd = speeds[flips[1]]
+    zk = sol.zeta[flips[2]]
+
+    def path(tau, k):
+        return np.asarray(sol.position(tau, zk[k] + spd[k] * tau), dtype=float) - x_side
+
+    roots = bisect_brackets(
+        path, taus[flips[0]], taus[flips[0] + 1], paths[flips], 60
+    )
+    order = np.lexsort((roots, flips[2], flips[1]))
+    return roots[order]
+
+
+def bi_shape_reference(sol, side):
+    """The slow, fast or middle Born-Infeld model shape, each written out:
+    its own correction and derivative closures, as ``bi_shape`` and
+    ``abi_middle_shape`` built them before one builder made all three.
+    ``side`` is "slow", "fast" or "middle"."""
+    st, lam_minus, mu_plus = _bi_pieces(sol)
+    prof = sol.initial
+    z_lo, z_hi = float(sol.zeta[0]), float(sol.zeta[-1])
+    base, top = float(sol._p_lam(z_lo)), float(sol._p_mu(z_hi))
+
+    def slow(zx):
+        return ((sol._p_lam(zx) - base) - lam_minus * (zx - z_lo)) / (2.0 * st.a)
+
+    def fast(zx):
+        return ((top - sol._p_mu(zx)) - mu_plus * (z_hi - zx)) / (2.0 * st.a)
+
+    def mu0(xv):
+        return prof.component(st.mu, xv)
+
+    def lam0(xv):
+        return prof.component(st.lam, xv)
+
+    if side == "slow":
+        return _shape_from_correction(
+            sol, slow, lambda xv: (mu0(xv) - lam_minus) / (mu0(xv) - lam0(xv)),
+            st.mu, "bi-slow", lam_minus,
+        )
+    if side == "fast":
+        return _shape_from_correction(
+            sol, fast, lambda xv: (mu_plus - lam0(xv)) / (mu0(xv) - lam0(xv)),
+            st.lam, "bi-fast", mu_plus,
+        )
+    comp = next(f for f in sol.system.families if f.speed == 0.0).components[0]
+    return _shape_from_correction(
+        sol, lambda zx: slow(zx) + fast(zx),
+        lambda xv: (mu_plus - lam_minus) / (mu0(xv) - lam0(xv)),
+        comp, "abi-middle", 0.5 * (lam_minus + mu_plus),
+    )

@@ -4,6 +4,7 @@ import pytest
 from helpers import (
     abi_middle_profile,
     bi_mixing_ramps_profile,
+    bi_shape_reference,
     bi_simple_wave_profile,
     bi_tworamp_profile,
     bump_profile_2,
@@ -195,6 +196,35 @@ def test_middle_shape_is_sum_of_side_corrections(abi_sol):
     lhs = omega(xs) - xs
     rhs = (slow(xs) - xs) + (fast(xs) - xs)
     assert np.max(np.abs(lhs - rhs)) < 1e-10
+
+
+def _hex(values):
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+@pytest.mark.parametrize(
+    "make_sol, sides",
+    [
+        (lambda: solve(born_infeld(1.0), bi_tworamp_profile()), ("slow", "fast")),
+        (lambda: solve(born_infeld(1.0), bi_simple_wave_profile()), ("slow", "fast")),
+        (lambda: solve(augmented_born_infeld(1.0), abi_middle_profile()),
+         ("slow", "fast", "middle")),
+    ],
+    ids=["bi-two-ramp", "bi-simple-wave", "abi-middle"],
+)
+def test_model_shapes_keep_the_bits_of_their_reference(make_sol, sides):
+    sol = make_sol()
+    xs = np.concatenate([np.linspace(-6.0, 6.0, 241), sol.initial.breakpoints])
+    for side in sides:
+        got = abi_middle_shape(sol) if side == "middle" else bi_shape(sol, side)
+        want = bi_shape_reference(sol, side)
+        assert (got.component, got.route) == (want.component, want.route)
+        assert _hex([got.limit_speed, got.derivative_floor]) == _hex(
+            [want.limit_speed, want.derivative_floor]
+        )
+        assert _hex(got(xs)) == _hex(want(xs))
+        ys = want(xs) + 0.01
+        assert _hex(got.inverse(ys)) == _hex(want.inverse(ys))
 
 
 def test_ramp_slow_derivative_value(bi):

@@ -258,6 +258,33 @@ def test_refine_sign_changes_call_count():
     assert len(calls) <= 1 + math.ceil(quadrature._SIGN_ITERS / levels)
 
 
+@pytest.mark.parametrize("panels", [1, 2, 8])
+def test_contiguous_panels_share_their_edge_probes(panels):
+    sizes = []
+
+    def f(x, owner):
+        sizes.append(len(x))
+        return 1.0 + x * x
+
+    samples = quadrature._SIGN_SAMPLES
+    refine_sign_changes(f, [np.linspace(0.0, 1.0, panels + 1)])
+    assert sizes == [(samples - 1) * panels + 1]
+    # owners never share: a row starting where the previous row ends, and
+    # an empty panel between two panels of one row
+    sizes.clear()
+    refine_sign_changes(f, [[0.0, 1.0, 2.0, np.nan], [2.0, 3.0, 3.0, 4.0]])
+    assert sizes == [2 * (2 * samples - 1)]
+
+
+def test_shared_edge_value_brackets_the_next_panels_root():
+    # roots just right (owner 0) and left (owner 1) of the shared edge 0.5:
+    # owner 0's bracket starts at the copied value
+    root = np.array([0.53, 0.47])
+    roots = refine_sign_changes(lambda x, owner: x - root[owner], [[0.0, 0.5, 1.0]] * 2)
+    assert roots.shape == (2, 1)
+    assert roots[:, 0] == pytest.approx(root, abs=1e-15)
+
+
 def test_refine_sign_changes_locates_roots():
     roots = refine_sign_changes(lambda x, owner: np.sin(x), [[-4.0, 0.5, 4.0]])
     roots = sorted(roots[0])

@@ -12,6 +12,7 @@ from helpers import (
     position_quadrature_reference,
     three_speed_profile,
     three_speed_system,
+    time_kinks_reference,
 )
 from richwave import (
     AdmissibilityError,
@@ -24,6 +25,7 @@ from richwave import (
     solve,
 )
 from richwave import cheb, maps, quadrature, solver, systems
+from richwave.config import load_config, preset_names
 
 
 @pytest.fixture(scope="module")
@@ -351,11 +353,52 @@ def test_time_kinks_match_plain_bisection(which, tworamp_sol, three_sol, monkeyp
     sol = tworamp_sol if which == "bi" else three_sol
     t1, t2, A, B = (0.3, 1.7, -2.1, 1.4) if which == "bi" else (0.0, 1.0, -1.5, 1.5)
     got = [sol._time_kinks(x, t1, t2) for x in (A, B)]
-    monkeypatch.setattr(solver, "bisect_brackets", bisect_full_cap)
+    monkeypatch.setattr(quadrature, "bisect_brackets", bisect_full_cap)
     want = [sol._time_kinks(x, t1, t2) for x in (A, B)]
     assert min(len(g) for g in got) > 0
     for g, w in zip(got, want):
         assert np.array_equal(np.array(g).view(np.int64), np.array(w).view(np.int64))
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("which", ["bi", "three"])
+def test_time_kinks_match_grid_search_reference(which, tworamp_sol, three_sol):
+    sol = tworamp_sol if which == "bi" else three_sol
+    t1, t2, A, B = (0.3, 1.7, -2.1, 1.4) if which == "bi" else (0.0, 1.0, -1.5, 1.5)
+    for x in (A, B):
+        got = sol._time_kinks(x, t1, t2)
+        assert len(got) > 0
+        assert _hex(got) == _hex(time_kinks_reference(sol, x, t1, t2))
+
+
+@pytest.mark.parametrize("name", [n for n in preset_names() if load_config(n).boxes])
+def test_time_kinks_match_reference_on_preset_boxes(name):
+    cfg = load_config(name)
+    sol = solve(cfg.system, cfg.profile)
+    for t1, t2, A, B in cfg.boxes:
+        for x in (A, B):
+            assert _hex(sol._time_kinks(x, t1, t2)) == _hex(
+                time_kinks_reference(sol, x, t1, t2)
+            )
+
+
+def test_time_kinks_probe_each_grid_time_once(three_sol, monkeypatch):
+    # one owner per (family, breakpoint) path, 8 panels sharing their edges:
+    # the probe is the 65-point grid of every path
+    sizes = []
+    exact = type(three_sol).position
+
+    def counting(t, z):
+        sizes.append(np.size(np.broadcast(t, z)))
+        return exact(three_sol, t, z)
+
+    monkeypatch.setattr(three_sol, "position", counting)
+    three_sol._time_kinks(-1.5, 0.0, 1.0)
+    paths = three_sol.system.family_speeds.size * three_sol.zeta.size
+    assert sizes[0] == 65 * paths
 
 
 def test_bad_box_rejected_before_any_work(three_sol, monkeypatch):
