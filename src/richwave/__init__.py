@@ -36,7 +36,7 @@ from .profiles import (
     write_profile,
 )
 from .quadrature import QuadratureError, integrate
-from .solver import LagrangianSolution, UnsupportedModelError, solve
+from .solver import LagrangianSolution, Snapshot, UnsupportedModelError, solve
 from .stability import (
     MapBounds,
     ScenarioError,

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cheb import fit_piecewise
-from .maps import MonotoneMap
+from .maps import MonotoneMap, _inverse_table
 from .quadrature import integrate, integrate_abs, integrate_many
-from .solver import UnsupportedModelError
+from .solver import UnsupportedModelError, _snapshot_states
 
 # Constituent quadratures run well below the shape tabulation tolerance so
 # the tabulated maps see a smooth function, not quadrature jitter.
@@ -44,9 +44,10 @@ class ShapeFunction:
     """Limit deformation of the coordinate map for one component.
 
     ``forward`` is the strictly increasing shape map; ``inverse`` evaluates
-    its inverse.  ``limit_speed`` is the traveling speed of the asymptotic
-    profile and ``derivative_floor`` the certified positive lower bound of
-    the forward derivative.
+    its inverse by Newton and ``inverse_table`` tabulates it once.
+    ``limit_speed`` is the traveling speed of the asymptotic profile,
+    ``derivative_floor`` the certified positive lower bound of the forward
+    derivative.  The map is smooth between the profile ``breakpoints``.
     """
 
     component: int
@@ -54,12 +55,25 @@ class ShapeFunction:
     forward: MonotoneMap
     limit_speed: float
     derivative_floor: float
+    breakpoints: np.ndarray
 
     def __call__(self, x):
         return self.forward(x)
 
     def inverse(self, y):
         return self.forward.invert(y)
+
+    def inverse_table(self):
+        """The inverse as a certified ``maps.InverseTable``.
+
+        Its breaks are the forward images of the breakpoints and its tails
+        have slopes ``1/left_slope`` and ``1/right_slope``; the certificate
+        is ``|S(table(y)) - y| <= forward.tol`` on check points of every
+        segment, and a failed one falls back to :meth:`inverse`.
+        """
+        fmap = self.forward
+        return _inverse_table(fmap._step, self.breakpoints, fmap(self.breakpoints),
+                              (fmap.left_slope, fmap.right_slope), fmap.tol, fmap.invert)
 
 
 @dataclass
@@ -288,7 +302,8 @@ def _shape_from_correction(sol, corr, deriv_at, component, route, limit_speed):
         forward, x_lo=float(xs[0]), x_hi=float(xs[-1]),
         left_slope=left_slope, right_slope=right_slope, deriv=deriv_at, tol=1e-11,
     )
-    return ShapeFunction(component, route, fmap, limit_speed, derivative_floor=floor)
+    return ShapeFunction(component, route, fmap, limit_speed, derivative_floor=floor,
+                         breakpoints=xs)
 
 
 def _model_shape(sol, slow, fast, component, route, limit_speed):
@@ -354,7 +369,9 @@ def decay_curve(sol, shapes, times, margin=1.0):
     map in the frame moving at ``shape.limit_speed``; integration runs over
     the interval outside which both solution and prediction are exactly at
     their shared tail values.  All ``(shape, time)`` pairs share one
-    ``integrate_abs`` pass; returns one :class:`DecayReport` per shape.
+    ``integrate_abs`` pass, which reads the solution from one snapshot per
+    time and each prediction from its shape's inverse table; returns one
+    :class:`DecayReport` per shape.
     """
     ts = np.array([float(t) for t in times])
     if np.any(np.diff(ts) <= 0.0):
@@ -372,13 +389,15 @@ def decay_curve(sol, shapes, times, margin=1.0):
         (fwd[:, None, :] + (speed * ts)[:, :, None]).reshape(lo.size, -1),
     ])
 
+    snaps = [sol.snapshot(t) for t in ts]
+    inverses = [shape.inverse_table() for shape in shapes]
+
     def diff(xv, owner):
         s, k = np.divmod(owner, nt)
-        t = ts[k]
-        out = sol.evaluate(t, xv)[np.arange(len(xv)), comp[s]]
-        for j, shape in enumerate(shapes):
+        out = _snapshot_states(snaps, k, xv)[np.arange(len(xv)), comp[s]]
+        for j, inverse in enumerate(inverses):
             on = s == j
-            out[on] -= prof.component(comp[j], shape.inverse(xv[on] - speed[j] * t[on]))
+            out[on] -= prof.component(comp[j], inverse(xv[on] - speed[j] * ts[k[on]]))
         return out
 
     dists = integrate_abs(diff, lo.ravel(), hi.ravel(), kinks, tol=sol.quad_tol)

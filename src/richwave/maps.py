@@ -3,11 +3,25 @@
 :func:`invert_increasing` serves every inverse of the package: ``X0`` and
 the shape maps (through :class:`MonotoneMap`) and ``Z(t, .)``, whose map
 gives value and slope together (one table pass per step on Born-Infeld).
+Where one inverse is read many times (``Z(t, .)`` at a fixed time, a shape
+inverse), :func:`_inverse_table` tabulates it once and certifies the table
+against the forward map, keeping the Newton inverse as the fallback.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
+from .cheb import TabulationError, fit_piecewise
+
 MAX_INVERT_ITERS = 200
+# Inverse tables are fitted through an inversion this tight (floored at
+# 32 eps (|y| + 1)), so Newton's stopping error stays below the fit's rtol.
+_TIGHT_TOL = 1e-15
+_TABLE_RTOL = 1e-13
+# Certificate points per table segment: the 7 first-kind Chebyshev points,
+# none of which is a fit node.
+_CHECK = np.cos(np.pi * (np.arange(7) + 0.5) / 7)
 
 
 class InversionError(RuntimeError):
@@ -143,11 +157,9 @@ class MonotoneMap:
         """
         y = np.asarray(y, dtype=float)
         yv = y.reshape(-1)
-        fwd, slope = self._forward, self._slope
         try:
             out = invert_increasing(
-                lambda x, owner: (fwd(x), slope),
-                yv, self.x_lo, self.x_hi, self.f_lo, self.f_hi,
+                self._step, yv, self.x_lo, self.x_hi, self.f_lo, self.f_hi,
                 self.left_slope, self.right_slope, self.tol,
             )
         except InversionError as exc:
@@ -156,3 +168,82 @@ class MonotoneMap:
                 "F^-1(y=%.17g): %s" % (target, exc), owner=target
             ) from exc
         return float(out[0]) if y.ndim == 0 else out.reshape(y.shape)
+
+    def _step(self, x, owner):
+        """``(F, F')`` on the core, as :func:`invert_increasing` takes it."""
+        return self._forward(x), self._slope
+
+
+@dataclass(frozen=True)
+class Certificate:
+    """How an :class:`InverseTable` was checked.
+
+    ``residual`` is the worst forward residual ``|F(table(y)) - y|`` on the
+    check points (inf when the fit itself failed); ``segments`` and
+    ``max_degree`` describe the table, and ``fell_back`` says that calls
+    run the Newton inverse instead.
+    """
+
+    residual: float
+    segments: int
+    max_degree: int
+    fell_back: bool
+
+
+@dataclass(frozen=True, eq=False)
+class InverseTable:
+    """The inverse of an increasing map as a certified Chebyshev table.
+
+    A call evaluates ``table``, or ``newton`` when the certificate failed
+    (``table`` is then None).
+    """
+
+    table: object  # a cheb.PiecewiseCheb, or None
+    newton: object  # the Newton inverse, y -> x
+    certificate: Certificate
+
+    def __call__(self, y):
+        return (self.newton if self.table is None else self.table)(y)
+
+
+def _inverse_table(step, xk, yk, slopes, tol, newton):
+    """Certified table of the inverse of an increasing map F, or ``newton``.
+
+    ``step(x, owner)`` gives ``(F, F')`` as :func:`invert_increasing` takes
+    it; F maps the knots ``xk`` (any order, repeats allowed) to ``yk``, is
+    smooth between them and exactly affine with ``slopes`` beyond the
+    outermost.  One ``fit_piecewise`` over the knot images runs Newton at
+    ``_TIGHT_TOL`` (floored at 32 eps (|y| + 1)), each point bracketed by
+    its own segment's knots, and the table's tails take the reciprocal
+    slopes.  The table is kept only if ``|F(table(y)) - y| <= tol`` on the
+    ``_CHECK`` points of every segment; otherwise (or when the knot images
+    are not increasing, the fit fails or the tight inversion stalls) calls
+    run ``newton``.
+    """
+    unfitted = InverseTable(None, newton, Certificate(np.inf, 0, 0, True))
+    xk, first = np.unique(np.asarray(xk, dtype=float), return_index=True)
+    yk = np.asarray(yk, dtype=float)[first]
+    if np.any(np.diff(yk) <= 0.0):
+        return unfitted
+    eps = np.finfo(float).eps
+
+    def tight(y):
+        # y inside segment k; the outermost segments' brackets end where F
+        # turns affine, so a node rounded past them is still exact.
+        k = np.clip(np.searchsorted(yk, y, side="right") - 1, 0, len(yk) - 2)
+        return invert_increasing(
+            step, y, xk[k], xk[k + 1], yk[k], yk[k + 1], *slopes,
+            np.maximum(_TIGHT_TOL, 32.0 * eps * (np.abs(y) + 1.0)),
+        )
+
+    try:
+        table = fit_piecewise(tight, yk, _TABLE_RTOL, (1.0 / slopes[0], 1.0 / slopes[1]))
+    except (TabulationError, InversionError):
+        return unfitted
+    lo, hi = yk[:-1, None], yk[1:, None]
+    y = (0.5 * (lo + hi) + 0.5 * (hi - lo) * _CHECK).reshape(-1)
+    residual = float(np.max(np.abs(step(table(y), np.arange(y.size))[0] - y)))
+    ok = residual <= tol
+    cert = Certificate(residual, len(table.coefs),
+                       max(len(c) for c in table.coefs) - 1, not ok)
+    return InverseTable(table if ok else None, newton, cert)

@@ -239,7 +239,8 @@ def refine_sign_changes(f, edges):
     ``edges`` rows increase, NaN entries skipped; ``f(x, owner)`` follows
     :func:`integrate_many`.  Only sign changes visible at ``_SIGN_SAMPLES``
     probe points per panel are found, which is all the piecewise-monotone
-    integrands here need (a lone zero probe is one).  All panels share one
+    integrands here need (a lone zero probe is one, also on an edge shared
+    by two panels of one row).  All panels share one
     probe call, in which an edge between two panels of one row is probed
     once, and all brackets one :func:`bisect_brackets`.  Returns ``(P, R)``
     NaN-padded roots.
@@ -265,10 +266,14 @@ def refine_sign_changes(f, edges):
         lambda x, b: f(x, own[k[b]]), xs[k, j], xs[k, j + 1], vals[k, j], _SIGN_ITERS
     )
     # A lone zero probe between opposite signs is a root; zero runs are not.
+    # On a shared edge the neighbours are the previous panel's last-but-one
+    # probe and the next panel's second; the root goes to the previous panel.
     kz, jz = np.nonzero((sgn[:, 1:-1] == 0) & (sgn[:, :-2] * sgn[:, 2:] < 0))
-    pk = np.concatenate([k, kz])
+    ke = shared[(sgn[shared, 0] == 0) & (sgn[shared - 1, -2] * sgn[shared, 1] < 0)] - 1
+    pk = np.concatenate([k, kz, ke])
     order = np.argsort(pk, kind="stable")
-    own, roots = own[pk[order]], np.concatenate([roots, xs[kz, jz + 1]])[order]
+    roots = np.concatenate([roots, xs[kz, jz + 1], xs[ke, -1]])[order]
+    own = own[pk[order]]
     # Column of each root: its rank among its owner's (panels are by owner).
     col = np.arange(len(own)) - np.searchsorted(own, own)
     out = np.full((len(edges), col.max(initial=-1) + 1), np.nan)

@@ -11,12 +11,17 @@ inversion ``Z0`` uses too: outside the core [zeta_0 + min speed * t,
 zeta_K + max speed * t] every component is in a tail state, so X(t, .) is
 exactly affine there with slope 1/N and needs no Newton step.  On
 Born-Infeld-like systems one table pass gives X and Newton's slope 1/N.
+Callers that read one time many times take a :class:`Snapshot`, which holds
+Z(t, .) as a certified Chebyshev table; ``evaluate`` always runs Newton.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from .cheb import StackedCheb, fit_piecewise
-from .maps import InversionError, MonotoneMap, invert_increasing
+from .maps import (InverseTable, InversionError, MonotoneMap, _inverse_table,
+                   invert_increasing)
 from .quadrature import QuadratureError, integrate, integrate_many, refine_sign_changes
 from .systems import AdmissibilityError
 
@@ -263,6 +268,18 @@ class LagrangianSolution:
         primitives' integrands."""
         return tuple(self._closed_form_pass(self._stacked_slope, t, z))
 
+    def _newton_step(self, time_of):
+        """``f(z, owner) = (X(t, z), dX/dz)`` at ``t = time_of(owner)``, as
+        :func:`maps.invert_increasing` takes it: one table pass on
+        Born-Infeld-like systems, else ``1/N`` only where Newton runs."""
+        if self._bi is not None:
+            return lambda zs, owner: self._position_and_slope(time_of(owner), zs)
+
+        def slope(zs, owner):
+            return 1.0 / self.system.density(self.state_lagrangian(time_of(owner), zs))
+
+        return lambda zs, owner: (self.position(time_of(owner), zs), slope)
+
     def _core(self, t):
         """``(z_lo, z_hi)``: outside it every component is in a tail state."""
         lo, hi = self._speed_range
@@ -294,13 +311,9 @@ class LagrangianSolution:
                 owner=(float(tb[k]), float(xb[k])),
             )
         tol = np.maximum(self.inv_tol, 32.0 * np.finfo(float).eps * (np.abs(xb) + 1.0))
-        # Born-Infeld: X and slope in one table pass; else 1/N where Newton runs.
-        step = self._position_and_slope if self._bi is not None else (
-            lambda t, z: (self.position(t, z), lambda zs, o: 1.0 / self.system.density(
-                self.state_lagrangian(tb[o], zs))))
         try:
             z = invert_increasing(
-                lambda zs, owner: step(tb[owner], zs),
+                self._newton_step(lambda owner: tb[owner]),
                 xb, z_lo, z_hi, x_lo, x_hi, *self._tail_slopes, tol,
             )
         except InversionError as exc:
@@ -320,6 +333,29 @@ class LagrangianSolution:
         """
         z = self.lagrangian_coordinate(t, x)
         return self.state_lagrangian(t, z)
+
+    def snapshot(self, t):
+        """The solution at the fixed time ``t`` as a :class:`Snapshot`.
+
+        ``Z(t, .)`` is tabulated once by ``maps._inverse_table`` between
+        the sorted, unique ``solution_kinks(t)``, the images of the
+        translated breakpoint images ``zeta_k + speed t``, with exactly
+        affine tails of slopes ``N`` at the tail states, and certified by
+        ``|X(t, Z_tab(x)) - x| <= inv_tol`` on check points of every
+        segment; an uncertified snapshot runs Newton
+        (:meth:`lagrangian_coordinate`).  Worth its build only where a time
+        is read many times: the L1 experiments and the space sides of a box.
+        """
+        t = float(t)
+        if t < 0:
+            raise ValueError("t must be nonnegative")
+        zk = (self.zeta + self.system.family_speeds[:, None] * t).reshape(-1)
+        coordinate = _inverse_table(
+            self._newton_step(lambda owner: t), zk, self.position(t, zk),
+            self._tail_slopes, self.inv_tol,
+            lambda x: self.lagrangian_coordinate(t, x),
+        )
+        return Snapshot(self, t, coordinate)
 
     def solution_kinks(self, t):
         """Eulerian positions where some component loses smoothness at time t.
@@ -351,7 +387,8 @@ class LagrangianSolution:
         exactly (M + speed_i) w_i.  All n + 1 laws integrate the same
         solution values over the same four sides of ``box = (t1, t2, A, B)``,
         so each side is one vector-valued ``integrate`` call with the side's
-        own kinks.
+        own kinks.  The space sides read a :class:`Snapshot` at ``t1`` and
+        ``t2``; the time sides sweep tau and evaluate by Newton.
         """
         t1, t2, A, B = box
         if not (0 <= t1 < t2):
@@ -361,8 +398,10 @@ class LagrangianSolution:
         speeds = self.system.lagrangian_speeds
 
         def space_integral(t):
+            snap = self.snapshot(t)
+
             def densities(xs):
-                w = self.evaluate(t, xs)
+                w = snap.evaluate(xs)
                 n = self.system.density(w)
                 return np.column_stack([n, n[:, None] * w])
 
@@ -406,3 +445,37 @@ class LagrangianSolution:
 
         roots = refine_sign_changes(path, np.tile(np.linspace(t1, t2, 9), (spd.size, 1)))
         return roots[~np.isnan(roots)]
+
+
+@dataclass(frozen=True, eq=False)
+class Snapshot:
+    """A solution at one fixed time ``t`` (:meth:`LagrangianSolution.snapshot`).
+
+    ``coordinate`` is ``Z(t, .)`` as a certified ``maps.InverseTable``;
+    ``certificate`` reports its worst residual, segment count, maximum
+    degree and whether it fell back to Newton.
+    """
+
+    solution: LagrangianSolution
+    t: float
+    coordinate: InverseTable
+
+    @property
+    def certificate(self):
+        return self.coordinate.certificate
+
+    def evaluate(self, x):
+        """w(t, x) = w0(X0(Z_tab(x) - speed t)); shape (..., n)."""
+        return self.solution.state_lagrangian(self.t, self.coordinate(x))
+
+
+def _snapshot_states(snaps, which, x):
+    """w(snaps[which[p]].t, x[p]) for 1-D ``x``: each snapshot's coordinate
+    on its own points, then one ``state_lagrangian`` call."""
+    z = np.empty(len(x))
+    for k, snap in enumerate(snaps):
+        on = which == k
+        if on.any():
+            z[on] = snap.coordinate(x[on])
+    t = np.array([snap.t for snap in snaps])[which]
+    return snaps[0].solution.state_lagrangian(t, z)

@@ -12,7 +12,7 @@ import numpy as np
 
 from .profiles import add_bump, l1_distance
 from .quadrature import integrate_abs
-from .solver import solve
+from .solver import _snapshot_states, solve
 from .systems import AdmissibilityError
 
 
@@ -20,13 +20,15 @@ class ScenarioError(ValueError):
     """A sweep scenario produced an unusable profile (tails or admissibility)."""
 
 
-def pair_distance(sol1, sol2, times):
+def pair_distance(sol1, sol2, times, *, _snaps1=None):
     """L1 distances between two solutions: one (total, per-component) per time.
 
     Components whose tail states differ are infinitely far apart.  At t = 0
     the distance is by definition the exact piecewise-linear profile
     distance.  All ``(t > 0, component)`` owners share one
-    :func:`integrate_abs` pass.
+    :func:`integrate_abs` pass, which reads both solutions from their
+    snapshots at each time ``t > 0``; ``stability_sweep`` passes its base
+    solution's, built once for every amplitude, as ``_snaps1``.
     """
     p, q = sol1.initial, sol2.initial
     if p.n != q.n:
@@ -42,10 +44,12 @@ def pair_distance(sol1, sol2, times):
     lo1, hi1 = sol1.support_interval(ts)
     lo2, hi2 = sol2.support_interval(ts)
     kinks = np.column_stack([sol1.solution_kinks(ts), sol2.solution_kinks(ts)])
+    snaps1 = _snaps1 or [sol1.snapshot(t) for t in ts]
+    snaps2 = [sol2.snapshot(t) for t in ts]
 
     def diff(xv, owner):  # owner k * nc + c: time ts[k], component comps[c]
-        t = ts[owner // nc]
-        w = sol1.evaluate(t, xv) - sol2.evaluate(t, xv)
+        k = owner // nc
+        w = _snapshot_states(snaps1, k, xv) - _snapshot_states(snaps2, k, xv)
         return w[np.arange(len(xv)), comps[owner % nc]]
 
     per = np.full((len(moving), p.n), math.inf)
@@ -135,6 +139,8 @@ def stability_sweep(system, profile, perturb, amplitudes, times,
     amplitude; violations raise :class:`ScenarioError`.
     """
     base = solve(system, profile, quad_tol=quad_tol, inv_tol=inv_tol)
+    # The base solution's snapshots serve every amplitude.
+    base_snaps = [base.snapshot(t) for t in times if t > 0.0]
     reports = []
     for amp in amplitudes:
         pert = perturb(profile, amp)
@@ -150,7 +156,7 @@ def stability_sweep(system, profile, perturb, amplitudes, times,
                 "perturbed profile inadmissible at amplitude %g: %s" % (amp, exc)
             ) from exc
         r0 = sum(l1_distance(profile, pert, i) for i in range(profile.n))
-        r_t, per = zip(*pair_distance(base, sol2, times))
+        r_t, per = zip(*pair_distance(base, sol2, times, _snaps1=base_snaps))
         reports.append(
             StabilityReport(
                 amplitude=float(amp),

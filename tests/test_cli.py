@@ -363,10 +363,12 @@ def test_oracle_command_handles_exact_scheme(tmp_path):
 
 
 def test_failure_exit_code_and_machine_readable_list(tmp_path):
-    # constant data has exactly-zero residuals, so use a moving wave
+    # constant data, and a lone simple wave whose space sides integrate the
+    # same translated profile, can have exactly-zero residuals: use two
+    # interacting ramps, whose residuals carry quadrature error
     out = str(tmp_path / "o")
     code = main(
-        ["solve", "--config", "bi-simple-wave", "--out", out, "--tol", "1e-30"]
+        ["solve", "--config", "bi-two-ramp", "--out", out, "--tol", "1e-30"]
     )
     assert code == 1
     with open(os.path.join(out, "failures.json")) as fh:

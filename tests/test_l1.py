@@ -3,8 +3,10 @@
 ``decay_curve`` integrates all its ``(shape, time)`` pairs and
 ``pair_distance`` all its ``(t > 0, component)`` pairs in one
 ``integrate_abs`` call; each owner's probe, bisection and panels stay its
-own, so the batched results must equal the per-time and per-component
-references in ``helpers`` bit for bit.
+own, and the snapshot and inverse tables depend only on the solution, the
+shape and the time, so the batched results must equal loops of one-time
+calls bit for bit.  The per-time and per-component references in
+``helpers`` evaluate by Newton and stay the oracles, within ``2 quad_tol``.
 """
 
 import numpy as np
@@ -89,7 +91,10 @@ def test_batched_decay_curve_matches_per_time_loop(
     shp = _shape(sol, shape)
     rep = batched_decay[preset, shape]
     assert (rep.component, rep.route) == (shp.component, shp.route)
-    assert bits(rep.distances) == bits(decay_curve_reference(sol, shp, times))
+    loop = [decay_curve(sol, [shp], [t])[0].distances[0] for t in times]
+    assert bits(rep.distances) == bits(loop)
+    oracle = decay_curve_reference(sol, shp, times)
+    assert np.max(np.abs(np.subtract(rep.distances, oracle))) <= 2 * sol.quad_tol
 
 
 def _pairs(bi_pair):
@@ -117,10 +122,15 @@ def _pairs(bi_pair):
 def test_batched_pair_distance_matches_per_component_loop(bi_pair, case):
     sol1, sol2, times = _pairs(bi_pair)[case]
     got = pair_distance(sol1, sol2, times)
-    want = [pair_distance_reference(sol1, sol2, t) for t in times]
+    want = [pair_distance(sol1, sol2, [t])[0] for t in times]
+    oracle = [pair_distance_reference(sol1, sol2, t) for t in times]
     assert len(got) == len(times)
-    for (g_total, g_per), (w_total, w_per) in zip(got, want):
+    for (g_total, g_per), (w_total, w_per), (o_total, o_per) in zip(got, want, oracle):
         assert bits([g_total, *g_per]) == bits([w_total, *w_per])
+        g, o = np.array([g_total, *g_per]), np.array([o_total, *o_per])
+        assert np.array_equal(np.isinf(g), np.isinf(o))
+        fin = np.isfinite(o)
+        assert np.max(np.abs(g[fin] - o[fin]), initial=0.0) <= 2 * sol1.quad_tol
     if case == "identical":
         assert all(total == 0.0 for total, _ in got)
     if case == "differing-tails":

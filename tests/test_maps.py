@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from richwave import InversionError, MonotoneMap
+from richwave import InversionError, MonotoneMap, maps
 
 
 def test_linear_map_inversion():
@@ -89,3 +89,34 @@ def test_rejects_bad_bounds():
         MonotoneMap(lambda x: x, x_lo=0.0, x_hi=1.0, left_slope=0.0, right_slope=1.0)
     with pytest.raises(ValueError):
         MonotoneMap(lambda x: -x, x_lo=0.0, x_hi=1.0, left_slope=1.0, right_slope=1.0)
+
+
+def _cubic_map():
+    # F(x) = x + x^3 / 3 on [-1, 1], affine with slope 2 outside
+    return MonotoneMap(lambda x: x + x**3 / 3.0, -1.0, 1.0, 2.0, 2.0,
+                       deriv=lambda x: 1.0 + x * x, tol=1e-12)
+
+
+def test_inverse_table_is_certified_against_the_forward_map():
+    fmap = _cubic_map()
+    knots = np.array([1.0, -1.0, 0.0, 0.0])  # any order, repeats allowed
+    inv = maps._inverse_table(fmap._step, knots, fmap(knots), (2.0, 2.0), fmap.tol,
+                              fmap.invert)
+    cert = inv.certificate
+    assert not cert.fell_back and cert.segments == 2
+    assert cert.residual <= fmap.tol
+    assert inv.table.left_tail[1] == 0.5 and inv.table.right_tail[1] == 0.5
+    y = np.linspace(-4.0, 4.0, 801)
+    assert np.max(np.abs(fmap(inv(y)) - y)) <= fmap.tol
+    assert np.max(np.abs(inv(y) - fmap.invert(y))) <= 2.0 * fmap.tol
+
+
+def test_inverse_table_with_decreasing_knot_images_runs_newton():
+    fmap = _cubic_map()
+    knots = np.array([-1.0, 0.0, 1.0])
+    images = fmap(knots)[[0, 2, 1]]
+    inv = maps._inverse_table(fmap._step, knots, images, (2.0, 2.0), fmap.tol,
+                              fmap.invert)
+    assert inv.table is None and inv.certificate.fell_back
+    y = np.linspace(-4.0, 4.0, 81)
+    assert inv(y).tolist() == fmap.invert(y).tolist()

@@ -117,6 +117,27 @@ def test_augmented_born_infeld_identities(profile):
     _check_born_infeld_identities(solve(augmented_born_infeld(1.0), profile))
 
 
+@seed(20120421)
+@_EXAMPLES
+@given(profile=profiles(st.tuples(_MU, _LAM)))
+def test_born_infeld_snapshots_match_newton(profile):
+    # a certified snapshot meets |X(t, Z_tab(x)) - x| <= inv_tol everywhere
+    # and agrees with Newton; an uncertified one has Newton's bits
+    sol = solve(born_infeld(1.0), profile)
+    for t in (0.0, 0.7, 3.0, 20.0):
+        snap = sol.snapshot(t)
+        lo, hi = sol.support_interval(t, margin=2.0)
+        xs = np.linspace(lo, hi, 97)
+        want = sol.evaluate(t, xs)
+        if snap.certificate.fell_back:
+            assert np.array_equal(snap.evaluate(xs), want)
+            continue
+        assert snap.certificate.residual <= sol.inv_tol
+        back = sol.position(t, snap.coordinate(xs))
+        assert np.max(np.abs(back - xs)) <= sol.inv_tol
+        assert np.max(np.abs(snap.evaluate(xs) - want)) <= 1e-10
+
+
 @st.composite
 def equal_tail_profiles(draw, state):
     profile = draw(profiles(state))

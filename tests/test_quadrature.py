@@ -309,6 +309,20 @@ def test_root_on_a_probe_point_is_returned():
     assert -1.0 in roots[0] and -1.5 in roots[1]
 
 
+def test_root_on_a_shared_panel_edge_is_returned():
+    # the edge 0.5 is the last probe of one panel and the first of the next
+    roots = refine_sign_changes(lambda x, owner: x - 0.5, [[0.0, 0.5, 1.0]])
+    assert roots.shape == (1, 1) and roots[0, 0] == 0.5
+    # per owner, next to a bisected root; a touching zero is no root
+    roots = refine_sign_changes(
+        lambda x, owner: (x - 0.5) * np.where(owner == 0, x - 0.8, x - 0.5),
+        [[0.0, 0.5, 1.0], [0.0, 0.5, 1.0]],
+    )
+    assert roots.shape == (2, 2)
+    assert roots[0, 0] == 0.5 and roots[0, 1] == pytest.approx(0.8, abs=1e-15)
+    assert np.all(np.isnan(roots[1]))
+
+
 def test_zero_runs_give_no_roots():
     # identically 0 on a plateau, as the L1 integrands are: no panel edges,
     # whatever the signs on either side

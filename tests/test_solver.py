@@ -332,12 +332,15 @@ def test_residuals_of_wrong_evaluator_match_per_law_reference(
 ):
     # A solution evaluated at 1.05 t violates every law: the residuals are
     # large, so a wrong sign or a law paired with another law's side shows.
+    # The space sides read snapshots, the time sides evaluate: both are wrapped.
     sol = tworamp_sol if which == "bi" else three_sol
     box = (0.3, 1.7, -2.1, 1.4) if which == "bi" else (0.3, 1.2, -0.8, 0.9)
     exact = type(sol).evaluate
+    exact_snapshot = type(sol).snapshot
     monkeypatch.setattr(
         sol, "evaluate", lambda t, x: exact(sol, 1.05 * np.asarray(t), x)
     )
+    monkeypatch.setattr(sol, "snapshot", lambda t: exact_snapshot(sol, 1.05 * t))
     cons, entropies = sol.box_residuals(box)
     ref_cons, ref_entropies = box_residuals_reference(sol, box)
     got = np.array((cons,) + entropies)
