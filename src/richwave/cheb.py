@@ -63,7 +63,12 @@ class PiecewiseCheb:
         )
 
     def antiderivative(self, anchor=None, value=0.0):
-        """Continuous antiderivative, normalized so F(anchor) = value.
+        """Continuous antiderivative, normalized so F(anchor) = value to rounding.
+
+        The shift is the table's value at ``anchor``, so ``F(anchor) - value``
+        is the rounding of evaluating the shifted table there, a few ulp of
+        the table's scale.  Shifting again does not always reach 0: the
+        last Clenshaw step adds ``c_0`` to a sum the other coefficients fix.
 
         Requires constant tails (slope 0) so the result has exact linear
         tails; this is the only case the solver needs.
@@ -170,6 +175,23 @@ class StackedCheb:
         return out.reshape(len(out), rows, m)
 
 
+def _interpolant_coefs(vals):
+    """Chebyshev coefficients of the interpolants through rows of ``vals``.
+
+    Row ``vals[r]`` holds values at the second-kind points ``cos(pi j / N)``,
+    ``j = 0 .. N``.  The coefficients are the DCT-I of the row, taken as one
+    real FFT of its even extension ``v_0 .. v_N, v_{N-1} .. v_1`` divided by
+    ``N``, with ``c_0`` and ``c_N`` halved.  The FFT transforms each row on
+    its own, so a row's coefficients keep their bits whatever rows share the
+    call (a matrix product would not: BLAS blocks rows together).
+    """
+    n = vals.shape[1] - 1
+    coef = np.fft.rfft(np.concatenate([vals, vals[:, -2:0:-1]], axis=1), axis=1).real / n
+    coef[:, 0] *= 0.5
+    coef[:, -1] *= 0.5
+    return coef
+
+
 def fit_piecewise(f, breaks, rtol=1e-13, tail_slopes=(0.0, 0.0)):
     """Tabulate ``f`` (vectorized, smooth between ``breaks``) segment by segment.
 
@@ -191,23 +213,22 @@ def fit_piecewise(f, breaks, rtol=1e-13, tail_slopes=(0.0, 0.0)):
         vals = np.asarray(f(np.concatenate([x, ends])), dtype=float)
         if ends.size:
             ends, edge_vals = ends[:0], vals[-2:]
-        unresolved = []
-        for k, v in zip(todo, vals[: x.size].reshape(len(todo), deg + 1)):
-            coef = _C.chebfit(nodes, v, deg)
-            scale = max(np.max(np.abs(coef)), 1e-300)
-            tail = np.max(np.abs(coef[-3:]))
-            if tail <= rtol * scale + 1e-300:
-                cut = np.nonzero(np.abs(coef) > rtol * scale * 0.1)[0]
-                coefs[k] = coef[: cut[-1] + 1] if cut.size else coef[:1]
-            else:
-                unresolved.append((k, tail, scale))
-        if not unresolved:
+        coef = _interpolant_coefs(vals[: x.size].reshape(len(todo), deg + 1))
+        scale = np.maximum(np.max(np.abs(coef), axis=1), 1e-300)
+        tail = np.max(np.abs(coef[:, -3:]), axis=1)
+        done = tail <= rtol * scale + 1e-300
+        # Trim each resolved row after its last coefficient above the floor.
+        keep = np.abs(coef) > (rtol * scale * 0.1)[:, None]
+        length = np.where(keep.any(axis=1), deg + 1 - np.argmax(keep[:, ::-1], axis=1), 1)
+        for k, c, m in zip(todo[done], coef[done], length[done]):
+            coefs[k] = c[:m]
+        if done.all():
             break
-        todo = np.array([k for k, _, _ in unresolved])
+        todo, tail, scale = todo[~done], tail[~done], scale[~done]
     else:
-        k, tail, scale = unresolved[0]
+        k = todo[0]
         raise TabulationError("Chebyshev fit on [%g, %g] did not converge (tail %.3e "
-                              "of scale %.3e)" % (lo[k], hi[k], tail, scale))
+                              "of scale %.3e)" % (lo[k], hi[k], tail[0], scale[0]))
     out = PiecewiseCheb(breaks, coefs, (edge_vals[0], tail_slopes[0]),
                         (edge_vals[1], tail_slopes[1]))
     probe = lo[:, None] + np.outer(hi - lo, [0.123456, 0.5432101, 0.87654321])

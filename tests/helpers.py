@@ -7,10 +7,11 @@ position quadrature integrates one (t, z) at a time, the per-law box
 residual integrates each conservation law in its own quadrature pass, and
 the per-time decay curve and per-component pair distance run one L1
 integral each, plain bisection makes one integrand call per step, the
-per-segment Chebyshev fit calls its function once per segment and rung, and
-the per-domain plateau check evaluates each domain on its own, the box
-time-side kink search bisects the sign flips of its own 65-point grid, and
-the three Born-Infeld model shapes are written out one by one.  The
+per-segment Chebyshev fit solves least squares (``chebfit``) once per
+segment and rung instead of taking an FFT, and the per-domain plateau check
+evaluates each domain on its own, the box time-side kink search bisects
+the sign flips of its own 65-point grid, and the three Born-Infeld model
+shapes are written out one by one.  The
 pointwise shape-correction quadratures (``tail_term``, ``coupling_term``),
 the closed-form generic shape derivative and the traveling-frame position
 are the oracles the asymptotics tables and criterion 7 are tested against.
@@ -475,7 +476,14 @@ def pair_distance_reference(sol1, sol2, t):
     return sum(per), tuple(per)
 
 
-def _fit_segment_reference(f, a, b, rtol):
+def fit_segment_reference(f, a, b, rtol=1e-13):
+    """``(coefficients, degree)`` of ``f`` on ``[a, b]`` by least squares.
+
+    Climbs the degree ladder of ``cheb.fit_piecewise`` with its tail test
+    and trim, but takes each rung's coefficients from ``chebfit`` (an SVD
+    solve on the second-kind points) instead of the FFT.  Returns the
+    degree of the rung that resolved the segment.
+    """
     for deg in _DEGREES:
         nodes = np.cos(np.pi * np.arange(deg + 1) / deg)
         x = 0.5 * (a + b) + 0.5 * (b - a) * nodes
@@ -485,20 +493,20 @@ def _fit_segment_reference(f, a, b, rtol):
         tail = np.max(np.abs(coef[-3:]))
         if tail <= rtol * scale + 1e-300:
             cut = np.nonzero(np.abs(coef) > rtol * scale * 0.1)[0]
-            return coef[: cut[-1] + 1] if cut.size else coef[:1]
+            return (coef[: cut[-1] + 1] if cut.size else coef[:1]), deg
     raise TabulationError("Chebyshev fit on [%g, %g] did not converge" % (a, b))
 
 
 def fit_piecewise_reference(f, breaks, rtol=1e-13, tail_slopes=(0.0, 0.0)):
-    """``cheb.fit_piecewise`` (without validation) segment by segment.
+    """``cheb.fit_piecewise`` (without validation) by ``chebfit``, segment by segment.
 
-    The loop ``fit_piecewise`` ran before every rung took one ``f`` call for
-    all unresolved segments: one call per segment and rung, then one per
-    edge.  Kept as the reference the rung-batched fit must equal bit for bit.
+    One ``f`` call per segment and rung, then one per edge.  An independent
+    oracle for the FFT fit: least squares on the interpolation nodes is the
+    same interpolant, so the two agree to rounding, not bit for bit.
     """
     breaks = np.asarray(breaks, dtype=float)
     coefs = [
-        _fit_segment_reference(f, breaks[k], breaks[k + 1], rtol)
+        fit_segment_reference(f, breaks[k], breaks[k + 1], rtol)[0]
         for k in range(len(breaks) - 1)
     ]
     left = float(np.asarray(f(np.array([breaks[0]])))[0])

@@ -6,6 +6,7 @@ from helpers import (
     abi_middle_profile,
     bi_tworamp_profile,
     fit_piecewise_reference,
+    fit_segment_reference,
     three_speed_profile,
     three_speed_system,
 )
@@ -205,18 +206,49 @@ _FIT_CASES = {
 }
 
 
+def _fit_alone(f, a, b, rtol):
+    """(coefficients, degree reached) of ``fit_piecewise`` on ``[a, b]`` alone."""
+    calls = []
+
+    def counting(x):
+        calls.append(len(x))
+        return f(x)
+
+    table = fit_piecewise(counting, np.array([a, b]), rtol)
+    return table.coefs[0], _DEGREES[len(calls) - 2]  # one rung per call, then the check
+
+
 @pytest.mark.parametrize("case", sorted(_FIT_CASES))
 def test_rung_batched_fit_matches_per_segment_reference(case, monkeypatch):
+    # each segment gets the bits it gets when fitted alone: the FFT
+    # transforms every row of a rung on its own
     build, count = _FIT_CASES[case]
     fits = _recorded_fits(monkeypatch, build)
     assert len(fits) == count
     for out, f, breaks, kw in fits:
-        want = fit_piecewise_reference(f, breaks, kw["rtol"], kw.get("tail_slopes", (0.0, 0.0)))
-        assert len(out.coefs) == len(want.coefs)
-        for got_c, want_c in zip(out.coefs, want.coefs):
-            assert same_bits(got_c, want_c)
-        assert same_bits(out.left_tail, want.left_tail)
-        assert same_bits(out.right_tail, want.right_tail)
+        assert len(out.coefs) == len(breaks) - 1
+        for k, got in enumerate(out.coefs):
+            assert same_bits(got, _fit_alone(f, breaks[k], breaks[k + 1], kw["rtol"])[0])
+        slopes = kw.get("tail_slopes", (0.0, 0.0))
+        left, right = np.asarray(f(breaks[[0, -1]]), dtype=float)
+        assert same_bits(out.left_tail, (left, slopes[0]))
+        assert same_bits(out.right_tail, (right, slopes[1]))
+
+
+@pytest.mark.parametrize("case", sorted(_FIT_CASES))
+def test_fft_fit_matches_least_squares_oracle(case, monkeypatch):
+    # chebfit on the same nodes is the same interpolant by an SVD solve: the
+    # same rung must resolve each segment, and the coefficients agree to
+    # 1e-14 of the segment's coefficient scale on their common length (a
+    # trim length may differ, as the last kept coefficients are noise)
+    build, _ = _FIT_CASES[case]
+    for out, f, breaks, kw in _recorded_fits(monkeypatch, build):
+        for k, got in enumerate(out.coefs):
+            a, b = breaks[k], breaks[k + 1]
+            want, want_deg = fit_segment_reference(f, a, b, kw["rtol"])
+            assert _fit_alone(f, a, b, kw["rtol"])[1] == want_deg
+            m = min(len(got), len(want))
+            assert np.max(np.abs(got[:m] - want[:m])) <= 1e-14 * np.max(np.abs(want))
 
 
 def _rungs_used(f, breaks):
@@ -260,3 +292,14 @@ def test_fit_calls_f_once_per_rung_and_once_to_check(make):
     assert len(calls) == rungs + 1
     if make is _x0_inversion:
         assert rungs == 1  # so a Born-Infeld solve inverts Z0 twice for X0
+
+
+def test_unresolved_segment_is_named_after_the_last_rung():
+    # a jump inside the second and third segments: the ladder runs out there,
+    # and the error names the first of them with its last rung's tail
+    def f(x):
+        return np.where(x < 0.3, -1.0, 1.0) + np.where(x < 1.5, 0.0, 1.0)
+
+    with pytest.raises(cheb.TabulationError, match=r"on \[0\.1, 1\] did not converge "
+                       r"\(tail \S+ of scale \S+\)"):
+        fit_piecewise(f, np.array([0.0, 0.1, 1.0, 2.0]))

@@ -6,6 +6,7 @@ Examples are derandomized and bounded so the suite stays deterministic.
 import numpy as np
 from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
+from numpy.polynomial import chebyshev as C
 
 from helpers import three_speed_system
 from richwave import (
@@ -17,6 +18,7 @@ from richwave import (
     build_shape,
     solve,
 )
+from richwave.cheb import fit_piecewise
 
 # |w_i| <= 0.8 keeps 1/N = 1 + 0.1 w1 + 0.15 w2 - 0.08 w3 >= 0.74, well inside
 # the three-speed system's admissible set 1/N > 0.05, for every mixture of
@@ -165,3 +167,99 @@ def test_generic_shapes_match_model_shapes(profile):
             model = bi_shape(sol, "slow" if speed < 0 else "fast")
         # criterion 7's bound on the gap between the two routes
         assert np.max(np.abs(build_shape(sol, i)(xs) - model(xs))) <= 1e-8
+
+
+@st.composite
+def zero_anchored_profiles(draw, state):
+    # some profiles are shifted so that one breakpoint is exactly 0, where
+    # the Z0 anchor then sits on a segment edge
+    profile = draw(profiles(state))
+    xs = profile.breakpoints
+    if draw(st.booleans()):
+        xs = xs - xs[draw(st.integers(0, len(xs) - 1))]
+    return PiecewiseProfile(xs, profile.values)
+
+
+@seed(20120422)
+@_EXAMPLES
+@given(profile=zero_anchored_profiles(st.tuples(_MU, _LAM)))
+def test_initial_coordinate_anchored_at_zero(profile):
+    # Z0 is anchored at 0 to the rounding of one table evaluation
+    sol = solve(born_infeld(1.0), profile)
+    eps = np.finfo(float).eps
+    assert abs(sol.initial_coordinate(0.0)) <= 4.0 * eps * (1.0 + np.max(np.abs(sol.zeta)))
+
+
+@st.composite
+def polynomial_pieces(draw):
+    """Breaks and a continuous function that is a polynomial on each segment:
+    Chebyshev coefficients of magnitude [0.5, 1] up to a degree <= 15, with
+    the constant term moved so each piece starts where the last one ended.
+
+    The breaks are points of the grid ``k / 4`` in [-1, 1]: the fit samples
+    ``f`` at rounded nodes, which ``f`` maps back to its piece's variable
+    with an error of about ``ulp(x) / width``, and on a narrow segment far
+    from 0 that error times a degree-15 derivative exceeds the 1e-13 the
+    test asks of the fit (the least-squares oracle misses it the same way).
+    The first piece starts at a value of magnitude [0.5, 1]: an identically
+    zero piece would be resolved by no rung, because the tail test is
+    relative and the rounding of the next piece at the shared break is then
+    the whole scale."""
+    count = draw(st.integers(1, 6))
+    grid = draw(st.lists(st.integers(-4, 4), min_size=count + 1, max_size=count + 1,
+                         unique=True))
+    breaks = np.sort(grid) / 4.0
+    degrees = draw(st.lists(st.integers(0, 15), min_size=count, max_size=count))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pieces, end = [], rng.uniform(0.5, 1.0) * rng.choice([-1.0, 1.0])
+    for d in degrees:
+        c = rng.uniform(0.5, 1.0, d + 1) * rng.choice([-1.0, 1.0], d + 1)
+        c[0] += end - C.chebval(-1.0, c)
+        pieces.append(c)
+        end = C.chebval(1.0, c)
+    return breaks, pieces
+
+
+def _piecewise_polynomial(breaks, pieces):
+    def f(x):
+        seg = np.clip(np.searchsorted(breaks, x, side="right") - 1, 0, len(pieces) - 1)
+        tt = (2.0 * x - breaks[seg] - breaks[seg + 1]) / (breaks[seg + 1] - breaks[seg])
+        out = np.empty_like(x)
+        for k, c in enumerate(pieces):
+            out[seg == k] = C.chebval(tt[seg == k], c)
+        return out
+
+    return f
+
+
+@seed(20120423)
+@_EXAMPLES
+@given(case=polynomial_pieces())
+def test_fit_piecewise_reproduces_polynomial_pieces(case):
+    breaks, pieces = case
+    f = _piecewise_polynomial(breaks, pieces)
+    calls = []
+
+    def counting(x):
+        calls.append(len(x))
+        return f(x)
+
+    table = fit_piecewise(counting, breaks)
+    # The tail test reads the last three of a rung's coefficients, so a piece
+    # of degree <= 13 resolves on rung 16 and one of degree 14 or 15 (whose
+    # top coefficient is at least 0.5) on rung 32; one call per rung, then
+    # one for the off-node check.
+    rungs = [1 if len(c) <= 14 else 2 for c in pieces]
+    assert len(calls) == max(rungs) + 1
+    rng = np.random.default_rng(0)
+    x = rng.uniform(breaks[0], breaks[-1], 200)
+    seg = np.clip(np.searchsorted(breaks, x, side="right") - 1, 0, len(pieces) - 1)
+    size = np.array([np.sum(np.abs(c)) for c in pieces])[seg]  # bounds |p| on its piece
+    assert np.all(np.abs(table(x) - f(x)) <= 1e-13 * size)
+    # a segment fitted alone climbs its own rungs and keeps the coefficient
+    # bits it has among the other segments of each rung
+    for k, c in enumerate(table.coefs):
+        del calls[:]
+        alone = fit_piecewise(counting, breaks[k: k + 2]).coefs[0]
+        assert len(calls) == rungs[k] + 1
+        assert np.array_equal(alone.view(np.int64), c.view(np.int64))
