@@ -13,6 +13,10 @@ import numpy as np
 from numpy.polynomial import chebyshev as _C
 
 _DEGREES = (16, 32, 64, 128, 256)
+# A segment also resolves once its tail is below this fraction of rtol times
+# the largest segment scale of the fit: a segment of rounding noise next to
+# segments of order one has no relative accuracy to reach.
+_TAIL_FLOOR = 1e-3
 # Points per StackedCheb recurrence: bounds the gathered coefficient block.
 _STACK_CHUNK = 4096
 
@@ -198,14 +202,17 @@ def fit_piecewise(f, breaks, rtol=1e-13, tail_slopes=(0.0, 0.0)):
     ``f`` is called once per rung of the degree ladder on the nodes of every
     segment still unresolved (the first call also takes both edges), then on
     off-node check points of all segments, so it must evaluate each point
-    independently of its batch.  The tails continue with ``tail_slopes``.
+    independently of its batch.  A segment resolves when its last three
+    coefficients are below ``rtol`` times its own scale (largest
+    coefficient), or below ``_TAIL_FLOOR * rtol`` times the largest scale of
+    any segment so far.  The tails continue with ``tail_slopes``.
     """
     breaks = np.asarray(breaks, dtype=float)
     if breaks.ndim != 1 or len(breaks) < 2 or np.any(np.diff(breaks) <= 0):
         raise ValueError("breaks must be strictly increasing with length >= 2")
     lo, hi = breaks[:-1], breaks[1:]
     coefs = [None] * len(lo)
-    todo, ends = np.arange(len(lo)), breaks[[0, -1]]
+    todo, ends, largest = np.arange(len(lo)), breaks[[0, -1]], 0.0
     for deg in _DEGREES:
         nodes = np.cos(np.pi * np.arange(deg + 1) / deg)  # second kind, [-1, 1]
         a, b = lo[todo, None], hi[todo, None]
@@ -216,7 +223,8 @@ def fit_piecewise(f, breaks, rtol=1e-13, tail_slopes=(0.0, 0.0)):
         coef = _interpolant_coefs(vals[: x.size].reshape(len(todo), deg + 1))
         scale = np.maximum(np.max(np.abs(coef), axis=1), 1e-300)
         tail = np.max(np.abs(coef[:, -3:]), axis=1)
-        done = tail <= rtol * scale + 1e-300
+        largest = max(largest, float(scale.max()))
+        done = tail <= np.maximum(rtol * scale, _TAIL_FLOOR * rtol * largest) + 1e-300
         # Trim each resolved row after its last coefficient above the floor.
         keep = np.abs(coef) > (rtol * scale * 0.1)[:, None]
         length = np.where(keep.any(axis=1), deg + 1 - np.argmax(keep[:, ::-1], axis=1), 1)

@@ -3,6 +3,9 @@
 :func:`invert_increasing` serves every inverse of the package: ``X0`` and
 the shape maps (through :class:`MonotoneMap`) and ``Z(t, .)``, whose map
 gives value and slope together (one table pass per step on Born-Infeld).
+Where the knots of a map are known (the kink images of ``Z(t, .)`` at one
+time, the breakpoints of a shape), :func:`_invert_between_knots` starts each
+target's Newton inside its own knot segment, where the map is smooth.
 Where one inverse is read many times (``Z(t, .)`` at a fixed time, a shape
 inverse), :func:`_inverse_table` tabulates it once and certifies the table
 against the forward map, keeping the Newton inverse as the fallback.
@@ -174,6 +177,32 @@ class MonotoneMap:
         return self._forward(x), self._slope
 
 
+def _sorted_knots(xk, yk):
+    """``(xk, yk, increasing)``: the knots ``xk`` of a map (any order, repeats
+    allowed) sorted and unique, their images ``yk``, and whether the images
+    strictly increase, as :func:`_invert_between_knots` needs."""
+    xk, first = np.unique(np.asarray(xk, dtype=float), return_index=True)
+    yk = np.asarray(yk, dtype=float)[first]
+    return xk, yk, bool((yk[1:] > yk[:-1]).all())
+
+
+def _invert_between_knots(f, xk, yk, y, slopes, tol):
+    """:func:`invert_increasing` with each target bracketed by its own knot segment.
+
+    F maps the sorted knots ``xk`` to the strictly increasing ``yk``, is
+    smooth between them and exactly affine with ``slopes`` beyond the
+    outermost.  Target ``y`` runs Newton from the secant inside the segment
+    ``yk[k] <= y < yk[k + 1]``, clipped to the outermost segments, whose
+    brackets end where F turns affine: a target at the last knot stays in
+    the last segment, and one beyond either outer knot takes the exact
+    affine inverse.
+    """
+    # np.minimum/np.maximum: np.clip costs twice as much on the 1-16 point
+    # calls that dominate
+    k = np.minimum(np.maximum(np.searchsorted(yk, y, side="right") - 1, 0), len(yk) - 2)
+    return invert_increasing(f, y, xk[k], xk[k + 1], yk[k], yk[k + 1], *slopes, tol)
+
+
 @dataclass(frozen=True)
 class Certificate:
     """How an :class:`InverseTable` was checked.
@@ -212,27 +241,23 @@ def _inverse_table(step, xk, yk, slopes, tol, newton):
     ``step(x, owner)`` gives ``(F, F')`` as :func:`invert_increasing` takes
     it; F maps the knots ``xk`` (any order, repeats allowed) to ``yk``, is
     smooth between them and exactly affine with ``slopes`` beyond the
-    outermost.  One ``fit_piecewise`` over the knot images runs Newton at
-    ``_TIGHT_TOL`` (floored at 32 eps (|y| + 1)), each point bracketed by
-    its own segment's knots, and the table's tails take the reciprocal
-    slopes.  The table is kept only if ``|F(table(y)) - y| <= tol`` on the
+    outermost.  One ``fit_piecewise`` over the knot images runs
+    :func:`_invert_between_knots` at ``_TIGHT_TOL`` (floored at
+    32 eps (|y| + 1)), and the table's tails take the reciprocal slopes.
+    The table is kept only if ``|F(table(y)) - y| <= tol`` on the
     ``_CHECK`` points of every segment; otherwise (or when the knot images
     are not increasing, the fit fails or the tight inversion stalls) calls
     run ``newton``.
     """
     unfitted = InverseTable(None, newton, Certificate(np.inf, 0, 0, True))
-    xk, first = np.unique(np.asarray(xk, dtype=float), return_index=True)
-    yk = np.asarray(yk, dtype=float)[first]
-    if np.any(np.diff(yk) <= 0.0):
+    xk, yk, increasing = _sorted_knots(xk, yk)
+    if not increasing:
         return unfitted
     eps = np.finfo(float).eps
 
     def tight(y):
-        # y inside segment k; the outermost segments' brackets end where F
-        # turns affine, so a node rounded past them is still exact.
-        k = np.clip(np.searchsorted(yk, y, side="right") - 1, 0, len(yk) - 2)
-        return invert_increasing(
-            step, y, xk[k], xk[k + 1], yk[k], yk[k + 1], *slopes,
+        return _invert_between_knots(
+            step, xk, yk, y, slopes,
             np.maximum(_TIGHT_TOL, 32.0 * eps * (np.abs(y) + 1.0)),
         )
 

@@ -6,13 +6,18 @@ Lagrangian speed, and the Eulerian position map X(t, .) is recovered either
 by a time quadrature of M/N (any system; all points of a call share one
 adaptive pass) or, for Born-Infeld-like systems, by the closed form built
 from running primitives of the two extreme invariants.  Solution values at
-(t, x) follow by inverting X(t, .) with ``maps.invert_increasing``, the
-inversion ``Z0`` uses too: outside the core [zeta_0 + min speed * t,
-zeta_K + max speed * t] every component is in a tail state, so X(t, .) is
-exactly affine there with slope 1/N and needs no Newton step.  On
-Born-Infeld-like systems one table pass gives X and Newton's slope 1/N.
-Callers that read one time many times take a :class:`Snapshot`, which holds
-Z(t, .) as a certified Chebyshev table; ``evaluate`` always runs Newton.
+(t, x) follow by inverting X(t, .) with the safeguarded Newton of
+``maps.invert_increasing``, the inversion ``Z0`` uses too.  At a fixed t,
+X(t, .) is smooth between the kink images zeta_k + speed * t of every
+family, and exactly affine with slope 1/N at the tail states outside the
+outermost two, the core [zeta_0 + min speed * t, zeta_K + max speed * t],
+where no Newton step is needed.  A scalar t brackets each target by its own
+kink segment, from one position pass over the kink images; an array t (a
+box time side, a few points per time) brackets by the two core edges of
+each time.  On Born-Infeld-like systems one table pass gives X and Newton's
+slope 1/N.  Callers that read one time many times take a
+:class:`Snapshot`, which holds Z(t, .) as a certified Chebyshev table
+between the same kink images; ``evaluate`` always runs Newton.
 """
 
 from dataclasses import dataclass
@@ -21,7 +26,7 @@ import numpy as np
 
 from .cheb import StackedCheb, fit_piecewise
 from .maps import (InverseTable, InversionError, MonotoneMap, _inverse_table,
-                   invert_increasing)
+                   _invert_between_knots, _sorted_knots, invert_increasing)
 from .quadrature import QuadratureError, integrate, integrate_many, refine_sign_changes
 from .systems import AdmissibilityError
 
@@ -286,41 +291,68 @@ class LagrangianSolution:
         return self.zeta[0] + lo * t, self.zeta[-1] + hi * t
 
     def lagrangian_coordinate(self, t, x):
-        """Z(t, x) = X(t, .)^{-1}(x) by :func:`maps.invert_increasing`.
+        """Z(t, x) = X(t, .)^{-1}(x) by safeguarded Newton.
 
-        ``X(t, .)`` is exactly affine with slopes ``1/N`` at the tail states
-        outside the core ``[z_lo, z_hi]`` (``_core``), so one batched
-        ``position`` call at both core edges settles every point in a tail;
-        core points run Newton with ``dX/dz = 1/N(w(t, z))``.  An
+        ``X(t, .)`` is smooth between the kink images ``zeta_k + speed t`` and
+        exactly affine, with slopes ``1/N`` at the tail states, beyond the
+        outermost two, the core edges (``_core``).  One ``position`` pass over
+        the shape of ``t``, not of the broadcast, gives the brackets:
+
+        * a scalar ``t`` takes every kink image (``_kink_images``) and runs
+          :func:`maps._invert_between_knots`: each target starts Newton from
+          the secant inside its own knot segment, and a target beyond the
+          core takes the exact affine inverse.  Knot images that do not
+          strictly increase (within an ulp of a time at which two of them
+          coincide, two distinct knots can share one position) leave only
+          the core edges as knots;
+        * an array ``t`` takes the two core edges of each element and runs
+          :func:`maps.invert_increasing` over the whole core, since a knot
+          pass costs ``families * len(zeta)`` points per time, more than the
+          Newton steps it saves on the few points per time of a box side.
+
+        Newton's slope is ``dX/dz = 1/N(w(t, z))``.  An
         :class:`InversionError` names the worst point's (t, x).
         """
         t = np.asarray(t, dtype=float)
         x = np.asarray(x, dtype=float)
-        if np.any(t < 0):
+        if (t < 0).any():
             raise ValueError("t must be nonnegative")
-        tb, xb = np.broadcast_arrays(t, x)
-        shape, tb, xb = tb.shape, tb.reshape(-1), xb.reshape(-1)
-        z_lo, z_hi = self._core(tb)
-        edges = self.position(np.concatenate([tb, tb]), np.concatenate([z_lo, z_hi]))
-        x_lo, x_hi = np.reshape(edges, (2, -1))
-        k = int(np.argmin(x_hi - x_lo))
-        if x_hi[k] <= x_lo[k]:
+        if t.ndim == 0:
+            shape, xb = x.shape, x.reshape(-1)
+            time_of = lambda owner: t
+            zk, xk, increasing = _sorted_knots(*self._kink_images(t))
+            if not increasing:
+                zk, xk = zk[[0, -1]], xk[[0, -1]]
+            gap = xk[-1] - xk[0]
+        else:
+            tb, xb = np.broadcast_arrays(t, x)
+            shape, tb, xb = tb.shape, tb.reshape(-1), xb.reshape(-1)
+            time_of = lambda owner: tb[owner]
+            z_lo, z_hi = self._core(t)
+            x_lo, x_hi = self.position(t, np.stack([z_lo, z_hi]))
+            z_lo, z_hi, x_lo, x_hi = (np.broadcast_to(a, shape).reshape(-1)
+                                      for a in (z_lo, z_hi, x_lo, x_hi))
+            gap = x_hi - x_lo
+        if xb.size and gap.min() <= 0.0:
+            k = int(np.argmin(np.broadcast_to(gap, xb.shape)))
             raise InversionError(
                 "Z(t=%.17g, x=%.17g): X(t,.) is not increasing across its core"
-                % (tb[k], xb[k]),
-                owner=(float(tb[k]), float(xb[k])),
+                % (time_of(k), xb[k]),
+                owner=(float(time_of(k)), float(xb[k])),
             )
         tol = np.maximum(self.inv_tol, 32.0 * np.finfo(float).eps * (np.abs(xb) + 1.0))
+        step = self._newton_step(time_of)
         try:
-            z = invert_increasing(
-                self._newton_step(lambda owner: tb[owner]),
-                xb, z_lo, z_hi, x_lo, x_hi, *self._tail_slopes, tol,
-            )
+            if t.ndim == 0:
+                z = _invert_between_knots(step, zk, xk, xb, self._tail_slopes, tol)
+            else:
+                z = invert_increasing(step, xb, z_lo, z_hi, x_lo, x_hi,
+                                      *self._tail_slopes, tol)
         except InversionError as exc:
             k = exc.owner
             raise InversionError(
-                "Z(t=%.17g, x=%.17g): Z(t,.) %s" % (tb[k], xb[k], exc),
-                owner=(float(tb[k]), float(xb[k])),
+                "Z(t=%.17g, x=%.17g): Z(t,.) %s" % (time_of(k), xb[k], exc),
+                owner=(float(time_of(k)), float(xb[k])),
             ) from exc
         return float(z[0]) if shape == () else z.reshape(shape)
 
@@ -349,13 +381,19 @@ class LagrangianSolution:
         t = float(t)
         if t < 0:
             raise ValueError("t must be nonnegative")
-        zk = (self.zeta + self.system.family_speeds[:, None] * t).reshape(-1)
         coordinate = _inverse_table(
-            self._newton_step(lambda owner: t), zk, self.position(t, zk),
+            self._newton_step(lambda owner: t), *self._kink_images(t),
             self._tail_slopes, self.inv_tol,
             lambda x: self.lagrangian_coordinate(t, x),
         )
         return Snapshot(self, t, coordinate)
+
+    def _kink_images(self, t):
+        """``(zk, X(t, zk))`` for the kink images ``zk = zeta_k + speed t`` of
+        every family at a scalar ``t``: ``families * len(zeta)`` points,
+        unsorted, in one ``position`` call."""
+        zk = (self.zeta + self.system.family_speeds[:, None] * t).reshape(-1)
+        return zk, self.position(t, zk)
 
     def solution_kinks(self, t):
         """Eulerian positions where some component loses smoothness at time t.

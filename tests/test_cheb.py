@@ -14,6 +14,7 @@ from richwave import (
     asymptotics, augmented_born_infeld, born_infeld, cheb, solve, solver,
 )
 from richwave.cheb import _DEGREES, PiecewiseCheb, StackedCheb, fit_piecewise
+from richwave.config import load_config, preset_names
 
 
 def reference_call(f, x):
@@ -303,3 +304,39 @@ def test_unresolved_segment_is_named_after_the_last_rung():
     with pytest.raises(cheb.TabulationError, match=r"on \[0\.1, 1\] did not converge "
                        r"\(tail \S+ of scale \S+\)"):
         fit_piecewise(f, np.array([0.0, 0.1, 1.0, 2.0]))
+
+
+def test_noise_segment_resolves_on_the_absolute_tail_floor():
+    # f is 0 on [0, 1] but for 1e-18 at the shared break: relative to its own
+    # scale that segment is all tail, next to [1, 2] it is rounding noise
+    def f(x):
+        return np.where(x < 1.0, 0.0, 1e-18 + (x - 1.0))
+
+    table = fit_piecewise(f, [0.0, 1.0, 2.0])
+    x = np.linspace(0.0, 2.0, 101)
+    assert np.max(np.abs(table(x) - f(x))) <= 1e-15
+
+
+def _table_bits(table):
+    if table is None:  # an uncertified snapshot keeps no table
+        return None
+    return ([np.asarray(c).view(np.int64).tolist() for c in table.coefs],
+            table.breaks.tolist(), table.left_tail, table.right_tail)
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_tail_floor_keeps_every_preset_table(name, monkeypatch):
+    # On the presets no segment resolves on the floor alone: with the floor
+    # off, the purely relative test, every table keeps its bits
+    def tables():
+        cfg = load_config(name)
+        sol = solve(cfg.system, cfg.profile, quad_tol=cfg.quad_tol, inv_tol=cfg.inv_tol)
+        out = [sol._n0, sol._z0, sol._x0]
+        if sol._bi is not None:
+            out += [sol._p_mu, sol._p_lam]
+        out += [sol.snapshot(t).coordinate.table for t in (0.5, 2.0, 8.0)]
+        return [_table_bits(table) for table in out]
+
+    floored = tables()
+    monkeypatch.setattr(cheb, "_TAIL_FLOOR", 0.0)
+    assert tables() == floored

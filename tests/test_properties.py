@@ -1,11 +1,17 @@
 """Property tests: random admissible profiles pass the presets' identities.
 
-Examples are derandomized and bounded so the suite stays deterministic.
+Examples are derandomized and bounded so the suite stays deterministic, and
+drawn without constants from the loaded modules, so they do not depend on
+which other test files ran first.
 """
 
+import sys
+
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
+from hypothesis.internal.conjecture import providers
 from numpy.polynomial import chebyshev as C
 
 from helpers import three_speed_system
@@ -51,6 +57,47 @@ _EXAMPLES = settings(
     database=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _global_constants_only():
+    """Draw from Hypothesis's own constants, not the loaded modules'.
+
+    Hypothesis (6.155) also draws the literal constants of every loaded
+    local module that is not a test file, so the same derandomized test drew
+    other examples after ``perfbench/`` had been imported
+    (``pytest perfbench tests/test_properties.py``) than alone.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(providers, "_get_local_constants", providers.Constants)
+        providers.CONSTANTS_CACHE.cache.clear()
+        yield
+    providers.CONSTANTS_CACHE.cache.clear()
+
+
+def _drawn_profiles():
+    drawn = []
+
+    @_EXAMPLES
+    @given(profile=profiles(st.tuples(_MU, _Q, _LAM)))
+    def record(profile):
+        drawn.append((profile.breakpoints.tolist(), profile.values.tolist()))
+
+    record()
+    return drawn
+
+
+def test_draws_do_not_depend_on_loaded_modules(tmp_path, monkeypatch):
+    # a newly loaded local module full of constants the strategies accept
+    before = _drawn_profiles()
+    values = ", ".join(repr(float(v)) for v in np.linspace(-1.95, 1.95, 40).round(3))
+    (tmp_path / "constants_probe.py").write_text(
+        "VALUES = (%s)\nCOUNTS = (2, 3, 4, 5, 6)\n" % values)
+    monkeypatch.syspath_prepend(str(tmp_path))
+    monkeypatch.delitem(sys.modules, "constants_probe", raising=False)
+    __import__("constants_probe")
+    assert len(before) == 25
+    assert _drawn_profiles() == before
 
 
 def _check_initial_values_and_far_tails(sol):
@@ -201,10 +248,10 @@ def polynomial_pieces(draw):
     with an error of about ``ulp(x) / width``, and on a narrow segment far
     from 0 that error times a degree-15 derivative exceeds the 1e-13 the
     test asks of the fit (the least-squares oracle misses it the same way).
-    The first piece starts at a value of magnitude [0.5, 1]: an identically
-    zero piece would be resolved by no rung, because the tail test is
-    relative and the rounding of the next piece at the shared break is then
-    the whole scale."""
+    The first piece starts at a value of magnitude [0.5, 1], so no piece is
+    identically zero: such a piece is the next piece's rounding at the shared
+    break, which only the fit's absolute tail floor resolves (pinned in
+    ``test_cheb.py``)."""
     count = draw(st.integers(1, 6))
     grid = draw(st.lists(st.integers(-4, 4), min_size=count + 1, max_size=count + 1,
                          unique=True))

@@ -238,7 +238,8 @@ def test_born_infeld_newton_step_is_one_table_pass(tworamp_sol, monkeypatch):
             return real(self, *args)
 
         monkeypatch.setattr(owner, name, counting)
-    real_invert = solver.invert_increasing
+    # a scalar t reaches invert_increasing through maps._invert_between_knots
+    real_invert = maps.invert_increasing
 
     def spying(f, *args):
         def step(zs, owner):
@@ -250,7 +251,7 @@ def test_born_infeld_newton_step_is_one_table_pass(tworamp_sol, monkeypatch):
 
         return real_invert(step, *args)
 
-    monkeypatch.setattr(solver, "invert_increasing", spying)
+    monkeypatch.setattr(maps, "invert_increasing", spying)
     x = np.linspace(-4.0, 4.0, 33)
     z = tworamp_sol.lagrangian_coordinate(2.5, x)
     monkeypatch.undo()
@@ -479,6 +480,152 @@ def test_tail_points_need_one_position_call(tworamp_sol, three_sol, monkeypatch)
         assert calls == [8]
         monkeypatch.undo()
         assert np.max(np.abs(sol.position(t, z) - x)) <= 1e-9
+
+
+@pytest.fixture(scope="module")
+def knot_sols(three_sol):
+    out = {"three-speed": three_sol}
+    for name in ("bi-two-ramp", "abi-middle"):
+        cfg = load_config(name)
+        out[name] = solve(cfg.system, cfg.profile, quad_tol=cfg.quad_tol,
+                          inv_tol=cfg.inv_tol)
+    return out
+
+
+def _coincidence_time(sol):
+    """The first t > 0 at which two families' kink images coincide exactly."""
+    speeds, zeta = sol.system.family_speeds, sol.zeta
+    for f, g in zip(range(len(speeds)), range(1, len(speeds))):
+        for j in range(len(zeta)):
+            for k in range(len(zeta)):
+                t = (zeta[j] - zeta[k]) / (speeds[g] - speeds[f])
+                if t > 0 and np.unique(sol._kink_images(t)[0]).size < zeta.size * len(speeds):
+                    return t
+    raise AssertionError("no coincidence time")
+
+
+@pytest.mark.parametrize("name", ["bi-two-ramp", "abi-middle", "three-speed"])
+def test_scalar_time_inverts_between_kink_images(knot_sols, name):
+    sol = knot_sols[name]
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(17)
+    for t in (0.0, _coincidence_time(sol), 2.5):
+        zk, xk = sol._kink_images(t)
+        order = np.argsort(zk)
+        zk, xk = zk[order], xk[order]
+        if t == 0.0:  # every family's images sit on the breakpoints' images
+            assert np.unique(zk).size == sol.zeta.size
+        # the kink images (the core edges among them), both tails, the core
+        x = np.concatenate([xk, [xk[0] - 3.0, xk[-1] + 3.0],
+                            rng.uniform(xk[0] - 1.0, xk[-1] + 1.0, 64)])
+        z = sol.lagrangian_coordinate(t, x)
+        tol = np.maximum(sol.inv_tol, 1024.0 * eps * (np.abs(x) + 1.0))
+        assert np.all(np.abs(sol.position(t, z) - x) <= tol)
+        # a target on a kink image starts Newton on that knot and stops there;
+        # the last knot is the right end of the last segment
+        assert _same_bits(z[: xk.size - 1], zk[:-1])
+        # past the core the exact affine inverse, without Newton
+        left, right = sol._tail_slopes
+        assert _same_bits(z[xk.size: xk.size + 2],
+                          [zk[0] + (x[xk.size] - xk[0]) / left,
+                           zk[-1] + (x[xk.size + 1] - xk[-1]) / right])
+
+
+def test_scalar_time_makes_one_kink_image_position_pass(knot_sols, monkeypatch):
+    # one position pass over every family's kink images, whatever the batch;
+    # Born-Infeld Newton steps read the stacked tables, not position
+    for name, sol in knot_sols.items():
+        calls = []
+        real = sol.position
+
+        def counting(t, z, real=real, calls=calls):
+            calls.append(np.size(z))
+            return real(t, z)
+
+        monkeypatch.setattr(sol, "position", counting)
+        sol.lagrangian_coordinate(1.3, np.linspace(-6.0, 6.0, 200))
+        monkeypatch.undo()
+        knots = sol.system.family_speeds.size * sol.zeta.size
+        if name == "three-speed":
+            assert calls[0] == knots
+        else:
+            assert calls == [knots]
+
+
+def test_array_time_keeps_the_core_bracket_of_each_time(knot_sols, monkeypatch):
+    t = np.array([[0.0], [0.7], [3.0]])
+    x = np.array([[-9.0, -2.0, -0.3, 0.4, 1.5, 6.0]])
+    eps = np.finfo(float).eps
+    for sol in knot_sols.values():
+        calls = []
+        real = sol.position
+
+        def counting(t, z, real=real, calls=calls):
+            calls.append(np.size(z))
+            return real(t, z)
+
+        monkeypatch.setattr(sol, "position", counting)
+        z = sol.lagrangian_coordinate(t, x)
+        monkeypatch.undo()
+        assert calls[0] == 2 * t.size  # both core edges per time, not per point
+        # the bits of Newton over the whole core from each point's own edges
+        tb, xb = (a.reshape(-1) for a in np.broadcast_arrays(t, x))
+        z_lo, z_hi = sol._core(tb)
+        want = maps.invert_increasing(
+            sol._newton_step(lambda owner: tb[owner]), xb, z_lo, z_hi,
+            sol.position(tb, z_lo), sol.position(tb, z_hi), *sol._tail_slopes,
+            np.maximum(sol.inv_tol, 32.0 * eps * (np.abs(xb) + 1.0)),
+        )
+        assert _same_bits(z, want.reshape(z.shape))
+
+
+def test_knot_images_that_do_not_increase_leave_the_core_bracket(knot_sols):
+    # one ulp before abi-middle's images coincide at t = 0.5, two distinct
+    # kink images have the same position: the call keeps the core bracket
+    sol = knot_sols["abi-middle"]
+    t = np.nextafter(0.5, 0.0)
+    assert not solver._sorted_knots(*sol._kink_images(t))[2]
+    x = np.linspace(-4.0, 4.0, 41)
+    got = sol.lagrangian_coordinate(t, x)
+    assert _same_bits(got, sol.lagrangian_coordinate(np.full(x.shape, t), x))
+    assert np.max(np.abs(sol.position(t, got) - x)) <= 1e-11
+
+
+def test_empty_targets_give_empty_coordinates(tworamp_sol, three_sol):
+    for sol in (tworamp_sol, three_sol):
+        for t in (1.0, np.zeros(0)):
+            assert sol.lagrangian_coordinate(t, np.zeros(0)).shape == (0,)
+        assert sol.evaluate(1.0, np.zeros((2, 0))).shape == (2, 0, sol.system.n)
+
+
+def test_knot_brackets_save_newton_evaluations(tworamp_sol, monkeypatch):
+    # seeded 1024-point queries: Newton evaluations per core point from knot
+    # brackets (scalar t) against the whole-core bracket (the same t as an array)
+    evaluations = []
+    real = tworamp_sol._newton_step
+
+    def counting(time_of):
+        step = real(time_of)
+
+        def f(zs, owner):
+            evaluations.append(np.size(zs))
+            return step(zs, owner)
+
+        return f
+
+    monkeypatch.setattr(tworamp_sol, "_newton_step", counting)
+    rng = np.random.default_rng(1024)
+    queries = [(rng.uniform(0.0, 10.0), rng.uniform(-12.0, 12.0, 1024)) for _ in range(8)]
+    per_point = {}
+    for rule in ("knots", "core"):
+        evaluations.clear()
+        core = 0
+        for t, x in queries:
+            lo, hi = tworamp_sol.support_interval(t, margin=0.0)
+            core += np.count_nonzero((x >= lo) & (x <= hi))
+            tworamp_sol.lagrangian_coordinate(t if rule == "knots" else np.full(x.shape, t), x)
+        per_point[rule] = sum(evaluations) / core
+    assert per_point["knots"] < per_point["core"]
 
 
 def test_generic_system_round_trip(three_sol):
