@@ -462,18 +462,24 @@ def test_inversion_error_names_worst_point(tworamp_sol, monkeypatch):
     assert "t=2, x=-3" in str(info.value)
 
 
+def _count_position_points(sol, monkeypatch):
+    """The point count of every ``sol.position`` call from now on."""
+    calls = []
+    real = sol.position
+
+    def counting(t, z):
+        calls.append(np.size(z))
+        return real(t, z)
+
+    monkeypatch.setattr(sol, "position", counting)
+    return calls
+
+
 def test_tail_points_need_one_position_call(tworamp_sol, three_sol, monkeypatch):
     # X(t, .) is exactly affine outside its core, so targets beyond both core
     # edges are settled by the one batched call at the edges
     for sol in (tworamp_sol, three_sol):
-        calls = []
-        real = sol.position
-
-        def counting(t, z, real=real, calls=calls):
-            calls.append(np.size(z))
-            return real(t, z)
-
-        monkeypatch.setattr(sol, "position", counting)
+        calls = _count_position_points(sol, monkeypatch)
         t = np.array([0.0, 0.7, 3.0, 3.0])
         x = np.array([-40.0, 55.0, -1e3, 2e3])
         z = sol.lagrangian_coordinate(t, x)
@@ -535,14 +541,7 @@ def test_scalar_time_makes_one_kink_image_position_pass(knot_sols, monkeypatch):
     # one position pass over every family's kink images, whatever the batch;
     # Born-Infeld Newton steps read the stacked tables, not position
     for name, sol in knot_sols.items():
-        calls = []
-        real = sol.position
-
-        def counting(t, z, real=real, calls=calls):
-            calls.append(np.size(z))
-            return real(t, z)
-
-        monkeypatch.setattr(sol, "position", counting)
+        calls = _count_position_points(sol, monkeypatch)
         sol.lagrangian_coordinate(1.3, np.linspace(-6.0, 6.0, 200))
         monkeypatch.undo()
         knots = sol.system.family_speeds.size * sol.zeta.size
@@ -557,14 +556,7 @@ def test_array_time_keeps_the_core_bracket_of_each_time(knot_sols, monkeypatch):
     x = np.array([[-9.0, -2.0, -0.3, 0.4, 1.5, 6.0]])
     eps = np.finfo(float).eps
     for sol in knot_sols.values():
-        calls = []
-        real = sol.position
-
-        def counting(t, z, real=real, calls=calls):
-            calls.append(np.size(z))
-            return real(t, z)
-
-        monkeypatch.setattr(sol, "position", counting)
+        calls = _count_position_points(sol, monkeypatch)
         z = sol.lagrangian_coordinate(t, x)
         monkeypatch.undo()
         assert calls[0] == 2 * t.size  # both core edges per time, not per point
