@@ -13,6 +13,7 @@ every profile has, plus the gap condition.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,11 +44,11 @@ class ShapeFloorError(RuntimeError):
 class ShapeFunction:
     """Limit deformation of the coordinate map for one component.
 
-    ``forward`` is the strictly increasing shape map; ``inverse`` evaluates
-    its inverse by Newton and ``inverse_table`` tabulates it once.
-    ``limit_speed`` is the traveling speed of the asymptotic profile,
-    ``derivative_floor`` the certified positive lower bound of the forward
-    derivative.  The map is smooth between the profile ``breakpoints``.
+    ``forward`` is the strictly increasing shape map and ``inverse`` its
+    inverse, a certified table built on first use.  ``limit_speed`` is the
+    traveling speed of the asymptotic profile, ``derivative_floor`` the
+    certified positive lower bound of the forward derivative.  The map is
+    smooth between the profile ``breakpoints``.
     """
 
     component: int
@@ -60,16 +61,14 @@ class ShapeFunction:
     def __call__(self, x):
         return self.forward(x)
 
-    def inverse(self, y):
-        return self.forward.invert(y)
-
-    def inverse_table(self):
-        """The inverse as a certified ``maps.InverseTable``.
+    @cached_property
+    def inverse(self):
+        """The inverse as a certified ``maps.InverseTable``, built on first use.
 
         Its breaks are the forward images of the breakpoints and its tails
         have slopes ``1/left_slope`` and ``1/right_slope``; the certificate
         is ``|S(table(y)) - y| <= forward.tol`` on check points of every
-        segment, and a failed one falls back to :meth:`inverse`.
+        segment, and a failed one falls back to Newton, ``forward.invert``.
         """
         fmap = self.forward
         return _inverse_table(fmap._step, self.breakpoints, fmap(self.breakpoints),
@@ -370,7 +369,7 @@ def decay_curve(sol, shapes, times, margin=1.0):
     the interval outside which both solution and prediction are exactly at
     their shared tail values.  All ``(shape, time)`` pairs share one
     ``integrate_abs`` pass, which reads the solution from one snapshot per
-    time and each prediction from its shape's inverse table; returns one
+    time and each prediction from its shape's inverse; returns one
     :class:`DecayReport` per shape.
     """
     ts = np.array([float(t) for t in times])
@@ -385,19 +384,18 @@ def decay_curve(sol, shapes, times, margin=1.0):
     lo = np.minimum(lo1, ends[:, :1] + speed * ts - margin)
     hi = np.maximum(hi1, ends[:, 1:] + speed * ts + margin)
     kinks = np.column_stack([
-        np.tile(sol.solution_kinks(ts), (len(shapes), 1)),
+        np.tile(sol.solution_kinks(ts)[1], (len(shapes), 1)),
         (fwd[:, None, :] + (speed * ts)[:, :, None]).reshape(lo.size, -1),
     ])
 
     snaps = [sol.snapshot(t) for t in ts]
-    inverses = [shape.inverse_table() for shape in shapes]
 
     def diff(xv, owner):
         s, k = np.divmod(owner, nt)
         out = _snapshot_states(snaps, k, xv)[np.arange(len(xv)), comp[s]]
-        for j, inverse in enumerate(inverses):
+        for j, shape in enumerate(shapes):
             on = s == j
-            out[on] -= prof.component(comp[j], inverse(xv[on] - speed[j] * ts[k[on]]))
+            out[on] -= prof.component(comp[j], shape.inverse(xv[on] - speed[j] * ts[k[on]]))
         return out
 
     dists = integrate_abs(diff, lo.ravel(), hi.ravel(), kinks, tol=sol.quad_tol)

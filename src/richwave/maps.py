@@ -1,14 +1,14 @@
 """Strictly increasing maps with exact affine tails and their one inversion.
 
-:func:`invert_increasing` serves every inverse of the package: ``X0`` and
-the shape maps (through :class:`MonotoneMap`) and ``Z(t, .)``, whose map
-gives value and slope together (one table pass per step on Born-Infeld).
-Where the knots of a map are known (the kink images of ``Z(t, .)`` at one
-time, the breakpoints of a shape), :func:`_invert_between_knots` starts each
-target's Newton inside its own knot segment, where the map is smooth.
-Where one inverse is read many times (``Z(t, .)`` at a fixed time, a shape
-inverse), :func:`_inverse_table` tabulates it once and certifies the table
-against the forward map, keeping the Newton inverse as the fallback.
+:func:`invert_increasing` serves every inverse of the package: ``Z(t, .)``,
+whose map gives value and slope together (one table pass per step on
+Born-Infeld), and every tabulated inverse.  Where the knots of a map are
+known (the kink images of ``Z(t, .)`` at one time, the breakpoints of
+``Z0`` and of a shape), :func:`_invert_between_knots` starts each target's
+Newton inside its own knot segment, where the map is smooth.  Every inverse
+read many times (``X0``, ``Z(t, .)`` at a fixed time, a shape inverse) is
+one :func:`_inverse_table`: a Chebyshev table between the knot images,
+certified against the forward map.
 """
 
 from dataclasses import dataclass
@@ -25,6 +25,11 @@ _TABLE_RTOL = 1e-13
 # Certificate points per table segment: the 7 first-kind Chebyshev points,
 # none of which is a fit node.
 _CHECK = np.cos(np.pi * (np.arange(7) + 0.5) / 7)
+
+
+def _floored_tol(tol, y):
+    """``tol`` floored at 32 eps (|y| + 1), the rounding of values near ``y``."""
+    return np.maximum(tol, 32.0 * np.finfo(float).eps * (np.abs(y) + 1.0))
 
 
 class InversionError(RuntimeError):
@@ -178,12 +183,24 @@ class MonotoneMap:
 
 
 def _sorted_knots(xk, yk):
-    """``(xk, yk, increasing)``: the knots ``xk`` of a map (any order, repeats
-    allowed) sorted and unique, their images ``yk``, and whether the images
-    strictly increase, as :func:`_invert_between_knots` needs."""
+    """``(xk, yk)``: the knots ``xk`` of an increasing map (any order,
+    repeats allowed) sorted and unique, their images ``yk`` merged to
+    strictly increase, as :func:`_invert_between_knots` needs.
+
+    A knot is kept only if its image is above every image before it, and
+    the outermost knot (a core edge) always, replacing kept knots whose
+    image is not below its own: two distinct kink images of ``Z(t, .)`` can
+    share one position within an ulp of a time at which they coincide.
+    Raises :class:`InversionError` when fewer than two knots remain.
+    """
     xk, first = np.unique(np.asarray(xk, dtype=float), return_index=True)
     yk = np.asarray(yk, dtype=float)[first]
-    return xk, yk, bool((yk[1:] > yk[:-1]).all())
+    keep = yk < yk[-1]
+    keep[1:] &= yk[1:] > np.maximum.accumulate(yk)[:-1]
+    keep[-1] = True
+    if np.count_nonzero(keep) < 2:
+        raise InversionError("the map is not increasing across its core")
+    return xk[keep], yk[keep]
 
 
 def _invert_between_knots(f, xk, yk, y, slopes, tol):
@@ -239,36 +256,34 @@ def _inverse_table(step, xk, yk, slopes, tol, newton):
     """Certified table of the inverse of an increasing map F, or ``newton``.
 
     ``step(x, owner)`` gives ``(F, F')`` as :func:`invert_increasing` takes
-    it; F maps the knots ``xk`` (any order, repeats allowed) to ``yk``, is
-    smooth between them and exactly affine with ``slopes`` beyond the
+    it; F maps the knots ``xk`` (merged by :func:`_sorted_knots`) to ``yk``,
+    is smooth between them and exactly affine with ``slopes`` beyond the
     outermost.  One ``fit_piecewise`` over the knot images runs
-    :func:`_invert_between_knots` at ``_TIGHT_TOL`` (floored at
-    32 eps (|y| + 1)), and the table's tails take the reciprocal slopes.
-    The table is kept only if ``|F(table(y)) - y| <= tol`` on the
-    ``_CHECK`` points of every segment; otherwise (or when the knot images
-    are not increasing, the fit fails or the tight inversion stalls) calls
+    :func:`_invert_between_knots` at ``_TIGHT_TOL``, and the table's tails
+    take the reciprocal slopes.  The table is kept only if
+    ``|F(table(y)) - y| <= tol`` on the ``_CHECK`` points of every segment,
+    ``tol`` floored there by the segment's rounding and its fit's error;
+    otherwise (or when the fit fails or the tight inversion stalls) calls
     run ``newton``.
     """
-    unfitted = InverseTable(None, newton, Certificate(np.inf, 0, 0, True))
-    xk, yk, increasing = _sorted_knots(xk, yk)
-    if not increasing:
-        return unfitted
-    eps = np.finfo(float).eps
+    xk, yk = _sorted_knots(xk, yk)
 
     def tight(y):
-        return _invert_between_knots(
-            step, xk, yk, y, slopes,
-            np.maximum(_TIGHT_TOL, 32.0 * eps * (np.abs(y) + 1.0)),
-        )
+        return _invert_between_knots(step, xk, yk, y, slopes, _floored_tol(_TIGHT_TOL, y))
 
     try:
         table = fit_piecewise(tight, yk, _TABLE_RTOL, (1.0 / slopes[0], 1.0 / slopes[1]))
     except (TabulationError, InversionError):
-        return unfitted
+        return InverseTable(None, newton, Certificate(np.inf, 0, 0, True))
     lo, hi = yk[:-1, None], yk[1:, None]
     y = (0.5 * (lo + hi) + 0.5 * (hi - lo) * _CHECK).reshape(-1)
-    residual = float(np.max(np.abs(step(table(y), np.arange(y.size))[0] - y)))
-    ok = residual <= tol
-    cert = Certificate(residual, len(table.coefs),
+    residual = np.abs(step(table(y), np.arange(y.size))[0] - y).reshape(len(lo), -1)
+    # Away from the origin a segment's residual carries its rounding and its
+    # fit's error, _TABLE_RTOL of |x| scaled by the secant slope.
+    x_size = np.maximum(np.abs(xk[:-1]), np.abs(xk[1:]))[:, None]
+    ok = bool(np.all(residual <= np.maximum(
+        _floored_tol(tol, np.maximum(np.abs(lo), np.abs(hi))),
+        _TABLE_RTOL * x_size * (hi - lo) / np.diff(xk)[:, None])))
+    cert = Certificate(float(residual.max()), len(table.coefs),
                        max(len(c) for c in table.coefs) - 1, not ok)
     return InverseTable(table if ok else None, newton, cert)

@@ -1,31 +1,33 @@
 """Exact entropy-solution engine in Lagrangian coordinates.
 
 The initial coordinate Z0(x) = int_0^x N(w0) and its inverse X0 are
-tabulated once per solution; every family then translates at its constant
+tabulated once per solution, X0 as a table certified against Z0
+(``maps._inverse_table``); every family then translates at its constant
 Lagrangian speed, and the Eulerian position map X(t, .) is recovered either
 by a time quadrature of M/N (any system; all points of a call share one
 adaptive pass) or, for Born-Infeld-like systems, by the closed form built
 from running primitives of the two extreme invariants.  Solution values at
 (t, x) follow by inverting X(t, .) with the safeguarded Newton of
-``maps.invert_increasing``, the inversion ``Z0`` uses too.  At a fixed t,
-X(t, .) is smooth between the kink images zeta_k + speed * t of every
-family, and exactly affine with slope 1/N at the tail states outside the
-outermost two, the core [zeta_0 + min speed * t, zeta_K + max speed * t],
-where no Newton step is needed.  A scalar t brackets each target by its own
-kink segment, from one position pass over the kink images; an array t (a
-box time side, a few points per time) brackets by the two core edges of
-each time.  On Born-Infeld-like systems one table pass gives X and Newton's
-slope 1/N.  Callers that read one time many times take a
-:class:`Snapshot`, which holds Z(t, .) as a certified Chebyshev table
-between the same kink images; ``evaluate`` always runs Newton.
+``maps.invert_increasing``.  At a fixed t, X(t, .) is smooth between the
+kink images zeta_k + speed * t of every family (merged where two of them
+share one position), and exactly affine with slope 1/N at the tail states
+outside the outermost two, the core [zeta_0 + min speed * t,
+zeta_K + max speed * t], where no Newton step is needed.  A scalar t
+brackets each target by its own kink segment, from one position pass over
+the kink images; an array t (a box time side, a few points per time)
+brackets by the two core edges of each time.  On Born-Infeld-like systems
+one table pass gives X and Newton's slope 1/N.  Callers that read one time
+many times take a :class:`Snapshot`, which holds Z(t, .) as a certified
+Chebyshev table between the same kink images; ``evaluate`` always runs
+Newton.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cheb import StackedCheb, fit_piecewise
-from .maps import (InverseTable, InversionError, MonotoneMap, _inverse_table,
+from .cheb import StackedCheb, TabulationError, fit_piecewise
+from .maps import (InverseTable, InversionError, _floored_tol, _inverse_table,
                    _invert_between_knots, _sorted_knots, invert_increasing)
 from .quadrature import QuadratureError, integrate, integrate_many, refine_sign_changes
 from .systems import AdmissibilityError
@@ -113,18 +115,14 @@ class LagrangianSolution:
         n_right = self._n0.right_tail[0]
         self._tail_slopes = (1.0 / n_left, 1.0 / n_right)
         self._speed_range = (system.family_speeds[0], system.family_speeds[-1])
-        self.z0_map = MonotoneMap(
-            self._z0,
-            x_lo=float(xs[0]),
-            x_hi=float(xs[-1]),
-            left_slope=n_left,
-            right_slope=n_right,
-            deriv=self._n0,
-            tol=min(self.inv_tol, 1e-13),
-        )
-        self._x0 = fit_piecewise(
-            self.z0_map.invert, self.zeta, tail_slopes=self._tail_slopes
-        )
+        # X0 = Z0^-1 between the knots breakpoints -> zeta; Newton reads
+        # (Z0, N0) from one table pass.
+        z0_step = StackedCheb([[self._z0, self._n0]])
+        x0 = _inverse_table(lambda x, owner: tuple(z0_step(x[None])[:, 0]), xs, self.zeta,
+                            (n_left, n_right), min(self.inv_tol, 1e-13), None)
+        if x0.table is None:
+            raise TabulationError("X0 = Z0^-1 is not certified: %s" % (x0.certificate,))
+        self._x0 = x0.table
 
         self._bi = system.bi_structure
         if self._bi is not None:
@@ -298,13 +296,11 @@ class LagrangianSolution:
         outermost two, the core edges (``_core``).  One ``position`` pass over
         the shape of ``t``, not of the broadcast, gives the brackets:
 
-        * a scalar ``t`` takes every kink image (``_kink_images``) and runs
-          :func:`maps._invert_between_knots`: each target starts Newton from
-          the secant inside its own knot segment, and a target beyond the
-          core takes the exact affine inverse.  Knot images that do not
-          strictly increase (within an ulp of a time at which two of them
-          coincide, two distinct knots can share one position) leave only
-          the core edges as knots;
+        * a scalar ``t`` takes every kink image (``solution_kinks``),
+          merged by :func:`maps._sorted_knots` where two distinct knots share
+          one position, and runs :func:`maps._invert_between_knots`: each
+          target starts Newton from the secant inside its own knot segment,
+          and a target beyond the core takes the exact affine inverse;
         * an array ``t`` takes the two core edges of each element and runs
           :func:`maps.invert_increasing` over the whole core, since a knot
           pass costs ``families * len(zeta)`` points per time, more than the
@@ -320,9 +316,7 @@ class LagrangianSolution:
         if t.ndim == 0:
             shape, xb = x.shape, x.reshape(-1)
             time_of = lambda owner: t
-            zk, xk, increasing = _sorted_knots(*self._kink_images(t))
-            if not increasing:
-                zk, xk = zk[[0, -1]], xk[[0, -1]]
+            zk, xk = self.solution_kinks(t)  # family-major: core edges first and last
             gap = xk[-1] - xk[0]
         else:
             tb, xb = np.broadcast_arrays(t, x)
@@ -333,18 +327,21 @@ class LagrangianSolution:
             z_lo, z_hi, x_lo, x_hi = (np.broadcast_to(a, shape).reshape(-1)
                                       for a in (z_lo, z_hi, x_lo, x_hi))
             gap = x_hi - x_lo
-        if xb.size and gap.min() <= 0.0:
+        if xb.size == 0:
+            return np.empty(shape)
+        if gap.min() <= 0.0:
             k = int(np.argmin(np.broadcast_to(gap, xb.shape)))
             raise InversionError(
                 "Z(t=%.17g, x=%.17g): X(t,.) is not increasing across its core"
                 % (time_of(k), xb[k]),
                 owner=(float(time_of(k)), float(xb[k])),
             )
-        tol = np.maximum(self.inv_tol, 32.0 * np.finfo(float).eps * (np.abs(xb) + 1.0))
+        tol = _floored_tol(self.inv_tol, xb)
         step = self._newton_step(time_of)
         try:
             if t.ndim == 0:
-                z = _invert_between_knots(step, zk, xk, xb, self._tail_slopes, tol)
+                z = _invert_between_knots(step, *_sorted_knots(zk, xk), xb,
+                                          self._tail_slopes, tol)
             else:
                 z = invert_increasing(step, xb, z_lo, z_hi, x_lo, x_hi,
                                       *self._tail_slopes, tol)
@@ -370,42 +367,37 @@ class LagrangianSolution:
         """The solution at the fixed time ``t`` as a :class:`Snapshot`.
 
         ``Z(t, .)`` is tabulated once by ``maps._inverse_table`` between
-        the sorted, unique ``solution_kinks(t)``, the images of the
-        translated breakpoint images ``zeta_k + speed t``, with exactly
-        affine tails of slopes ``N`` at the tail states, and certified by
-        ``|X(t, Z_tab(x)) - x| <= inv_tol`` on check points of every
-        segment; an uncertified snapshot runs Newton
-        (:meth:`lagrangian_coordinate`).  Worth its build only where a time
-        is read many times: the L1 experiments and the space sides of a box.
+        the merged ``solution_kinks(t)``, the images of the translated
+        breakpoint images ``zeta_k + speed t``, with exactly affine tails of
+        slopes ``N`` at the tail states, and certified by
+        ``|X(t, Z_tab(x)) - x| <= inv_tol`` (floored per segment by its
+        rounding and its fit's error) on check points of every segment; an
+        uncertified snapshot runs Newton (:meth:`lagrangian_coordinate`).
+        Worth its build only where a time is read many times: the L1
+        experiments and the space sides of a box.
         """
         t = float(t)
         if t < 0:
             raise ValueError("t must be nonnegative")
         coordinate = _inverse_table(
-            self._newton_step(lambda owner: t), *self._kink_images(t),
-            self._tail_slopes, self.inv_tol,
-            lambda x: self.lagrangian_coordinate(t, x),
-        )
+            self._newton_step(lambda owner: t), *self.solution_kinks(t), self._tail_slopes,
+            self.inv_tol, lambda x: self.lagrangian_coordinate(t, x))
         return Snapshot(self, t, coordinate)
 
-    def _kink_images(self, t):
-        """``(zk, X(t, zk))`` for the kink images ``zk = zeta_k + speed t`` of
-        every family at a scalar ``t``: ``families * len(zeta)`` points,
-        unsorted, in one ``position`` call."""
-        zk = (self.zeta + self.system.family_speeds[:, None] * t).reshape(-1)
-        return zk, self.position(t, zk)
-
     def solution_kinks(self, t):
-        """Eulerian positions where some component loses smoothness at time t.
+        """``(zk, X(t, zk))``: the kink images and the Eulerian positions where
+        some component loses smoothness at time ``t``.
 
-        These are the images X(t, zeta_k + speed * t) of the breakpoint
-        images under each family's translation, from one ``position`` call;
-        shape ``t.shape + (families * len(zeta),)``, unsorted.
+        ``zk = zeta_k + speed t`` are the breakpoint images under each
+        family's translation, family-major and unsorted, so the core edges
+        come first and last; both arrays have shape
+        ``t.shape + (families * len(zeta),)``, from one ``position`` call.
         """
-        t = np.asarray(t, dtype=float)[..., None, None]
+        t = np.asarray(t, dtype=float)[..., None]
         speeds = self.system.family_speeds
-        kinks = self.position(t, self.zeta + speeds[:, None] * t)
-        return np.reshape(kinks, t.shape[:-2] + (speeds.size * self.zeta.size,))
+        zk = (self.zeta + speeds[:, None] * t[..., None]).reshape(
+            t.shape[:-1] + (speeds.size * self.zeta.size,))
+        return zk, self.position(t, zk)
 
     def support_interval(self, t, margin=1.0):
         """Interval outside which w(t, .) is exactly constant, with margin;
@@ -443,10 +435,8 @@ class LagrangianSolution:
                 n = self.system.density(w)
                 return np.column_stack([n, n[:, None] * w])
 
-            return integrate(
-                densities, A, B,
-                kinks=self.solution_kinks(t), tol=self.quad_tol,
-            )
+            return integrate(densities, A, B, kinks=self.solution_kinks(t)[1],
+                             tol=self.quad_tol)
 
         def time_integral(x_side):
             def fluxes(taus):

@@ -43,7 +43,7 @@ def pair_distance(sol1, sol2, times, *, _snaps1=None):
     ts = np.asarray(times, dtype=float)[moving]
     lo1, hi1 = sol1.support_interval(ts)
     lo2, hi2 = sol2.support_interval(ts)
-    kinks = np.column_stack([sol1.solution_kinks(ts), sol2.solution_kinks(ts)])
+    kinks = np.column_stack([sol1.solution_kinks(ts)[1], sol2.solution_kinks(ts)[1]])
     snaps1 = _snaps1 or [sol1.snapshot(t) for t in ts]
     snaps2 = [sol2.snapshot(t) for t in ts]
 

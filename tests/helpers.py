@@ -23,7 +23,7 @@ import numpy as np
 
 from numpy.polynomial import chebyshev as C
 
-from richwave import Family, PiecewiseProfile, RichSystem, integrate, l1_distance
+from richwave import Family, PiecewiseProfile, RichSystem, integrate, l1_distance, maps
 from richwave.asymptotics import (
     _SHAPE_QUAD_TOL,
     _bi_pieces,
@@ -161,11 +161,9 @@ def separable_two_speed_system():
     """Rich system with nonlinear separable reciprocal density.
 
     1/N = g1(w1) + g2(w2) with quadratic g_i bounded below by 0.2, and
-    M/N = -sum speed_i G_i(w_i) with G_i the primitives: every such pair is
-    linearly degenerate and rich by construction, and admissibility holds on
-    the whole state space, so large-amplitude data can defeat the shape
-    map's derivative floor without tripping the solver's admissibility
-    checks.
+    M/N = -sum speed_i g_i(w_i): then d(M/N) = -speed_i d(1/N) along each
+    component, so the pair is linearly degenerate and rich by construction,
+    and admissibility holds on the whole state space.
     """
     speeds = (-1.0, 1.0)
 
@@ -175,20 +173,11 @@ def separable_two_speed_system():
     def g2(v):
         return 0.2 + 0.1 * v * v
 
-    def big_g1(v):
-        return 0.2 * v + 0.5 * v**3 / 3.0
-
-    def big_g2(v):
-        return 0.2 * v + 0.1 * v**3 / 3.0
-
-    def inv_density(w):
-        return g1(w[..., 0]) + g2(w[..., 1])
-
     def density(w):
-        return 1.0 / inv_density(w)
+        return 1.0 / (g1(w[..., 0]) + g2(w[..., 1]))
 
     def flux(w):
-        u = -speeds[0] * big_g1(w[..., 0]) - speeds[1] * big_g2(w[..., 1])
+        u = -speeds[0] * g1(w[..., 0]) - speeds[1] * g2(w[..., 1])
         return u * density(w)
 
     def admissible(w):
@@ -265,8 +254,8 @@ def box_residuals_reference(sol, box):
     the same kinks.  Kept as the reference for the shared vector pass.
     """
     t1, t2, A, B = box
-    space1 = sol.solution_kinks(t1)
-    space2 = sol.solution_kinks(t2)
+    space1 = sol.solution_kinks(t1)[1]
+    space2 = sol.solution_kinks(t2)[1]
     time_a = sol._time_kinks(A, t1, t2)
     time_b = sol._time_kinks(B, t1, t2)
     density, flux = sol.system.density, sol.system.flux
@@ -432,7 +421,7 @@ def decay_curve_reference(sol, shape, times, margin=1.0):
             pred = prof.component(i, shape.inverse(np.asarray(xv) - speed * t))
             return sol.evaluate(t, xv)[..., i] - pred
 
-        kinks = list(sol.solution_kinks(t))
+        kinks = list(sol.solution_kinks(t)[1])
         kinks += [
             v + speed * t
             for v in np.asarray(shape.forward(prof.breakpoints), dtype=float)
@@ -465,7 +454,7 @@ def pair_distance_reference(sol1, sol2, t):
         lo1, hi1 = sol1.support_interval(t)
         lo2, hi2 = sol2.support_interval(t)
         lo, hi = min(lo1, lo2), max(hi1, hi2)
-        kinks = np.concatenate([sol1.solution_kinks(t), sol2.solution_kinks(t)])
+        kinks = np.concatenate([sol1.solution_kinks(t)[1], sol2.solution_kinks(t)[1]])
 
         def diff(xv, i=i):
             return sol1.evaluate(t, xv)[..., i] - sol2.evaluate(t, xv)[..., i]
@@ -709,3 +698,39 @@ def bi_shape_reference(sol, side):
         lambda xv: (mu_plus - lam_minus) / (mu0(xv) - lam0(xv)),
         comp, "abi-middle", 0.5 * (lam_minus + mu_plus),
     )
+
+
+def coincidence_times(sol):
+    """Rows ``(t-, t, t+)``: every t > 0 at which kink images
+    zeta_j + speed_f t of two families meet, in increasing order, with its
+    two neighbouring floats."""
+    speeds, zeta = sol.system.family_speeds, sol.zeta
+    ts = [(zeta[j] - zeta[k]) / (speeds[g] - speeds[f])
+          for f in range(speeds.size) for g in range(f + 1, speeds.size)
+          for j in range(zeta.size) for k in range(zeta.size)]
+    ts = np.unique([t for t in ts if t > 0.0])
+    return np.column_stack([np.nextafter(ts, 0.0), ts, np.nextafter(ts, np.inf)])
+
+
+def check_merged_knots(sol, t, x):
+    """The knot-bracket identities of ``Z(t, .)`` at a scalar ``t``.
+
+    The merged kink images strictly increase and keep both core edges; a
+    target on a knot's image inverts to that knot exactly; Newton meets its
+    tolerance on the knot images and on ``x``; the snapshot at ``t`` is
+    certified and inverts within ``inv_tol``.
+    """
+    zr, xr = sol.solution_kinks(t)
+    zk, xk = maps._sorted_knots(zr, xr)
+    assert np.all(np.diff(xk) > 0.0)
+    assert (zk[0], zk[-1]) == (zr[0], zr[-1])  # family-major: the core edges
+    x = np.concatenate([xk, x])
+    z = sol.lagrangian_coordinate(t, x)
+    eps = np.finfo(float).eps
+    tol = np.maximum(sol.inv_tol, 1024.0 * eps * (np.abs(x) + 1.0))
+    assert np.all(np.abs(sol.position(t, z) - x) <= tol)
+    assert np.array_equal(z[: xk.size - 1], zk[:-1])
+    snap = sol.snapshot(t)
+    assert not snap.certificate.fell_back
+    assert snap.certificate.segments == xk.size - 1
+    assert np.max(np.abs(sol.position(t, snap.coordinate(x)) - x)) <= sol.inv_tol

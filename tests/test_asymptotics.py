@@ -309,14 +309,20 @@ def test_build_shape_on_presets_makes_no_integrate_call(monkeypatch):
     assert calls == []
 
 
-def test_shape_floor_error_on_large_data():
+def test_shape_floor_error_guards_a_decreasing_map():
+    # on the linearly degenerate separable system large data keep a positive
+    # floor; a correction whose derivative goes negative reaches the guard
     sysm = separable_two_speed_system()
-    bad = solve(sysm, bump_profile_2(-4.0, 0.0))
-    with pytest.raises(ShapeFloorError):
-        build_shape(bad, 0)
-    good = solve(sysm, bump_profile_2(-0.5, 0.3))
-    shape = build_shape(good, 0)
-    assert shape.derivative_floor > 0.0
+    for amps in ((-0.5, 0.3), (-4.0, 0.0), (8.0, -8.0)):
+        sol = solve(sysm, bump_profile_2(*amps))
+        assert min(build_shape(sol, i).derivative_floor for i in (0, 1)) > 0.0
+
+    def deriv(xv):
+        return 1.0 - 2.0 * sysm.density(sol.initial(xv))
+
+    with pytest.raises(ShapeFloorError, match="component 0 is not invertible"):
+        asymptotics._shape_from_correction(
+            sol, lambda zx: -2.0 * zx, deriv, 0, "generic", 0.0)
 
 
 # -- the limit itself ---------------------------------------------------------

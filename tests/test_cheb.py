@@ -11,7 +11,7 @@ from helpers import (
     three_speed_system,
 )
 from richwave import (
-    asymptotics, augmented_born_infeld, born_infeld, cheb, solve, solver,
+    asymptotics, augmented_born_infeld, born_infeld, cheb, maps, solve, solver,
 )
 from richwave.cheb import _DEGREES, PiecewiseCheb, StackedCheb, fit_piecewise
 from richwave.config import load_config, preset_names
@@ -179,12 +179,12 @@ def _recorded_fits(monkeypatch, build):
     """(fitted table, f, breaks, kwargs) of every fit_piecewise call in build()."""
     fits = []
 
-    def recording(f, breaks, rtol=1e-13, **kw):
-        out = fit_piecewise(f, breaks, rtol, **kw)
-        fits.append((out, f, breaks, dict(kw, rtol=rtol)))
+    def recording(f, breaks, rtol=1e-13, tail_slopes=(0.0, 0.0)):
+        out = fit_piecewise(f, breaks, rtol, tail_slopes)
+        fits.append((out, f, breaks, dict(rtol=rtol, tail_slopes=tail_slopes)))
         return out
 
-    for module in (solver, asymptotics):
+    for module in (solver, maps, asymptotics):
         monkeypatch.setattr(module, "fit_piecewise", recording)
     build()
     monkeypatch.undo()
@@ -192,7 +192,7 @@ def _recorded_fits(monkeypatch, build):
 
 
 _FIT_CASES = {
-    # _n0, _x0 and the mu/lam integrand tables of p_mu and p_lam
+    # _n0, _x0 (an inverse table) and the mu/lam integrand tables of p_mu and p_lam
     "bi-two-ramp": (lambda: solve(born_infeld(1.0), bi_tworamp_profile()), 4),
     "abi-middle": (lambda: solve(augmented_born_infeld(1.0), abi_middle_profile()), 4),
     # _n0 and X0 of a three-speed system
@@ -230,7 +230,7 @@ def test_rung_batched_fit_matches_per_segment_reference(case, monkeypatch):
         assert len(out.coefs) == len(breaks) - 1
         for k, got in enumerate(out.coefs):
             assert same_bits(got, _fit_alone(f, breaks[k], breaks[k + 1], kw["rtol"])[0])
-        slopes = kw.get("tail_slopes", (0.0, 0.0))
+        slopes = kw["tail_slopes"]
         left, right = np.asarray(f(breaks[[0, -1]]), dtype=float)
         assert same_bits(out.left_tail, (left, slopes[0]))
         assert same_bits(out.right_tail, (right, slopes[1]))
@@ -265,8 +265,20 @@ def _rungs_used(f, breaks):
 
 
 def _x0_inversion():
-    sol = solve(born_infeld(1.0), bi_tworamp_profile())
-    return sol.z0_map.invert, sol.zeta
+    """The tight inverse of Z0 that a Born-Infeld solve fits X0 from."""
+    fits = []
+    real = maps.fit_piecewise
+
+    def recording(f, breaks, *args):
+        fits.append((f, breaks))
+        return real(f, breaks, *args)
+
+    maps.fit_piecewise = recording
+    try:
+        solve(born_infeld(1.0), bi_tworamp_profile())
+    finally:
+        maps.fit_piecewise = real
+    return fits[0]
 
 
 @pytest.mark.parametrize(

@@ -111,12 +111,30 @@ def test_inverse_table_is_certified_against_the_forward_map():
     assert np.max(np.abs(inv(y) - fmap.invert(y))) <= 2.0 * fmap.tol
 
 
-def test_inverse_table_with_decreasing_knot_images_runs_newton():
+def test_sorted_knots_merge_images_that_do_not_increase():
+    # a knot is kept only above every image before it; the outermost knot is
+    # always kept and replaces a predecessor with an equal image
+    xk, yk = maps._sorted_knots([2.0, 0.0, 1.0, 3.0, 0.0], [5.0, 1.0, 1.0, 5.0, 1.0])
+    assert xk.tolist() == [0.0, 3.0] and yk.tolist() == [1.0, 5.0]
+    xk, yk = maps._sorted_knots([0.0, 1.0, 2.0, 3.0], [0.0, 2.0, 1.0, 3.0])
+    assert xk.tolist() == [0.0, 1.0, 3.0] and yk.tolist() == [0.0, 2.0, 3.0]
+    with pytest.raises(InversionError, match="not increasing across its core"):
+        maps._sorted_knots([0.0, 1.0, 2.0], [4.0, 4.0, 4.0])
+    with pytest.raises(InversionError, match="not increasing across its core"):
+        maps._sorted_knots([0.0, 1.0], [1.0, 0.0])
+
+
+def test_inverse_table_merges_knot_images_that_do_not_increase():
+    # the images of 0 and 0.5 tie (as two distinct kink images can within an
+    # ulp of a coincidence time): 0.5 is merged away, the table is certified
     fmap = _cubic_map()
-    knots = np.array([-1.0, 0.0, 1.0])
-    images = fmap(knots)[[0, 2, 1]]
+    knots = np.array([-1.0, 0.0, 0.5, 1.0])
+    images = fmap(knots)
+    images[2] = images[1]
     inv = maps._inverse_table(fmap._step, knots, images, (2.0, 2.0), fmap.tol,
                               fmap.invert)
-    assert inv.table is None and inv.certificate.fell_back
+    assert not inv.certificate.fell_back and inv.certificate.segments == 2
+    assert inv.table.breaks.tolist() == fmap(np.array([-1.0, 0.0, 1.0])).tolist()
     y = np.linspace(-4.0, 4.0, 81)
-    assert inv(y).tolist() == fmap.invert(y).tolist()
+    assert np.max(np.abs(fmap(inv(y)) - y)) <= fmap.tol
+    assert np.max(np.abs(inv(y) - fmap.invert(y))) <= 2.0 * fmap.tol

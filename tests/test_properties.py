@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.internal.conjecture import providers
 from numpy.polynomial import chebyshev as C
 
-from helpers import three_speed_system
+from helpers import check_merged_knots, coincidence_times, three_speed_system
 from richwave import (
     PiecewiseProfile,
     abi_middle_shape,
@@ -150,6 +150,24 @@ def _check_born_infeld_identities(sol):
     cons, entropies = sol.box_residuals((0.2, 1.4, -1.5, 1.5))
     assert max(cons, *entropies) <= 1e-8
     _check_initial_values_and_far_tails(sol)
+
+
+@seed(20120425)
+@_EXAMPLES
+@given(
+    case=st.one_of(st.tuples(st.just("bi"), profiles(st.tuples(_MU, _LAM))),
+                   st.tuples(st.just("three"), profiles(st.tuples(_VALUE, _VALUE, _VALUE)))),
+    pick=st.integers(0, 1000),
+)
+def test_coincident_kink_images_keep_knot_brackets(case, pick):
+    # one time at which two families' kink images meet, and the floats
+    # either side: merged knots, exact knots, round trips, certified snapshot
+    kind, profile = case
+    sol = solve(born_infeld(1.0) if kind == "bi" else three_speed_system(), profile)
+    times = coincidence_times(sol)
+    for t in times[pick % len(times)]:
+        lo, hi = sol.support_interval(t)
+        check_merged_knots(sol, t, np.linspace(lo, hi, 17))
 
 
 @seed(20120418)

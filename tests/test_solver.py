@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -9,7 +10,11 @@ from helpers import (
     bi_tworamp_profile,
     bisect_full_cap,
     box_residuals_reference,
+    bump_profile_2,
+    check_merged_knots,
+    coincidence_times,
     position_quadrature_reference,
+    separable_two_speed_system,
     three_speed_profile,
     three_speed_system,
     time_kinks_reference,
@@ -20,11 +25,12 @@ from richwave import (
     InversionError,
     PiecewiseProfile,
     QuadratureError,
+    TabulationError,
     UnsupportedModelError,
     born_infeld,
     solve,
 )
-from richwave import cheb, maps, quadrature, solver, systems
+from richwave import cheb, cli, maps, quadrature, solver, systems
 from richwave.config import load_config, preset_names
 
 
@@ -83,12 +89,90 @@ def test_ramp_initial_coordinate_closed_form(ramp_sol):
     assert ramp_sol.initial_coordinate(-3.0) == pytest.approx(z_m1 - 2.0, abs=1e-12)
 
 
-def test_z0_map_matches_tabulated_inverse(ramp_sol):
-    ys = np.linspace(-2.0, 2.0, 41)
-    assert np.max(np.abs(ramp_sol.z0_map.invert(ys) - ramp_sol.initial_position(ys))) < 1e-10
-    # inversion round trip straight through the monotone map
+def test_x0_table_inverts_z0(ramp_sol):
+    # the core and both affine tails
+    ys = np.linspace(-4.0, 4.0, 81)
+    back = ramp_sol.initial_coordinate(ramp_sol.initial_position(ys))
+    assert np.max(np.abs(back - ys)) <= 1e-13
     y = float(ramp_sol.initial_coordinate(0.3))
-    assert ramp_sol.z0_map.invert(y) == pytest.approx(0.3, abs=1e-10)
+    assert ramp_sol.initial_position(y) == pytest.approx(0.3, abs=1e-13)
+
+
+def _preset_sol(name):
+    if name == "three-speed":
+        return solve(three_speed_system(), three_speed_profile())
+    cfg = load_config(name)
+    return solve(cfg.system, cfg.profile, quad_tol=cfg.quad_tol, inv_tol=cfg.inv_tol)
+
+
+@pytest.mark.parametrize("name", preset_names() + ["three-speed"])
+def test_x0_is_certified_against_z0(name, monkeypatch):
+    tables = []
+    real = solver._inverse_table
+
+    def recording(*args):
+        tables.append(real(*args))
+        return tables[-1]
+
+    monkeypatch.setattr(solver, "_inverse_table", recording)
+    sol = _preset_sol(name)
+    (x0,) = tables
+    assert not x0.certificate.fell_back
+    assert x0.certificate.residual <= min(sol.inv_tol, 1e-13)
+    assert x0.certificate.segments == sol.zeta.size - 1
+    assert sol._x0 is x0.table
+    assert _same_bits(x0.table.breaks, sol.zeta)
+    assert (x0.table.left_tail[1], x0.table.right_tail[1]) == sol._tail_slopes
+
+
+def test_uncertified_x0_raises_and_the_cli_reports_it(tmp_path, capsys, monkeypatch):
+    real = maps.fit_piecewise
+    monkeypatch.setattr(maps, "fit_piecewise", lambda *args: real(*args).shifted(1e-9))
+    with pytest.raises(TabulationError, match=r"X0 = Z0\^-1 is not certified"):
+        solve(born_infeld(1.0), bi_tworamp_profile())
+    out = tmp_path / "o"
+    assert cli.main(["solve", "--config", "bi-two-ramp", "--out", str(out)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    (failure,) = json.loads((out / "failures.json").read_text())["failures"]
+    assert failure.startswith("solve: TabulationError: X0 = Z0^-1 is not certified")
+
+
+@pytest.mark.parametrize("amps", [(12.0, 12.0), (-12.0, 12.0)])
+def test_large_bumps_of_the_separable_system_solve(amps):
+    # the X0 fit of these profiles failed its tail test on the noise of a
+    # Newton X0 stopped at 1e-13
+    sol = solve(separable_two_speed_system(), bump_profile_2(*amps))
+    zs = np.linspace(sol.zeta[0] - 1.0, sol.zeta[-1] + 1.0, 101)
+    assert np.max(np.abs(sol.initial_coordinate(sol.initial_position(zs)) - zs)) <= 1e-12
+    for t in (0.5, 2.0):
+        x = sol.position(t, zs)
+        assert np.all(np.diff(x) > 0.0)
+        assert np.max(np.abs(sol.lagrangian_coordinate(t, x) - zs)) <= 1e-9
+
+
+@pytest.mark.parametrize("name,shift,stretch", [
+    (name, shift, 1.0) for name in preset_names() for shift in (3.0, 30.0, 300.0)
+] + [(name, 0.0, 100.0) for name in preset_names()] + [
+    (name, shift, 1.0) for name in ("abi-middle", "bi-simple-wave") for shift in (1e3, -1e3)
+])
+def test_profiles_away_from_the_origin_solve(name, shift, stretch):
+    # Z0 reaches |shift| or the hundreds, where rounding and the fit's rtol
+    # of |x| exceed the fixed X0 tolerance 1e-13
+    cfg = load_config(name)
+    near = solve(cfg.system, cfg.profile, quad_tol=cfg.quad_tol, inv_tol=cfg.inv_tol)
+    moved = PiecewiseProfile(cfg.profile.breakpoints * stretch + shift, cfg.profile.values)
+    sol = solve(cfg.system, moved, quad_tol=cfg.quad_tol, inv_tol=cfg.inv_tol)
+    size = np.max(np.abs(sol.zeta)) + 1.0
+    zs = np.linspace(sol.zeta[0] - 1.0, sol.zeta[-1] + 1.0, 201)
+    assert np.max(np.abs(sol.initial_coordinate(sol.initial_position(zs)) - zs)) <= 1e-13 * size
+    # translated and stretched data evolve as the data near the origin
+    x = np.linspace(cfg.profile.breakpoints[0] - 1.0, cfg.profile.breakpoints[-1] + 1.0, 41)
+    for t in (0.5, 2.0):
+        want = near.evaluate(t, x)
+        assert np.max(np.abs(sol.evaluate(t * stretch, x * stretch + shift) - want)) <= 1e-8
+        snap = sol.snapshot(t * stretch)
+        assert not snap.certificate.fell_back
+        assert np.max(np.abs(snap.evaluate(x * stretch + shift) - want)) <= 1e-8
 
 
 def test_position_at_zero_time_is_initial_position(tworamp_sol):
@@ -452,6 +536,8 @@ def test_inversion_error_names_worst_point(tworamp_sol, monkeypatch):
         tworamp_sol.lagrangian_coordinate(2.0, np.array([0.0, -3.0, 1.0]))
     assert "not increasing" in str(info.value)
     assert "t=2, x=0" in str(info.value)
+    # with no target there is no point to name
+    assert tworamp_sol.lagrangian_coordinate(2.0, np.zeros(0)).shape == (0,)
     # a decreasing map: the steepest descent is the worst point
     monkeypatch.setattr(tworamp_sol, "position", lambda t, z: -np.asarray(t) * z)
     with pytest.raises(InversionError) as info:
@@ -492,9 +578,7 @@ def test_tail_points_need_one_position_call(tworamp_sol, three_sol, monkeypatch)
 def knot_sols(three_sol):
     out = {"three-speed": three_sol}
     for name in ("bi-two-ramp", "abi-middle"):
-        cfg = load_config(name)
-        out[name] = solve(cfg.system, cfg.profile, quad_tol=cfg.quad_tol,
-                          inv_tol=cfg.inv_tol)
+        out[name] = _preset_sol(name)
     return out
 
 
@@ -505,7 +589,7 @@ def _coincidence_time(sol):
         for j in range(len(zeta)):
             for k in range(len(zeta)):
                 t = (zeta[j] - zeta[k]) / (speeds[g] - speeds[f])
-                if t > 0 and np.unique(sol._kink_images(t)[0]).size < zeta.size * len(speeds):
+                if t > 0 and np.unique(sol.solution_kinks(t)[0]).size < zeta.size * len(speeds):
                     return t
     raise AssertionError("no coincidence time")
 
@@ -516,7 +600,7 @@ def test_scalar_time_inverts_between_kink_images(knot_sols, name):
     eps = np.finfo(float).eps
     rng = np.random.default_rng(17)
     for t in (0.0, _coincidence_time(sol), 2.5):
-        zk, xk = sol._kink_images(t)
+        zk, xk = sol.solution_kinks(t)
         order = np.argsort(zk)
         zk, xk = zk[order], xk[order]
         if t == 0.0:  # every family's images sit on the breakpoints' images
@@ -571,16 +655,41 @@ def test_array_time_keeps_the_core_bracket_of_each_time(knot_sols, monkeypatch):
         assert _same_bits(z, want.reshape(z.shape))
 
 
-def test_knot_images_that_do_not_increase_leave_the_core_bracket(knot_sols):
+def test_knot_images_that_do_not_increase_are_merged(knot_sols):
     # one ulp before abi-middle's images coincide at t = 0.5, two distinct
-    # kink images have the same position: the call keeps the core bracket
+    # kink images have the same position: one of them is merged away
     sol = knot_sols["abi-middle"]
     t = np.nextafter(0.5, 0.0)
-    assert not solver._sorted_knots(*sol._kink_images(t))[2]
-    x = np.linspace(-4.0, 4.0, 41)
-    got = sol.lagrangian_coordinate(t, x)
-    assert _same_bits(got, sol.lagrangian_coordinate(np.full(x.shape, t), x))
-    assert np.max(np.abs(sol.position(t, got) - x)) <= 1e-11
+    zr, xr = sol.solution_kinks(t)
+    zk, xk = maps._sorted_knots(zr, xr)
+    assert xk.size == np.unique(xr).size < np.unique(zr).size
+    check_merged_knots(sol, t, np.linspace(-4.0, 4.0, 41))
+
+
+@pytest.mark.parametrize("name", preset_names() + ["three-speed"])
+def test_coincident_kink_images_keep_knot_brackets(name):
+    # every time two families' kink images meet, and the floats either side
+    sol = _preset_sol(name)
+    rng = np.random.default_rng(23)
+    for t in coincidence_times(sol).ravel():
+        lo, hi = sol.support_interval(t)
+        check_merged_knots(sol, t, rng.uniform(lo, hi, 16))
+
+
+def test_one_kink_helper_keeps_the_bits_of_both_old_ones(knot_sols):
+    # the scalar-t knots of lagrangian_coordinate and the array-t kink rows
+    # of the L1 integrals, each as the helper it replaced computed it
+    for sol in knot_sols.values():
+        speeds = sol.system.family_speeds
+        for t in (0.0, 0.7, 3.0):
+            zk = (sol.zeta + speeds[:, None] * t).reshape(-1)
+            got = sol.solution_kinks(t)
+            assert _same_bits(got[0], zk) and _same_bits(got[1], sol.position(t, zk))
+        ts = np.array([0.0, 0.7, 3.0])
+        tt = ts[:, None, None]
+        want = np.reshape(sol.position(tt, sol.zeta + speeds[:, None] * tt), (3, -1))
+        assert _same_bits(sol.solution_kinks(ts)[1], want)
+        assert sol.solution_kinks(np.zeros(0))[1].shape == (0, speeds.size * sol.zeta.size)
 
 
 def test_empty_targets_give_empty_coordinates(tworamp_sol, three_sol):

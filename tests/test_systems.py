@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from helpers import random_abi_states, random_bi_states, three_speed_system
+from helpers import (
+    random_abi_states, random_bi_states, separable_two_speed_system, three_speed_system,
+)
 from richwave import (
     AdmissibilityError,
     Family,
@@ -158,4 +160,13 @@ def test_three_speed_demo_is_a_valid_catalog_entry():
     probes = rng.uniform(-0.5, 0.5, size=(400, 3))
     probes = probes[sysm.admissible(probes)]
     diag = validate_system(sysm, probes)
+    assert diag.passed, [c.detail for c in diag.failures()]
+
+
+def test_separable_fixture_is_linearly_degenerate():
+    # 7 x 7 states over [-1.5, 1.5]^2; the flux -sum s_i G_i of the primitives
+    # G_i failed the degeneracy check by 0.287
+    w1, w2 = np.meshgrid(np.linspace(-1.5, 1.5, 7), np.linspace(-1.5, 1.5, 7))
+    diag = validate_system(separable_two_speed_system(),
+                           np.column_stack([w1.ravel(), w2.ravel()]))
     assert diag.passed, [c.detail for c in diag.failures()]
