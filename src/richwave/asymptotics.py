@@ -20,7 +20,7 @@ import numpy as np
 from .cheb import fit_piecewise
 from .maps import MonotoneMap, _inverse_table
 from .quadrature import integrate, integrate_abs, integrate_many
-from .solver import UnsupportedModelError, _snapshot_states
+from .solver import _SUPPORT_MARGIN, UnsupportedModelError, _check_times, _snapshot_states
 
 # Constituent quadratures run well below the shape tabulation tolerance so
 # the tabulated maps see a smooth function, not quadrature jitter.
@@ -361,7 +361,7 @@ def abi_middle_shape(sol):
 # -- convergence measurements ------------------------------------------------------
 
 
-def decay_curve(sol, shapes, times, margin=1.0):
+def decay_curve(sol, shapes, times):
     """L1 distances of components ``shape.component`` from their predicted waves.
 
     Each prediction is the initial component composed with the inverse shape
@@ -369,26 +369,27 @@ def decay_curve(sol, shapes, times, margin=1.0):
     the interval outside which both solution and prediction are exactly at
     their shared tail values.  All ``(shape, time)`` pairs share one
     ``integrate_abs`` pass, which reads the solution from one snapshot per
-    time and each prediction from its shape's inverse; returns one
-    :class:`DecayReport` per shape.
+    time (kinks included) and each prediction from its shape's inverse;
+    returns one :class:`DecayReport` per shape, none without shapes.
     """
-    ts = np.array([float(t) for t in times])
-    if np.any(np.diff(ts) <= 0.0):
-        raise ValueError("times must be strictly increasing")
-    prof, nt = sol.initial, len(ts)
+    ts = _check_times(np.array([float(t) for t in times]))
+    if ts.size == 0 or np.any(np.diff(ts) <= 0.0):
+        raise ValueError("times must be non-empty and strictly increasing")
+    if not shapes:
+        return []
+    prof, nt, margin = sol.initial, len(ts), _SUPPORT_MARGIN
     comp = np.array([shape.component for shape in shapes])
     speed = np.array([[shape.limit_speed] for shape in shapes])
     ends = np.array([[shape.forward.f_lo, shape.forward.f_hi] for shape in shapes])
     fwd = np.array([shape.forward(prof.breakpoints) for shape in shapes])
-    lo1, hi1 = sol.support_interval(ts, margin=margin)
-    lo = np.minimum(lo1, ends[:, :1] + speed * ts - margin)
-    hi = np.maximum(hi1, ends[:, 1:] + speed * ts + margin)
+    snaps = [sol.snapshot(t) for t in ts]
+    xk = np.array([snap.kinks for snap in snaps])
+    lo = np.minimum(xk[:, 0] - margin, ends[:, :1] + speed * ts - margin)
+    hi = np.maximum(xk[:, -1] + margin, ends[:, 1:] + speed * ts + margin)
     kinks = np.column_stack([
-        np.tile(sol.solution_kinks(ts)[1], (len(shapes), 1)),
+        np.tile(xk, (len(shapes), 1)),
         (fwd[:, None, :] + (speed * ts)[:, :, None]).reshape(lo.size, -1),
     ])
-
-    snaps = [sol.snapshot(t) for t in ts]
 
     def diff(xv, owner):
         s, k = np.divmod(owner, nt)

@@ -54,11 +54,10 @@ def invert_increasing(f, y, lo, hi, f_lo, f_hi, left_slope, right_slope, tol):
     outside ``[f_lo_p, f_hi_p]`` take the exact affine inverse.  Core
     targets run Newton from the secant guess, safeguarded by the
     sign-enclosing bracket.  ``f(x, owner)`` gets the indices of the points
-    asked for as ``owner`` and returns ``(F, F')`` at ``x``; ``F'`` may be a
-    callable ``(x, owner)`` run only on the points still iterating, or None
-    to bisect the bracket instead.  A point
-    is done when ``|r| <= tol``, or when its bracket has collapsed to machine
-    width and ``|r| <= max(tol, 1024 eps (|y| + 1))``, the map's own noise.
+    asked for as ``owner`` and returns ``(F, F')`` at ``x``, with ``F'`` an
+    array, or None to bisect the bracket instead.  A point is done when
+    ``|r| <= tol``, or when its bracket has collapsed to machine width and
+    ``|r| <= max(tol, 1024 eps (|y| + 1))``, the map's own noise.
     ``y`` is 1-D; the other arguments broadcast against it.  Raises
     :class:`InversionError` whose ``owner`` is the worst point's index.
     """
@@ -93,7 +92,7 @@ def invert_increasing(f, y, lo, hi, f_lo, f_hi, left_slope, right_slope, tol):
             idx, x, r, y, lo, hi, r_lo, r_hi, tol, noise = (
                 a[keep] for a in (idx, x, r, y, lo, hi, r_lo, r_hi, tol, noise)
             )
-            d = np.asarray(d)[keep] if np.ndim(d) else d
+            d = None if d is None else d[keep]
         pos = r > 0.0
         hi = np.where(pos, np.minimum(hi, x), hi)
         lo = np.where(pos, lo, np.maximum(lo, x))
@@ -101,7 +100,6 @@ def invert_increasing(f, y, lo, hi, f_lo, f_hi, left_slope, right_slope, tol):
         if d is None:
             x = 0.5 * (lo + hi)
             continue
-        d = np.asarray(d(x, idx) if callable(d) else d, dtype=float)
         step = np.where(d > 0.0, r / np.where(d > 0.0, d, 1.0), np.nan)
         cand = x - step
         bad = ~np.isfinite(cand) | (cand <= lo) | (cand >= hi)
@@ -120,7 +118,8 @@ class MonotoneMap:
 
     ``forward`` is a vectorized callable trusted on the core interval;
     outside it the map continues as ``F(edge) + slope * (x - edge)``.
-    ``deriv``, when given, accelerates inversion with Newton steps.
+    ``deriv``, when given, is read with ``forward`` at every inversion step
+    and accelerates inversion with Newton steps; without it the steps bisect.
     Instances are immutable; inversion solves ``|F(x) - y| <= tol``.
     """
 
@@ -135,7 +134,7 @@ class MonotoneMap:
         self.right_slope = float(right_slope)
         if self.left_slope <= 0.0 or self.right_slope <= 0.0:
             raise ValueError("tail slopes must be positive")
-        self._slope = None if deriv is None else (lambda x, owner: deriv(x))
+        self._deriv = deriv
         self.tol = float(tol)
         self.f_lo = float(np.asarray(forward(np.array([self.x_lo])))[0])
         self.f_hi = float(np.asarray(forward(np.array([self.x_hi])))[0])
@@ -179,7 +178,7 @@ class MonotoneMap:
 
     def _step(self, x, owner):
         """``(F, F')`` on the core, as :func:`invert_increasing` takes it."""
-        return self._forward(x), self._slope
+        return self._forward(x), None if self._deriv is None else self._deriv(x)
 
 
 def _sorted_knots(xk, yk):

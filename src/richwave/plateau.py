@@ -11,6 +11,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# verify_pattern's samples per domain and their inset, a fraction of its width.
+_SAMPLES, _INSET = 7, 1e-3
+
 
 class NotDecomposedError(RuntimeError):
     """Queried before the decomposition time: domains are not yet ordered."""
@@ -31,24 +34,11 @@ class WavePattern:
     def family_count(self):
         return len(self.solution.system.families)
 
-    def boundary(self, family, side, t):
-        """Eulerian position of the family boundary characteristic at time t.
-
-        In Lagrangian coordinates the curve from (0, +/-L) is the straight
-        line Z0(+/-L) + speed * t; it is mapped back through X(t, .).
-        """
-        z0 = self.z_edges[1] if side == "+" else self.z_edges[0]
-        speed = self.solution.system.families[family].speed
-        t = np.asarray(t, dtype=float)
-        return self.solution.position(t, z0 + speed * t)
-
     def boundaries(self, t):
         """Arrays (minus, plus) of all family boundary positions at time t,
         from one ``position`` call."""
-        t = np.asarray(t, dtype=float)
         z = np.array(self.z_edges)[:, None] + self.solution.system.family_speeds * t
-        minus, plus = np.asarray(self.solution.position(t, z), dtype=float)
-        return minus, plus
+        return tuple(self.solution.position(t, z))
 
     def classify(self, t, x):
         """Domain label at (t, x) for t past the settling time.
@@ -143,8 +133,7 @@ class PlateauReport:
         return all(c.passed for c in self.checks)
 
 
-def verify_pattern(solution, pattern, t, t2=None, samples=7,
-                   plateau_tol=1e-9, shift_tol=1e-8, inset=1e-3):
+def verify_pattern(solution, pattern, t, t2=None, plateau_tol=1e-9, shift_tol=1e-8):
     """Check the decomposition at time t (and shift invariance against t2).
 
     (a) Sampled states on every constant domain match the predicted
@@ -167,7 +156,7 @@ def verify_pattern(solution, pattern, t, t2=None, samples=7,
         spans.append(("D%d" % (s + p + 1), plus[p], minus[p + 1]))
     spans.append(("D%d" % (2 * s), plus[-1], plus[-1] + 2.0))
     spans += [("D%d" % (p + 1), minus[p], plus[p]) for p in range(s)]
-    xs = np.array([np.linspace(lo + inset * (hi - lo), hi - inset * (hi - lo), samples)
+    xs = np.array([np.linspace(lo + _INSET * (hi - lo), hi - _INSET * (hi - lo), _SAMPLES)
                    for _, lo, hi in spans])
     # Frozen speed of wave domain p: eigenvalue of family p at the mixed
     # state with slower families on their right tails; family p's own slots

@@ -36,10 +36,20 @@ from .systems import AdmissibilityError
 # pass (a box's kink search asks for ~1000 points at once) at no cost in
 # calls per point.
 _POINTS_PER_PASS = 128
+_SUPPORT_MARGIN = 1.0  # how far a support interval reaches past the core edges
 
 
 class UnsupportedModelError(TypeError):
     """The requested closed form needs a Born-Infeld-like system."""
+
+
+def _check_times(t):
+    """The float array ``t``; ValueError if a time in it is negative or not
+    finite.  One time compares as a plain float, cheaper than a numpy op."""
+    lo, hi = (t.item(),) * 2 if t.size == 1 else (t.min(initial=0.0), t.max(initial=0.0))
+    if not 0.0 <= lo <= hi < np.inf:
+        raise ValueError("t must be finite and nonnegative")
+    return t
 
 
 def check_profile_admissible(system, profile):
@@ -193,10 +203,8 @@ class LagrangianSolution:
         exactly.  A :class:`QuadratureError` names the failing point's
         (t, z) and its tau interval.
         """
-        t = np.asarray(t, dtype=float)
+        t = _check_times(np.asarray(t, dtype=float))
         z = np.asarray(z, dtype=float)
-        if np.any(t < 0):
-            raise ValueError("t must be nonnegative")
         tb, zb = np.broadcast_arrays(t, z)
         tf = tb.reshape(-1)
         zf = zb.reshape(-1)
@@ -258,10 +266,11 @@ class LagrangianSolution:
         """X(t, z); closed form when the system supports it, else quadrature.
 
         Strictly increasing in z with dX/dz = 1/N at the translated state.
+        Raises ValueError for a negative or non-finite time.
         """
         if self._bi is None:
             return self.position_quadrature(t, z)
-        t, z = np.asarray(t, dtype=float), np.asarray(z, dtype=float)
+        t, z = _check_times(np.asarray(t, dtype=float)), np.asarray(z, dtype=float)
         x = self._closed_form_pass(self._stacked, t, z)[0]
         return float(x) if x.ndim == 0 else x
 
@@ -274,14 +283,13 @@ class LagrangianSolution:
     def _newton_step(self, time_of):
         """``f(z, owner) = (X(t, z), dX/dz)`` at ``t = time_of(owner)``, as
         :func:`maps.invert_increasing` takes it: one table pass on
-        Born-Infeld-like systems, else ``1/N`` only where Newton runs."""
+        Born-Infeld-like systems, else ``X`` and ``1/N(w(t, z))``."""
         if self._bi is not None:
             return lambda zs, owner: self._position_and_slope(time_of(owner), zs)
 
-        def slope(zs, owner):
-            return 1.0 / self.system.density(self.state_lagrangian(time_of(owner), zs))
-
-        return lambda zs, owner: (self.position(time_of(owner), zs), slope)
+        density = self.system.density
+        return lambda zs, owner: (self.position(time_of(owner), zs),
+                                  1.0 / density(self.state_lagrangian(time_of(owner), zs)))
 
     def _core(self, t):
         """``(z_lo, z_hi)``: outside it every component is in a tail state."""
@@ -309,10 +317,8 @@ class LagrangianSolution:
         Newton's slope is ``dX/dz = 1/N(w(t, z))``.  An
         :class:`InversionError` names the worst point's (t, x).
         """
-        t = np.asarray(t, dtype=float)
+        t = _check_times(np.asarray(t, dtype=float))
         x = np.asarray(x, dtype=float)
-        if (t < 0).any():
-            raise ValueError("t must be nonnegative")
         if t.ndim == 0:
             shape, xb = x.shape, x.reshape(-1)
             time_of = lambda owner: t
@@ -329,7 +335,7 @@ class LagrangianSolution:
             gap = x_hi - x_lo
         if xb.size == 0:
             return np.empty(shape)
-        if gap.min() <= 0.0:
+        if not gap.min() > 0.0:  # NaN too: then no knot merge can raise
             k = int(np.argmin(np.broadcast_to(gap, xb.shape)))
             raise InversionError(
                 "Z(t=%.17g, x=%.17g): X(t,.) is not increasing across its core"
@@ -373,16 +379,15 @@ class LagrangianSolution:
         ``|X(t, Z_tab(x)) - x| <= inv_tol`` (floored per segment by its
         rounding and its fit's error) on check points of every segment; an
         uncertified snapshot runs Newton (:meth:`lagrangian_coordinate`).
-        Worth its build only where a time is read many times: the L1
-        experiments and the space sides of a box.
+        It keeps the kinks' positions.  Worth its build only where a time is
+        read many times: the L1 experiments and the space sides of a box.
         """
-        t = float(t)
-        if t < 0:
-            raise ValueError("t must be nonnegative")
+        t = float(_check_times(np.asarray(t, dtype=float)))
+        zk, xk = self.solution_kinks(t)
         coordinate = _inverse_table(
-            self._newton_step(lambda owner: t), *self.solution_kinks(t), self._tail_slopes,
+            self._newton_step(lambda owner: t), zk, xk, self._tail_slopes,
             self.inv_tol, lambda x: self.lagrangian_coordinate(t, x))
-        return Snapshot(self, t, coordinate)
+        return Snapshot(self, t, coordinate, xk)
 
     def solution_kinks(self, t):
         """``(zk, X(t, zk))``: the kink images and the Eulerian positions where
@@ -399,7 +404,7 @@ class LagrangianSolution:
             t.shape[:-1] + (speeds.size * self.zeta.size,))
         return zk, self.position(t, zk)
 
-    def support_interval(self, t, margin=1.0):
+    def support_interval(self, t, margin=_SUPPORT_MARGIN):
         """Interval outside which w(t, .) is exactly constant, with margin;
         both edges from one ``position`` call (arrays for array ``t``)."""
         t = np.asarray(t, dtype=float)
@@ -435,8 +440,7 @@ class LagrangianSolution:
                 n = self.system.density(w)
                 return np.column_stack([n, n[:, None] * w])
 
-            return integrate(densities, A, B, kinks=self.solution_kinks(t)[1],
-                             tol=self.quad_tol)
+            return integrate(densities, A, B, kinks=snap.kinks, tol=self.quad_tol)
 
         def time_integral(x_side):
             def fluxes(taus):
@@ -481,12 +485,14 @@ class Snapshot:
 
     ``coordinate`` is ``Z(t, .)`` as a certified ``maps.InverseTable``;
     ``certificate`` reports its worst residual, segment count, maximum
-    degree and whether it fell back to Newton.
+    degree and whether it fell back to Newton.  ``kinks`` are the positions
+    of ``solution_kinks(t)``, the core edges first and last.
     """
 
     solution: LagrangianSolution
     t: float
     coordinate: InverseTable
+    kinks: np.ndarray
 
     @property
     def certificate(self):

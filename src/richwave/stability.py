@@ -12,8 +12,10 @@ import numpy as np
 
 from .profiles import add_bump, l1_distance
 from .quadrature import integrate_abs
-from .solver import _snapshot_states, solve
+from .solver import _SUPPORT_MARGIN, _check_times, _snapshot_states, solve
 from .systems import AdmissibilityError
+
+_MAP_POINTS = 2001  # per grid of coordinate_map_bounds
 
 
 class ScenarioError(ValueError):
@@ -27,37 +29,40 @@ def pair_distance(sol1, sol2, times, *, _snaps1=None):
     the distance is by definition the exact piecewise-linear profile
     distance.  All ``(t > 0, component)`` owners share one
     :func:`integrate_abs` pass, which reads both solutions from their
-    snapshots at each time ``t > 0``; ``stability_sweep`` passes its base
-    solution's, built once for every amplitude, as ``_snaps1``.
+    snapshots at each time ``t > 0``, kinks included; ``stability_sweep``
+    passes its base solution's, built once for every amplitude, as ``_snaps1``.
     """
     p, q = sol1.initial, sol2.initial
     if p.n != q.n:
         raise ValueError("solutions have different component counts")
+    times = _check_times(np.asarray(times, dtype=float))
     initial = [l1_distance(p, q, i) for i in range(p.n)]
     if all(d == 0.0 for d in initial):
         # identical initial data: by uniqueness the solutions coincide
         return [(0.0, tuple(initial)) for _ in times]
     comps = np.nonzero((p.values[0] == q.values[0]) & (p.values[-1] == q.values[-1]))[0]
     nc = len(comps)
-    moving = np.asarray(times, dtype=float) > 0.0
-    ts = np.asarray(times, dtype=float)[moving]
-    lo1, hi1 = sol1.support_interval(ts)
-    lo2, hi2 = sol2.support_interval(ts)
-    kinks = np.column_stack([sol1.solution_kinks(ts)[1], sol2.solution_kinks(ts)[1]])
-    snaps1 = _snaps1 or [sol1.snapshot(t) for t in ts]
-    snaps2 = [sol2.snapshot(t) for t in ts]
-
-    def diff(xv, owner):  # owner k * nc + c: time ts[k], component comps[c]
-        k = owner // nc
-        w = _snapshot_states(snaps1, k, xv) - _snapshot_states(snaps2, k, xv)
-        return w[np.arange(len(xv)), comps[owner % nc]]
-
+    moving = times > 0.0
+    ts = times[moving]
     per = np.full((len(moving), p.n), math.inf)
     per[np.ix_(~moving, comps)] = np.array(initial)[comps]
-    per[np.ix_(moving, comps)] = integrate_abs(
-        diff, np.repeat(np.minimum(lo1, lo2), nc), np.repeat(np.maximum(hi1, hi2), nc),
-        np.repeat(kinks, nc, axis=0), tol=min(sol1.quad_tol, sol2.quad_tol),
-    ).reshape(len(ts), nc)
+    if ts.size:
+        snaps1 = _snaps1 or [sol1.snapshot(t) for t in ts]
+        snaps2 = [sol2.snapshot(t) for t in ts]
+        xk1, xk2 = (np.array([s.kinks for s in snaps]) for snaps in (snaps1, snaps2))
+        lo = np.minimum(xk1[:, 0], xk2[:, 0]) - _SUPPORT_MARGIN
+        hi = np.maximum(xk1[:, -1], xk2[:, -1]) + _SUPPORT_MARGIN
+
+        def diff(xv, owner):  # owner k * nc + c: time ts[k], component comps[c]
+            k = owner // nc
+            w = _snapshot_states(snaps1, k, xv) - _snapshot_states(snaps2, k, xv)
+            return w[np.arange(len(xv)), comps[owner % nc]]
+
+        per[np.ix_(moving, comps)] = integrate_abs(
+            diff, np.repeat(lo, nc), np.repeat(hi, nc),
+            np.repeat(np.column_stack([xk1, xk2]), nc, axis=0),
+            tol=min(sol1.quad_tol, sol2.quad_tol),
+        ).reshape(len(ts), nc)
     return [(sum(row), tuple(row)) for row in per.tolist()]
 
 
@@ -77,7 +82,7 @@ class MapBounds:
         return (self.sup_z / self.r0, self.sup_x / self.r0, self.sup_roundtrip / self.r0)
 
 
-def coordinate_map_bounds(sol1, sol2, points=2001):
+def coordinate_map_bounds(sol1, sol2):
     """Measured constants of the coordinate-map stability bounds.
 
     Sups are taken over dense grids covering both cores with margin; outside
@@ -88,10 +93,10 @@ def coordinate_map_bounds(sol1, sol2, points=2001):
     r0 = sum(l1_distance(p, q, i) for i in range(p.n))
     lo = min(p.breakpoints[0], q.breakpoints[0]) - 1.0
     hi = max(p.breakpoints[-1], q.breakpoints[-1]) + 1.0
-    xs = np.linspace(lo, hi, points)
+    xs = np.linspace(lo, hi, _MAP_POINTS)
     z_lo = min(sol1.zeta[0], sol2.zeta[0]) - 1.0
     z_hi = max(sol1.zeta[-1], sol2.zeta[-1]) + 1.0
-    zs = np.linspace(z_lo, z_hi, points)
+    zs = np.linspace(z_lo, z_hi, _MAP_POINTS)
     sup_z = float(
         np.max(np.abs(sol2.initial_coordinate(xs) - sol1.initial_coordinate(xs)))
     )

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+_DEGENERACY_TOL, _IDENTITY_TOL = 1e-12, 1e-14  # validate_system's relative bounds
+
 
 class AdmissibilityError(ValueError):
     """State outside the admissible domain of the system."""
@@ -183,15 +185,13 @@ class SystemDiagnostics:
         return [c for c in self.checks if not c.passed]
 
 
-def validate_system(system, probes, degeneracy_tol=1e-12, identity_tol=1e-14):
+def validate_system(system, probes):
     """Sample-based diagnostics of the structural invariants.
 
     Failures are recorded in the report, never raised.  Inadmissible probes
     are reported and excluded from the remaining checks.
     """
     probes = np.asarray(probes, dtype=float)
-    if probes.ndim == 1:
-        probes = probes[None, :]
     probes = probes.reshape(-1, probes.shape[-1])
     if probes.shape[1] != system.n:
         raise ValueError("probe states must have %d components" % system.n)
@@ -263,7 +263,7 @@ def validate_system(system, probes, degeneracy_tol=1e-12, identity_tol=1e-14):
     checks.append(
         CheckResult(
             "linear-degeneracy",
-            worst_rel < degeneracy_tol,
+            worst_rel < _DEGENERACY_TOL,
             worst_rel,
             "max relative eigenvalue change under own-family perturbation = %.3e"
             % worst_rel,
@@ -280,7 +280,7 @@ def validate_system(system, probes, degeneracy_tol=1e-12, identity_tol=1e-14):
     checks.append(
         CheckResult(
             "lagrangian-identity",
-            worst_res <= identity_tol,
+            worst_res <= _IDENTITY_TOL,
             worst_res,
             "max relative residual of N*lambda_i - speed_i - M = %.3e" % worst_res,
         )

@@ -8,6 +8,7 @@ from helpers import (
     bi_simple_wave_profile,
     bi_tworamp_profile,
     bi_with_passenger,
+    boundary_reference,
     rk4_crossing_time,
     three_speed_profile,
     three_speed_system,
@@ -50,19 +51,16 @@ def test_extreme_boundaries_are_straight_lines(bi):
     lam_minus = bi.eigenvalue(0, sol.initial.left_tail)
     mu_plus = bi.eigenvalue(1, sol.initial.right_tail)
     for t in (0.5, 3.0, 10.0):
-        assert pattern.boundary(0, "-", t) == pytest.approx(
-            lam_minus * t - L, abs=1e-10
-        )
-        assert pattern.boundary(1, "+", t) == pytest.approx(
-            mu_plus * t + L, abs=1e-10
-        )
+        minus, plus = pattern.boundaries(t)
+        assert minus[0] == pytest.approx(lam_minus * t - L, abs=1e-10)
+        assert plus[1] == pytest.approx(mu_plus * t + L, abs=1e-10)
 
 
 def test_symmetric_constant_slow_boundary(bi):
     sol = solve(bi, unit_density_profile())
     pattern = wave_pattern(sol)
     for t in (0.0, 1.0, 4.0):
-        assert pattern.boundary(0, "-", t) == pytest.approx(-t - 1.0, abs=1e-12)
+        assert pattern.boundaries(t)[0][0] == pytest.approx(-t - 1.0, abs=1e-12)
 
 
 def test_crossing_times_unit_density(bi, abi):
@@ -260,7 +258,8 @@ def test_batched_verify_matches_per_domain_reference(case, factor):
     pattern = wave_pattern(sol)
     t = factor * pattern.settling_time
     s = pattern.family_count
-    per_family = [[pattern.boundary(p, side, t) for p in range(s)] for side in "-+"]
+    per_family = [[boundary_reference(pattern, p, side, t) for p in range(s)]
+                  for side in "-+"]
     assert np.array_equal(np.array(pattern.boundaries(t)).view(np.int64),
                           np.array(per_family).view(np.int64))
     got = verify_pattern(sol, pattern, t).checks

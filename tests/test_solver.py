@@ -13,6 +13,7 @@ from helpers import (
     bump_profile_2,
     check_merged_knots,
     coincidence_times,
+    count_position_points,
     position_quadrature_reference,
     separable_two_speed_system,
     three_speed_profile,
@@ -546,26 +547,21 @@ def test_inversion_error_names_worst_point(tworamp_sol, monkeypatch):
         )
     assert "not increasing" in str(info.value)
     assert "t=2, x=-3" in str(info.value)
-
-
-def _count_position_points(sol, monkeypatch):
-    """The point count of every ``sol.position`` call from now on."""
-    calls = []
-    real = sol.position
-
-    def counting(t, z):
-        calls.append(np.size(z))
-        return real(t, z)
-
-    monkeypatch.setattr(sol, "position", counting)
-    return calls
+    # a map that reads NaN has no core either: the point is named before
+    # the knot merge, whose own error names none
+    monkeypatch.setattr(tworamp_sol, "position", lambda t, z: np.full(np.shape(z), np.nan))
+    for t in (2.0, np.array([2.0])):
+        with pytest.raises(InversionError) as info:
+            tworamp_sol.lagrangian_coordinate(t, np.array([0.3]))
+        assert "not increasing" in str(info.value)
+        assert info.value.owner == (2.0, 0.3)
 
 
 def test_tail_points_need_one_position_call(tworamp_sol, three_sol, monkeypatch):
     # X(t, .) is exactly affine outside its core, so targets beyond both core
     # edges are settled by the one batched call at the edges
     for sol in (tworamp_sol, three_sol):
-        calls = _count_position_points(sol, monkeypatch)
+        calls = count_position_points(sol, monkeypatch)
         t = np.array([0.0, 0.7, 3.0, 3.0])
         x = np.array([-40.0, 55.0, -1e3, 2e3])
         z = sol.lagrangian_coordinate(t, x)
@@ -625,7 +621,7 @@ def test_scalar_time_makes_one_kink_image_position_pass(knot_sols, monkeypatch):
     # one position pass over every family's kink images, whatever the batch;
     # Born-Infeld Newton steps read the stacked tables, not position
     for name, sol in knot_sols.items():
-        calls = _count_position_points(sol, monkeypatch)
+        calls = count_position_points(sol, monkeypatch)
         sol.lagrangian_coordinate(1.3, np.linspace(-6.0, 6.0, 200))
         monkeypatch.undo()
         knots = sol.system.family_speeds.size * sol.zeta.size
@@ -640,7 +636,7 @@ def test_array_time_keeps_the_core_bracket_of_each_time(knot_sols, monkeypatch):
     x = np.array([[-9.0, -2.0, -0.3, 0.4, 1.5, 6.0]])
     eps = np.finfo(float).eps
     for sol in knot_sols.values():
-        calls = _count_position_points(sol, monkeypatch)
+        calls = count_position_points(sol, monkeypatch)
         z = sol.lagrangian_coordinate(t, x)
         monkeypatch.undo()
         assert calls[0] == 2 * t.size  # both core edges per time, not per point
