@@ -1,8 +1,8 @@
 """Strictly increasing maps with exact affine tails and their one inversion.
 
 :func:`invert_increasing` serves every inverse of the package: ``Z(t, .)``,
-whose map gives value and slope together (one table pass per step on
-Born-Infeld), and every tabulated inverse.  Where the knots of a map are
+whose map gives value and slope together (one table pass per step), and
+every tabulated inverse.  Where the knots of a map are
 known (the kink images of ``Z(t, .)`` at one time, the breakpoints of
 ``Z0`` and of a shape), :func:`_invert_between_knots` starts each target's
 Newton inside its own knot segment, where the map is smooth.  Every inverse

@@ -3,26 +3,32 @@
 The initial coordinate Z0(x) = int_0^x N(w0) and its inverse X0 are
 tabulated once per solution, X0 as a table certified against Z0
 (``maps._inverse_table``); every family then translates at its constant
-Lagrangian speed, and the Eulerian position map X(t, .) is recovered either
-by a time quadrature of M/N (any system; all points of a call share one
-adaptive pass) or, for Born-Infeld-like systems, by the closed form built
-from running primitives of the two extreme invariants.  Solution values at
-(t, x) follow by inverting X(t, .) with the safeguarded Newton of
-``maps.invert_increasing``.  At a fixed t, X(t, .) is smooth between the
-kink images zeta_k + speed * t of every family (merged where two of them
-share one position), and exactly affine with slope 1/N at the tail states
-outside the outermost two, the core [zeta_0 + min speed * t,
+Lagrangian speed s_f.  Distinct speeds and d_t tau = d_z u make tau = 1/N
+separable over families, so the Eulerian position map is, on every system,
+X(t, z) = x_0 + tau_L (z - zeta_0) + t u_L + sum_f D_f(z - s_f t): D_f is
+the primitive, zero on the left, of family f's share d_f of tau, and one
+``StackedCheb`` of ``[D_f, d_f]`` rows, fitted once per solution, gives X
+and Newton's slope dX/dz = 1/N in one pass.  Born-Infeld-like systems are
+separable by structure; any other solution certifies its tables against
+the time quadrature of M/N (``position_quadrature``) at construction.
+Solution values at (t, x) follow by inverting X(t, .) with the safeguarded
+Newton of ``maps.invert_increasing``.  At a fixed t, X(t, .) is smooth
+between the kink images zeta_k + speed * t of every family (merged where two
+of them share one position), and exactly affine with slope 1/N at the tail
+states outside the outermost two, the core [zeta_0 + min speed * t,
 zeta_K + max speed * t], where no Newton step is needed.  A scalar t
 brackets each target by its own kink segment, from one position pass over
 the kink images; an array t (a box time side, a few points per time)
-brackets by the two core edges of each time.  On Born-Infeld-like systems
-one table pass gives X and Newton's slope 1/N.  Callers that read one time
+brackets by the two core edges of each time.  Callers that read one time
 many times take a :class:`Snapshot`, which holds Z(t, .) as a certified
 Chebyshev table between the same kink images; ``evaluate`` always runs
-Newton.
+Newton.  The closed form of Born-Infeld-like systems
+(``position_closed_form``) and the time quadrature stay as independent
+oracles.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -33,9 +39,10 @@ from .quadrature import QuadratureError, integrate, integrate_many, refine_sign_
 from .systems import AdmissibilityError
 
 # Points per shared position-quadrature pass: bounds the panel arrays of one
-# pass (a box's kink search asks for ~1000 points at once) at no cost in
-# calls per point.
+# pass at no cost in calls per point.
 _POINTS_PER_PASS = 128
+# The per-family tables' certified gap to position_quadrature (criterion 3's bound).
+_SEPARABLE_TOL = 1e-9
 _SUPPORT_MARGIN = 1.0  # how far a support interval reaches past the core edges
 
 
@@ -125,6 +132,12 @@ class LagrangianSolution:
         n_right = self._n0.right_tail[0]
         self._tail_slopes = (1.0 / n_left, 1.0 / n_right)
         self._speed_range = (system.family_speeds[0], system.family_speeds[-1])
+        # Up to this time every family's kink images zeta + s t strictly
+        # increase: images below M = max|zeta| + max|s| t round by at most
+        # eps M / 2 each, and M < min gap / (2 eps) keeps them apart.
+        s_max = np.abs(system.family_speeds).max()
+        m_max = np.diff(self.zeta).min() / (2.0 * np.finfo(float).eps)
+        self._exact_time = (m_max - np.abs(self.zeta).max()) / s_max if s_max else np.inf
         # X0 = Z0^-1 between the knots breakpoints -> zeta; Newton reads
         # (Z0, N0) from one table pass.
         z0_step = StackedCheb([[self._z0, self._n0]])
@@ -134,16 +147,53 @@ class LagrangianSolution:
             raise TabulationError("X0 = Z0^-1 is not certified: %s" % (x0.certificate,))
         self._x0 = x0.table
 
-        self._bi = system.bi_structure
-        if self._bi is not None:
-            comp = profile.component
-            mu, lam = (fit_piecewise(lambda z, i=i: comp(i, self._x0(z)), self.zeta)
-                       for i in (self._bi.mu, self._bi.lam))
-            self._p_mu = mu.antiderivative(anchor=0.0, value=0.0)
-            self._p_lam = lam.antiderivative(anchor=0.0, value=0.0)
-            # Rows read at z + a t and z - a t; column 1 is each primitive's slope.
-            self._stacked = StackedCheb([[self._p_mu], [self._p_lam]])
-            self._stacked_slope = StackedCheb([[self._p_mu, mu], [self._p_lam, lam]])
+        # Distinct constant Lagrangian speeds and d_t tau = d_z u make
+        # tau = 1/N separable over families: tau(w) = tau_L + sum_f d_f with
+        # d_f(u) = tau(w_L with family f's components from w0(X0(u))) - tau_L,
+        # so X(t, z) = x_0 + tau_L (z - zeta_0) + t u_L + sum_f D_f(z - s_f t)
+        # with D_f the antiderivative of d_f, zero on the left.  Each tau_f is
+        # fitted itself and shifted by tau_L: on a zero d_f scale, rounding
+        # blips would set the fit's degree.  A family with an exactly zero
+        # table (a passive component of tau) is dropped.
+        w_left = profile.left_tail
+        tau_left = 1.0 / float(system.density(w_left))
+        self._left = (float(xs[0]), float(self.zeta[0]), tau_left,
+                      float(system.flux(w_left)) * tau_left)
+        rows, speeds = [], []
+        for family in system.families:
+            own = np.isin(np.arange(system.n), family.components)
+            d = fit_piecewise(lambda u, own=own: 1.0 / system.density(
+                np.where(own, profile(self._x0(u)), w_left)), self.zeta).shifted(-tau_left)
+            if any(c.any() for c in d.coefs) or d.left_tail[0] or d.right_tail[0]:
+                rows.append([d.antiderivative(), d])
+                speeds.append(family.speed)
+        # a solution with no varying family keeps one zero row
+        self._tables = StackedCheb(rows or [[d.antiderivative(), d]])
+        self._table_speeds = np.array(speeds or [family.speed])
+        if system.bi_structure is None:
+            self._certify_tables()
+
+    def _certify_tables(self):
+        """ValueError unless the tables meet ``position_quadrature`` within
+        ``_SEPARABLE_TOL`` at the kink images of a time at which the families
+        overlap and of one after they have separated.
+
+        Born-Infeld-like systems are separable by structure; for any other
+        the identities the tables rest on (``tau`` separable over families,
+        ``u = u_L - sum_f s_f d_f``) are a property of the system this
+        certifies on the data at hand.
+        """
+        speeds = self.system.family_speeds
+        t_apart = (self.zeta[-1] - self.zeta[0]) / np.diff(speeds).min(initial=np.inf)
+        t = np.array([[0.5 * t_apart], [2.0 * t_apart]])
+        zk, xk = self.solution_kinks(t[:, 0])
+        gap = np.abs(xk - self.position_quadrature(t, zk))
+        k = np.unravel_index(np.argmax(gap), gap.shape)
+        if not gap[k] <= _SEPARABLE_TOL:
+            raise ValueError(
+                "X(t=%.17g, z=%.17g): the per-family tables miss the time "
+                "quadrature by %.3e; %s is not separable over its families"
+                % (t[k[0], 0], zk[k], gap[k], self.system.name))
 
     def _check_mixed_states(self, profile):
         """Raise unless every state translation can mix is admissible, N > 0.
@@ -203,7 +253,7 @@ class LagrangianSolution:
         exactly.  A :class:`QuadratureError` names the failing point's
         (t, z) and its tau interval.
         """
-        t = _check_times(np.asarray(t, dtype=float))
+        t = self._check_kink_times(np.asarray(t, dtype=float))
         z = np.asarray(z, dtype=float)
         tb, zb = np.broadcast_arrays(t, z)
         tf = tb.reshape(-1)
@@ -243,53 +293,69 @@ class LagrangianSolution:
         speeds = speeds[speeds != 0.0]
         return ((z[:, None, None] - self.zeta) / speeds[:, None]).reshape(len(z), -1)
 
+    def _primitive(self, i):
+        """Running primitive of w0_i(X0(z)), anchored at z = 0."""
+        f = fit_piecewise(lambda z: self.initial.component(i, self._x0(z)), self.zeta)
+        return f.antiderivative(anchor=0.0, value=0.0)
+
+    @cached_property
+    def _p_mu(self):
+        return self._primitive(self.system.bi_structure.mu)
+
+    @cached_property
+    def _p_lam(self):
+        return self._primitive(self.system.bi_structure.lam)
+
     def position_closed_form(self, t, z):
         """X(t, z) for Born-Infeld-like systems from the two running primitives."""
-        if self._bi is None:
+        st = self.system.bi_structure
+        if st is None:
             raise UnsupportedModelError(
                 "%s lacks the Born-Infeld structure needed for the closed form"
                 % self.system.name
             )
-        a = self._bi.a
         t = np.asarray(t, dtype=float)
         z = np.asarray(z, dtype=float)
-        return (self._p_mu(z + a * t) - self._p_lam(z - a * t)) / (2.0 * a)
-
-    def _closed_form_pass(self, table, t, z):
-        """The closed form of each column of a stacked table, one pass."""
-        a = self._bi.a
-        u = np.stack([z + a * t, z - a * t])
-        v = table(u.reshape(2, -1))
-        return ((v[:, 0] - v[:, 1]) / (2.0 * a)).reshape(v.shape[:1] + u.shape[1:])
+        return (self._p_mu(z + st.a * t) - self._p_lam(z - st.a * t)) / (2.0 * st.a)
 
     def position(self, t, z):
-        """X(t, z); closed form when the system supports it, else quadrature.
+        """X(t, z) from one pass over the per-family tables.
 
         Strictly increasing in z with dX/dz = 1/N at the translated state.
-        Raises ValueError for a negative or non-finite time.
+        Raises ValueError for a negative or non-finite time, or one at which
+        the kink images stop strictly increasing (``_check_kink_times``).
         """
-        if self._bi is None:
-            return self.position_quadrature(t, z)
-        t, z = _check_times(np.asarray(t, dtype=float)), np.asarray(z, dtype=float)
-        x = self._closed_form_pass(self._stacked, t, z)[0]
+        t = self._check_kink_times(np.asarray(t, dtype=float))
+        x = self._position_and_slope(t, np.asarray(z, dtype=float))[0]
         return float(x) if x.ndim == 0 else x
 
     def _position_and_slope(self, t, z):
-        """``(X(t, z), dX/dz)`` for 1-D ``t``, ``z`` on Born-Infeld-like
-        systems: one table pass, ``dX/dz = (mu - lam) / 2a`` from the
-        primitives' integrands."""
-        return tuple(self._closed_form_pass(self._stacked_slope, t, z))
+        """``(X(t, z), dX/dz)`` for broadcastable arrays ``t``, ``z``: one
+        pass over the rows ``[D_f, d_f]`` at ``z - s_f t``, with
+        ``dX/dz = tau_L + sum_f d_f = 1/N`` at the translated state."""
+        x_0, zeta_0, tau_left, u_left = self._left
+        u = z - self._table_speeds.reshape((-1,) + (1,) * max(np.ndim(t), np.ndim(z))) * t
+        v = self._tables(u.reshape(len(u), -1)).sum(axis=1).reshape((2,) + u.shape[1:])
+        return x_0 + tau_left * (z - zeta_0) + t * u_left + v[0], tau_left + v[1]
 
     def _newton_step(self, time_of):
         """``f(z, owner) = (X(t, z), dX/dz)`` at ``t = time_of(owner)``, as
-        :func:`maps.invert_increasing` takes it: one table pass on
-        Born-Infeld-like systems, else ``X`` and ``1/N(w(t, z))``."""
-        if self._bi is not None:
-            return lambda zs, owner: self._position_and_slope(time_of(owner), zs)
+        :func:`maps.invert_increasing` takes it: one table pass."""
+        return lambda zs, owner: self._position_and_slope(time_of(owner), zs)
 
-        density = self.system.density
-        return lambda zs, owner: (self.position(time_of(owner), zs),
-                                  1.0 / density(self.state_lagrangian(time_of(owner), zs)))
+    def _check_kink_times(self, t):
+        """``t`` under the time rule (``_check_times``); ValueError naming
+        the largest time once some family's kink images ``zeta + s t`` no
+        longer strictly increase, where ``z - s t`` has lost the digits of
+        ``z`` that X(t, .) depends on."""
+        t = _check_times(t)
+        t_max = t.item() if t.size == 1 else t.max(initial=0.0)
+        if t_max > self._exact_time:
+            images = self.zeta + self.system.family_speeds[:, None] * t_max
+            if not (images[:, 1:] > images[:, :-1]).all():
+                raise ValueError("t=%.17g: the kink images zeta + speed t no longer "
+                                 "strictly increase" % t_max)
+        return t
 
     def _core(self, t):
         """``(z_lo, z_hi)``: outside it every component is in a tail state."""
@@ -297,7 +363,7 @@ class LagrangianSolution:
         return self.zeta[0] + lo * t, self.zeta[-1] + hi * t
 
     def lagrangian_coordinate(self, t, x):
-        """Z(t, x) = X(t, .)^{-1}(x) by safeguarded Newton.
+        """Z(t, x) = X(t, .)^{-1}(x) by safeguarded Newton, on every system.
 
         ``X(t, .)`` is smooth between the kink images ``zeta_k + speed t`` and
         exactly affine, with slopes ``1/N`` at the tail states, beyond the
@@ -314,10 +380,12 @@ class LagrangianSolution:
           pass costs ``families * len(zeta)`` points per time, more than the
           Newton steps it saves on the few points per time of a box side.
 
-        Newton's slope is ``dX/dz = 1/N(w(t, z))``.  An
+        Each Newton step is one pass over the per-family tables
+        (``_position_and_slope``), which gives ``X`` and its slope
+        ``dX/dz = 1/N`` together.  Times follow ``_check_kink_times``.  An
         :class:`InversionError` names the worst point's (t, x).
         """
-        t = _check_times(np.asarray(t, dtype=float))
+        t = self._check_kink_times(np.asarray(t, dtype=float))
         x = np.asarray(x, dtype=float)
         if t.ndim == 0:
             shape, xb = x.shape, x.reshape(-1)
@@ -382,7 +450,7 @@ class LagrangianSolution:
         It keeps the kinks' positions.  Worth its build only where a time is
         read many times: the L1 experiments and the space sides of a box.
         """
-        t = float(_check_times(np.asarray(t, dtype=float)))
+        t = float(self._check_kink_times(np.asarray(t, dtype=float)))
         zk, xk = self.solution_kinks(t)
         coordinate = _inverse_table(
             self._newton_step(lambda owner: t), zk, xk, self._tail_slopes,

@@ -30,8 +30,9 @@ class Family:
 class BIStructure:
     """Marker for Born-Infeld-like systems: N = 2a/(w_mu - w_lam), M/N = (w_mu + w_lam)/2.
 
-    Enables the closed-form coordinate map; ``mu``/``lam`` are the component
-    indices of the extreme-family invariants.
+    Enables the closed-form coordinate map (an oracle of the position map),
+    the translated-gap check and the model shapes; ``mu``/``lam`` are the
+    component indices of the extreme-family invariants.
     """
 
     a: float

@@ -191,19 +191,24 @@ def _recorded_fits(monkeypatch, build):
     return fits
 
 
+def _with_closed_form(sol):
+    return sol._p_mu, sol._p_lam
+
+
 _FIT_CASES = {
-    # _n0, _x0 (an inverse table) and the mu/lam integrand tables of p_mu and p_lam
-    "bi-two-ramp": (lambda: solve(born_infeld(1.0), bi_tworamp_profile()), 4),
-    "abi-middle": (lambda: solve(augmented_born_infeld(1.0), abi_middle_profile()), 4),
-    # _n0 and X0 of a three-speed system
-    "three-speed": (lambda: solve(three_speed_system(), three_speed_profile()), 2),
+    # _n0, _x0 (an inverse table), one tau table per family, and the mu/lam
+    # integrand tables of the closed form's p_mu and p_lam
+    "bi-two-ramp": (lambda: _with_closed_form(solve(born_infeld(1.0), bi_tworamp_profile())),
+                    4 + 2),
+    "abi-middle": (lambda: solve(augmented_born_infeld(1.0), abi_middle_profile()), 5),
+    "three-speed": (lambda: solve(three_speed_system(), three_speed_profile()), 5),
     # the generic shape corrections: a moving and a zero-speed family
     "shape-moving": (
         lambda: asymptotics.build_shape(
             solve(born_infeld(1.0), bi_tworamp_profile()), 0), 4 + 1),
     "shape-zero-speed": (
         lambda: asymptotics.build_shape(
-            solve(augmented_born_infeld(1.0), abi_middle_profile()), 1), 4 + 1),
+            solve(augmented_born_infeld(1.0), abi_middle_profile()), 1), 5 + 1),
 }
 
 
@@ -343,11 +348,12 @@ def test_tail_floor_keeps_every_preset_table(name, monkeypatch):
     def tables():
         cfg = load_config(name)
         sol = solve(cfg.system, cfg.profile, quad_tol=cfg.quad_tol, inv_tol=cfg.inv_tol)
-        out = [sol._n0, sol._z0, sol._x0]
-        if sol._bi is not None:
-            out += [sol._p_mu, sol._p_lam]
+        out = [sol._n0, sol._z0, sol._x0, sol._p_mu, sol._p_lam]
         out += [sol.snapshot(t).coordinate.table for t in (0.5, 2.0, 8.0)]
-        return [_table_bits(table) for table in out]
+        # the per-family tables, as their stack's coefficients and tails
+        stack = sol._tables
+        return [_table_bits(table) for table in out] + [
+            stack._table.view(np.int64).tolist(), [np.asarray(t).tolist() for t in stack._tails]]
 
     floored = tables()
     monkeypatch.setattr(cheb, "_TAIL_FLOOR", 0.0)

@@ -1,11 +1,11 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from helpers import (
-    abi_middle_profile,
     bi_simple_wave_profile,
     bi_tworamp_profile,
     bisect_full_cap,
@@ -22,7 +22,6 @@ from helpers import (
 )
 from richwave import (
     AdmissibilityError,
-    augmented_born_infeld,
     InversionError,
     PiecewiseProfile,
     QuadratureError,
@@ -284,38 +283,41 @@ def _same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
-@pytest.mark.parametrize("which", ["bi-two-ramp", "abi-middle"])
-def test_stacked_pass_is_closed_form_with_density_slope(which, tworamp_sol):
-    sol = tworamp_sol if which == "bi-two-ramp" else solve(
-        augmented_born_infeld(1.0), abi_middle_profile()
-    )
+@pytest.mark.parametrize("which", ["bi-two-ramp", "abi-middle", "three-speed"])
+def test_stacked_pass_is_closed_form_with_density_slope(which, knot_sols):
+    sol = knot_sols[which]
     rng = np.random.default_rng(21)
     t = np.repeat([0.0, 0.4, 3.0, 25.0], 60)
-    # core points and points past both core edges, where both primitives
-    # or only one of them run on their affine tails
+    # core points and points past both core edges, where some or all
+    # family tables run on their affine tails
     z_lo, z_hi = sol._core(t)
     z = rng.uniform(z_lo - 30.0, z_hi + 30.0)
     z[::7] = z_lo[::7]
     z[3::7] = z_hi[3::7]
     assert (z < z_lo).any() and (z > z_hi).any() and ((z > z_lo) & (z < z_hi)).any()
-    want = sol.position_closed_form(t, z)
-    assert _same_bits(sol.position(t, z), want)
-    assert _same_bits(sol.position(t.reshape(12, 20), z.reshape(12, 20)),
-                      want.reshape(12, 20))
+    x = sol.position(t, z)
+    if sol.system.bi_structure is not None:
+        assert np.max(np.abs(x - sol.position_closed_form(t, z))) <= 1e-13
+    else:
+        assert np.max(np.abs(x - sol.position_quadrature(t, z))) <= 1e-9
+    assert _same_bits(sol.position(t.reshape(12, 20), z.reshape(12, 20)), x.reshape(12, 20))
     got = sol.position(float(t[5]), float(z[5]))
-    assert type(got) is float and _same_bits(got, want[5])
+    assert type(got) is float and _same_bits(got, x[5])
     assert sol.position(np.zeros((3, 0)), np.zeros((3, 0))).shape == (3, 0)
-    x, slope = sol._position_and_slope(t, z)
-    assert _same_bits(x, want)
+    x_step, slope = sol._position_and_slope(t, z)
+    assert _same_bits(x_step, x)
     density = 1.0 / sol.system.density(sol.state_lagrangian(t, z))
     assert np.max(np.abs(slope / density - 1.0)) <= 1e-13
 
 
-def test_born_infeld_newton_step_is_one_table_pass(tworamp_sol, monkeypatch):
-    passes, tables, densities, steps = [], [], [], []
+@pytest.mark.parametrize("which", ["bi-two-ramp", "abi-middle", "three-speed"])
+def test_newton_step_is_one_table_pass(which, knot_sols, monkeypatch):
+    sol = knot_sols[which]
+    passes, tables, densities, states, steps = [], [], [], [], []
     for owner, name, log in ((cheb.StackedCheb, "__call__", passes),
                              (cheb.PiecewiseCheb, "__call__", tables),
-                             (systems.RichSystem, "density", densities)):
+                             (systems.RichSystem, "density", densities),
+                             (solver.LagrangianSolution, "state_lagrangian", states)):
         real = getattr(owner, name)
 
         def counting(self, *args, real=real, log=log):
@@ -328,21 +330,21 @@ def test_born_infeld_newton_step_is_one_table_pass(tworamp_sol, monkeypatch):
 
     def spying(f, *args):
         def step(zs, owner):
-            before = len(passes), len(tables), len(densities)
+            before = len(passes), len(tables), len(densities), len(states)
             out = f(zs, owner)
             steps.append((len(passes) - before[0], len(tables) - before[1],
-                          len(densities) - before[2]))
+                          len(densities) - before[2], len(states) - before[3]))
             return out
 
         return real_invert(step, *args)
 
     monkeypatch.setattr(maps, "invert_increasing", spying)
     x = np.linspace(-4.0, 4.0, 33)
-    z = tworamp_sol.lagrangian_coordinate(2.5, x)
+    z = sol.lagrangian_coordinate(2.5, x)
     monkeypatch.undo()
     assert len(steps) >= 3
-    assert set(steps) == {(1, 0, 0)}
-    assert np.max(np.abs(tworamp_sol.position(2.5, z) - x)) <= 1e-11
+    assert set(steps) == {(1, 0, 0, 0)}
+    assert np.max(np.abs(sol.position(2.5, z) - x)) <= 1e-11
 
 
 def test_generic_position_matches_closed_form_on_grid(tworamp_sol):
@@ -619,16 +621,12 @@ def test_scalar_time_inverts_between_kink_images(knot_sols, name):
 
 def test_scalar_time_makes_one_kink_image_position_pass(knot_sols, monkeypatch):
     # one position pass over every family's kink images, whatever the batch;
-    # Born-Infeld Newton steps read the stacked tables, not position
-    for name, sol in knot_sols.items():
+    # Newton steps read the per-family tables, not position
+    for sol in knot_sols.values():
         calls = count_position_points(sol, monkeypatch)
         sol.lagrangian_coordinate(1.3, np.linspace(-6.0, 6.0, 200))
         monkeypatch.undo()
-        knots = sol.system.family_speeds.size * sol.zeta.size
-        if name == "three-speed":
-            assert calls[0] == knots
-        else:
-            assert calls == [knots]
+        assert calls == [sol.system.family_speeds.size * sol.zeta.size]
 
 
 def test_array_time_keeps_the_core_bracket_of_each_time(knot_sols, monkeypatch):
@@ -744,7 +742,8 @@ def test_shared_position_pass_matches_per_point_reference(three_sol):
     assert np.max(np.abs(got - want)) <= 1e-13
     zero = ts == 0.0
     assert np.array_equal(got[zero], three_sol.initial_position(zs[zero]))
-    assert np.array_equal(three_sol.position(ts, zs), got)
+    # the per-family tables meet the quadrature within criterion 3's bound
+    assert np.max(np.abs(three_sol.position(ts, zs) - got)) <= 1e-9
 
 
 def test_position_quadrature_shapes(three_sol):
@@ -825,3 +824,74 @@ def test_negative_time_rejected(tworamp_sol):
         tworamp_sol.evaluate(-0.5, 0.0)
     with pytest.raises(ValueError):
         tworamp_sol.position_quadrature(-1.0, 0.0)
+
+
+def _non_degenerate_two_speed_system():
+    # the separable fixture with M/N = -sum speed_i G_i, G_i the primitives
+    # of its g_i: 1/N is separable, but u = u_L - sum_f s_f d_f fails
+    speeds = (-1.0, 1.0)
+
+    def density(w):
+        return 1.0 / (0.4 + 0.5 * w[..., 0] ** 2 + 0.1 * w[..., 1] ** 2)
+
+    def flux(w):
+        g1 = 0.2 * w[..., 0] + 0.5 * w[..., 0] ** 3 / 3.0
+        g2 = 0.2 * w[..., 1] + 0.1 * w[..., 1] ** 3 / 3.0
+        return (-speeds[0] * g1 - speeds[1] * g2) * density(w)
+
+    return systems.RichSystem(
+        "non-degenerate-two-speed",
+        (systems.Family(speeds[0], (0,)), systems.Family(speeds[1], (1,))),
+        density, flux, lambda w: np.full(np.asarray(w).shape[:-1], True),
+    )
+
+
+def test_tables_are_certified_against_the_quadrature(monkeypatch):
+    # a system the tables do not describe is refused at solve, naming the
+    # worst kink image; the linearly degenerate fixture solves
+    with pytest.raises(ValueError, match=r"X\(t=.*, z=.*\): the per-family tables miss") as info:
+        solve(_non_degenerate_two_speed_system(), bump_profile_2(-0.5, 0.3))
+    assert "non-degenerate-two-speed is not separable" in str(info.value)
+    sol = solve(separable_two_speed_system(), bump_profile_2(-0.5, 0.3))
+    for t in (0.5, 3.0):
+        zk, xk = sol.solution_kinks(t)
+        assert np.max(np.abs(xk - sol.position_quadrature(t, zk))) <= solver._SEPARABLE_TOL
+    # the certificate reads both times in one quadrature call, on the kink
+    # images; a Born-Infeld-like system needs none
+    calls = []
+    real = solver.LagrangianSolution.position_quadrature
+
+    def counting(self, t, z):
+        calls.append(np.broadcast(t, z).shape)
+        return real(self, t, z)
+
+    monkeypatch.setattr(solver.LagrangianSolution, "position_quadrature", counting)
+    sol = solve(three_speed_system(), three_speed_profile())
+    assert calls == [(2, sol.system.family_speeds.size * sol.zeta.size)]
+    calls.clear()
+    solve(born_infeld(1.0), bi_tworamp_profile())
+    assert calls == []
+
+
+@pytest.mark.parametrize("t", [1e300, 1e308])
+def test_huge_times_raise_before_newton(tworamp_sol, three_sol, monkeypatch, t):
+    # z - speed t keeps no digit of z: the time rule names t at once
+    for sol in (tworamp_sol, three_sol):
+        calls = count_position_points(sol, monkeypatch)
+        for call in (lambda: sol.evaluate(t, 0.3), lambda: sol.snapshot(t),
+                     lambda: sol.position(t, 0.3), lambda: sol.evaluate(np.array([1.0, t]), 0.3)):
+            with pytest.raises(ValueError, match=re.escape("t=%.17g: the kink images" % t)):
+                call()
+        monkeypatch.undo()
+        assert calls == [1]  # the direct call; evaluate and snapshot make none
+
+
+def test_large_finite_times_still_invert(tworamp_sol, three_sol):
+    for sol in (tworamp_sol, three_sol):
+        t = 1e6
+        zk, xk = sol.solution_kinks(t)
+        x = np.linspace(xk.min() - 1.0, xk.max() + 1.0, 41)
+        z = sol.lagrangian_coordinate(t, x)
+        tol = np.maximum(sol.inv_tol, 1024.0 * np.finfo(float).eps * (np.abs(x) + 1.0))
+        assert np.all(np.abs(sol.position(t, z) - x) <= tol)
+        assert sol.evaluate(t, x).shape == (41, sol.system.n)
