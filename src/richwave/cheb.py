@@ -6,8 +6,16 @@ interpolant per segment plus linear tails represents them to near machine
 accuracy with cheap vectorized evaluation.  One evaluator serves every
 table: :class:`StackedCheb` evaluates rows of tables on shared breaks, such
 as a primitive and its integrand, in one pass, and a :class:`PiecewiseCheb`
-call is a stack of one table on one row.
+call is a stack of one table on one row.  A call runs on numpy arrays, or,
+when it has at most ``_SCALAR_COLUMNS`` (point, table) pairs, on Python
+floats: on a few points numpy's fixed cost per operation, not the
+arithmetic, sets the time.  Both paths make the same IEEE operations in
+the same order, so a value has the same bits whichever path or batch
+computes it.
 """
+
+import functools
+from bisect import bisect_right
 
 import numpy as np
 from numpy.polynomial import chebyshev as _C
@@ -19,6 +27,12 @@ _DEGREES = (16, 32, 64, 128, 256)
 _TAIL_FLOOR = 1e-3
 # Points per StackedCheb recurrence: bounds the gathered coefficient block.
 _STACK_CHUNK = 4096
+# A StackedCheb call of at most this many (point, table) columns runs on
+# Python floats: below it numpy's per-operation cost on tiny arrays exceeds
+# the arithmetic.  Both paths cost more with the table depth, so the paths
+# cross at 40-56 columns for table depths 2 to 32 (measured on one- and
+# two-table stacks of 8 segments).
+_SCALAR_COLUMNS = 48
 
 
 class TabulationError(RuntimeError):
@@ -122,6 +136,13 @@ class StackedCheb:
     could flip the sign of an exact-zero result).  A call masks both affine
     tails, makes one ``searchsorted`` on the interior breaks, then one column
     gather and one recurrence per chunk of points.
+
+    A call of at most ``_SCALAR_COLUMNS`` (point, table) pairs runs the same
+    steps on Python floats, point by point (``_call_floats``): a tail value
+    ``v + s * (x - edge)``, the segment by ``bisect_right`` on the interior
+    breaks, and the recurrence on the column's own coefficients.  At 1 to 16
+    points it costs a fraction of the numpy path, whose dozens of array
+    operations per call each cost microseconds on tiny arrays.
     """
 
     def __init__(self, rows):
@@ -140,9 +161,58 @@ class StackedCheb:
         self._tails = [tuple(np.transpose([[getattr(t, s) for t in r] for r in rows]))
                        for s in ("left_tail", "right_tail")]
 
+    @functools.cached_property
+    def _floats(self):
+        """The small-call path's data as Python floats, built on first use.
+
+        Each column of ``_table`` drops its trailing +0.0 padding, keeping
+        at least two coefficients and one +0.0 above a -0.0 top, so the
+        recurrence takes the bits of the padded one; it is stored top first
+        as ``(c[-1], c[-2], (c[-3], ..., c[0]))``.
+        """
+        cols = []
+        for col in self._table.T:
+            nonzero = np.flatnonzero(col.view(np.int64))  # entries other than +0.0
+            n = int(nonzero[-1]) + 1 if nonzero.size else 0
+            if n and col[n - 1] == 0.0:  # a -0.0 top keeps one pad
+                n += 1
+            c = col[: max(2, n)].tolist()[::-1]
+            cols.append((c[0], c[1], tuple(c[2:])))
+        b = self.breaks
+        return (float(b[0]), float(b[-1]), b[1:-1].tolist(), self._sums.tolist(),
+                self._widths.tolist(), cols, [(v.tolist(), s.tolist()) for v, s in self._tails])
+
+    def _call_floats(self, x):
+        """``__call__`` on Python floats, point by point: the numpy path's
+        IEEE operations in its order, so every value keeps its bits."""
+        b0, b1, inner, sums, widths, cols, (left, right) = self._floats
+        rows, nseg = len(x), self._nseg
+        tables = range(len(self._offsets))
+        out = [[] for _ in tables]
+        for q, xq in enumerate(x.tolist()):
+            for xv in xq:
+                if xv < b0 or xv > b1:
+                    (v, s), edge = (left, b0) if xv < b0 else (right, b1)
+                    for j in tables:
+                        out[j].append(v[j][q] + s[j][q] * (xv - edge))
+                    continue
+                # bisect_right is searchsorted(side="right"); NaN takes the
+                # last segment in both
+                k = bisect_right(inner, xv)
+                tt = (2.0 * xv - sums[k]) / widths[k]
+                x2 = 2.0 * tt
+                for j in tables:
+                    c1, c0, rest = cols[(j * rows + q) * nseg + k]
+                    for ck in rest:
+                        c0, c1 = ck - c1, c0 + c1 * x2
+                    out[j].append(c0 + c1 * tt)
+        return np.array(out).reshape((len(out),) + x.shape)
+
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         rows, m = x.shape
+        if x.size * len(self._offsets) <= _SCALAR_COLUMNS:
+            return self._call_floats(x)
         xf = x.reshape(-1)
         out = np.empty((len(self._offsets), xf.size))
         b = self.breaks

@@ -73,17 +73,23 @@ def invert_increasing(f, y, lo, hi, f_lo, f_hi, left_slope, right_slope, tol):
     idx = np.nonzero(~(below | above))[0]
     if idx.size == 0:
         return out
-    y, lo, hi, f_lo, f_hi, tol = (a[idx] for a in (y, lo, hi, f_lo, f_hi, tol))
-    x = np.clip(lo + (y - f_lo) * (hi - lo) / (f_hi - f_lo), lo, hi)
+    if idx.size < y.size:
+        y, lo, hi, f_lo, f_hi, tol = (a[idx] for a in (y, lo, hi, f_lo, f_hi, tol))
+    # np.minimum/np.maximum: np.clip costs twice as much on small calls
+    x = np.minimum(np.maximum(lo + (y - f_lo) * (hi - lo) / (f_hi - f_lo), lo), hi)
     r_lo, r_hi = f_lo - y, f_hi - y  # residuals at the bracket ends
     eps = np.finfo(float).eps
     noise = np.maximum(tol, 1024.0 * eps * (np.abs(y) + 1.0))
     for _ in range(MAX_INVERT_ITERS):
         v, d = f(x, idx)
         r = np.asarray(v, dtype=float) - y
-        done = np.abs(r) <= tol
+        abs_r = np.abs(r)
+        done = abs_r <= tol
+        if done.all():  # the usual last step: no collapse test
+            out[idx] = x
+            return out
         collapsed = (hi - lo) <= 4.0 * eps * np.maximum(1.0, np.abs(x))
-        done |= collapsed & (np.abs(r) <= noise)
+        done |= collapsed & (abs_r <= noise)
         if done.any():
             out[idx[done]] = x[done]
             if done.all():
@@ -93,17 +99,21 @@ def invert_increasing(f, y, lo, hi, f_lo, f_hi, left_slope, right_slope, tol):
                 a[keep] for a in (idx, x, r, y, lo, hi, r_lo, r_hi, tol, noise)
             )
             d = None if d is None else d[keep]
+        # x lies in [lo, hi]: it starts clipped there, and every later x is
+        # strictly inside the bracket or its midpoint.
         pos = r > 0.0
-        hi = np.where(pos, np.minimum(hi, x), hi)
-        lo = np.where(pos, lo, np.maximum(lo, x))
+        hi = np.where(pos, x, hi)
+        lo = np.where(pos, lo, x)
         r_lo, r_hi = np.where(pos, r_lo, r), np.where(pos, r, r_hi)
+        mid = 0.5 * (lo + hi)
         if d is None:
-            x = 0.5 * (lo + hi)
+            x = mid
             continue
-        step = np.where(d > 0.0, r / np.where(d > 0.0, d, 1.0), np.nan)
-        cand = x - step
-        bad = ~np.isfinite(cand) | (cand <= lo) | (cand >= hi)
-        x = np.where(bad, 0.5 * (lo + hi), cand)
+        # a Newton step off a non-positive slope, or one that leaves the
+        # open (finite) bracket, inf and NaN included, bisects instead
+        up = d > 0.0
+        cand = x - r / np.where(up, d, 1.0)
+        x = np.where(up & (cand > lo) & (cand < hi), cand, mid)
     miss = np.minimum(np.abs(r_lo), np.abs(r_hi))  # worst: furthest from reach
     k = int(np.argmax(miss))
     raise InversionError(

@@ -351,7 +351,9 @@ class LagrangianSolution:
         t = _check_times(t)
         t_max = t.item() if t.size == 1 else t.max(initial=0.0)
         if t_max > self._exact_time:
-            images = self.zeta + self.system.family_speeds[:, None] * t_max
+            # an infinite image fails the strict increase below
+            with np.errstate(over="ignore"):
+                images = self.zeta + self.system.family_speeds[:, None] * t_max
             if not (images[:, 1:] > images[:, :-1]).all():
                 raise ValueError("t=%.17g: the kink images zeta + speed t no longer "
                                  "strictly increase" % t_max)

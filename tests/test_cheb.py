@@ -90,10 +90,24 @@ def probe_points(f, seed):
     )
 
 
+@pytest.fixture
+def paths(monkeypatch):
+    """``paths()`` yields "numpy" then "scalar", first putting every
+    StackedCheb call on numpy arrays (even an empty call), then on Python
+    floats (the small-call path)."""
+    def each():
+        for name, limit in (("numpy", -1), ("scalar", 1 << 62)):
+            monkeypatch.setattr(cheb, "_SCALAR_COLUMNS", limit)
+            yield name
+
+    return each
+
+
 @pytest.mark.parametrize("f", [mixed_table()] + fitted_tables())
-def test_padded_clenshaw_matches_per_segment_chebval(f):
+def test_padded_clenshaw_matches_per_segment_chebval(f, paths):
     x = probe_points(f, seed=len(f.coefs))
-    assert same_bits(f(x), reference_call(f, x))
+    for path in paths():
+        assert same_bits(f(x), reference_call(f, x)), path
 
 
 def kernel_inputs(f):
@@ -110,15 +124,45 @@ def kernel_inputs(f):
 
 @pytest.mark.parametrize("kind", ["chunks", "tail-only", "core-only", "empty"])
 @pytest.mark.parametrize("f", [mixed_table()] + fitted_tables())
-def test_every_input_kind_matches_per_segment_chebval(f, kind):
+def test_every_input_kind_matches_per_segment_chebval(f, kind, paths):
     x = kernel_inputs(f)[kind]
-    assert same_bits(f(x), reference_call(f, x))
+    for path in paths():
+        assert same_bits(f(x), reference_call(f, x)), path
 
 
-def test_single_segment_of_one_coefficient():
+def test_single_segment_of_one_coefficient(paths):
     f = PiecewiseCheb([0.0, 1.0], [[2.5]], (2.5, 0.0), (2.5, 0.0))
     x = np.array([-1.0, 0.0, 0.25, 1.0, 2.0])
-    assert same_bits(f(x), reference_call(f, x))
+    for path in paths():
+        assert same_bits(f(x), reference_call(f, x)), path
+
+
+def test_one_point_calls_match_one_batch_call():
+    # one-point calls take the Python-float path and a batch the numpy one:
+    # breaks, one ulp either side, tails, the length-1 segments, NaN and
+    # infinities all get the same bits
+    f = mixed_table()
+    b = f.breaks
+    assert len(f.coefs[0]) == len(f.coefs[6]) == 1
+    x = np.concatenate([probe_points(f, seed=4), 0.5 * (b[:-1] + b[1:]),
+                        [np.nan, np.inf, -np.inf]])
+    assert 1 <= cheb._SCALAR_COLUMNS < x.size
+    batch = f(x)
+    assert same_bits([f(x[k:k + 1])[0] for k in range(x.size)], batch)
+    assert same_bits([f(v) for v in x], batch)
+
+
+def test_negative_zero_top_coefficient_keeps_the_padded_bits(monkeypatch):
+    # [-0.0, -0.0] padded by a zero gives +0.0 at tt >= 0 where its own
+    # recurrence (chebval) gives -0.0: the small-call path keeps one pad
+    f = PiecewiseCheb([0.0, 1.0, 2.0], [[-0.0, -0.0], [1.0, 0.5, 0.25]], (0.0, 0.0), (0.0, 0.0))
+    x = np.array([0.25, 0.5, 0.75, 1.5])
+    assert same_bits(C.chebval(2.0 * x[:3] - 1.0, [-0.0, -0.0]), [0.0, -0.0, -0.0])
+    monkeypatch.setattr(cheb, "_SCALAR_COLUMNS", -1)
+    want = f(x)
+    assert same_bits(want[:3], [0.0, 0.0, 0.0])
+    monkeypatch.setattr(cheb, "_SCALAR_COLUMNS", 1 << 62)
+    assert same_bits(f(x), want)
 
 
 def test_shape_preserved_for_2d_input():
@@ -159,7 +203,7 @@ def test_stacked_state_lagrangian_matches_per_component_loop():
 
 
 @pytest.mark.parametrize("chunk", [None, 7], ids=["one-chunk", "many-chunks"])
-def test_stacked_tables_match_each_table_bit_for_bit(chunk, monkeypatch):
+def test_stacked_tables_match_each_table_bit_for_bit(chunk, monkeypatch, paths):
     if chunk is not None:
         monkeypatch.setattr(cheb, "_STACK_CHUNK", chunk)
     base = mixed_table()
@@ -167,12 +211,13 @@ def test_stacked_tables_match_each_table_bit_for_bit(chunk, monkeypatch):
             [table_on(base.breaks, 10), table_on(base.breaks, 11),
              table_on(base.breaks, 12)]]
     x = np.stack([probe_points(base, seed=1), probe_points(base, seed=2)])
-    got = StackedCheb(rows)(x)
-    assert got.shape == (3,) + x.shape
-    for q, row in enumerate(rows):
-        for j, tab in enumerate(row):
-            assert same_bits(got[j, q], tab(x[q]))
-    assert StackedCheb(rows)(np.empty((2, 0))).shape == (3, 2, 0)
+    for path in paths():
+        got = StackedCheb(rows)(x)
+        assert got.shape == (3,) + x.shape
+        for q, row in enumerate(rows):
+            for j, tab in enumerate(row):
+                assert same_bits(got[j, q], tab(x[q])), path
+        assert StackedCheb(rows)(np.empty((2, 0))).shape == (3, 2, 0)
 
 
 def _recorded_fits(monkeypatch, build):

@@ -347,6 +347,22 @@ def test_newton_step_is_one_table_pass(which, knot_sols, monkeypatch):
     assert np.max(np.abs(sol.position(2.5, z) - x)) <= 1e-11
 
 
+@pytest.mark.parametrize("which", ["bi-two-ramp", "abi-middle", "three-speed"])
+def test_evaluate_is_batch_independent(which, knot_sols):
+    # a point gets the same bits alone or in any batch: small table passes
+    # run on Python floats, large ones on numpy, and the eval-batch
+    # benchmark gate compares evaluate across batch sizes
+    sol = knot_sols[which]
+    times = (0.0, 1.3, 7.0)
+    xk = np.concatenate([sol.solution_kinks(t)[1] for t in times])
+    x = np.random.default_rng(64).uniform(xk.min() - 2.0, xk.max() + 2.0, 64)
+    for t in times:
+        whole = sol.evaluate(t, x)
+        for size in (1, 4, 12, 16):
+            parts = [sol.evaluate(t, x[k:k + size]) for k in range(0, x.size, size)]
+            assert _same_bits(np.concatenate(parts), whole)
+
+
 def test_generic_position_matches_closed_form_on_grid(tworamp_sol):
     ts = np.linspace(0.0, 3.0, 10)
     zs = np.linspace(-4.0, 4.0, 10)
@@ -873,6 +889,7 @@ def test_tables_are_certified_against_the_quadrature(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("t", [1e300, 1e308])
 def test_huge_times_raise_before_newton(tworamp_sol, three_sol, monkeypatch, t):
     # z - speed t keeps no digit of z: the time rule names t at once
