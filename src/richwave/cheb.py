@@ -138,7 +138,8 @@ class StackedCheb:
     gather and one recurrence per chunk of points.
 
     A call of at most ``_SCALAR_COLUMNS`` (point, table) pairs runs the same
-    steps on Python floats, point by point (``_call_floats``): a tail value
+    steps on Python floats, point by point (``_row``, which also serves
+    callers that read a few floats of one row): a tail value
     ``v + s * (x - edge)``, the segment by ``bisect_right`` on the interior
     breaks, and the recurrence on the column's own coefficients.  At 1 to 16
     points it costs a fraction of the numpy path, whose dozens of array
@@ -162,51 +163,65 @@ class StackedCheb:
                        for s in ("left_tail", "right_tail")]
 
     @functools.cached_property
-    def _floats(self):
-        """The small-call path's data as Python floats, built on first use.
+    def _row(self):
+        """``row(q, xs)``: every table of row ``q`` at each Python float of
+        ``xs``, as one list, point-major, with the numpy path's IEEE
+        operations in its order, so each value keeps its bits.  The
+        small-call path's one recurrence, built on first use.
 
         Each column of ``_table`` drops its trailing +0.0 padding, keeping
         at least two coefficients and one +0.0 above a -0.0 top, so the
         recurrence takes the bits of the padded one; it is stored top first
         as ``(c[-1], c[-2], (c[-3], ..., c[0]))``.
         """
+        nseg, tables, table = self._nseg, len(self._offsets), self._table
+        nonzero = table.view(np.int64) != 0  # entries other than +0.0
+        n = np.where(nonzero.any(axis=0), len(table) - np.argmax(nonzero[::-1], axis=0), 0)
+        # a -0.0 top keeps one pad
+        n += (n > 0) & (table[n - 1, np.arange(n.size)] == 0.0)
         cols = []
-        for col in self._table.T:
-            nonzero = np.flatnonzero(col.view(np.int64))  # entries other than +0.0
-            n = int(nonzero[-1]) + 1 if nonzero.size else 0
-            if n and col[n - 1] == 0.0:  # a -0.0 top keeps one pad
-                n += 1
-            c = col[: max(2, n)].tolist()[::-1]
+        for c, n_k in zip(table.T.tolist(), np.maximum(n, 2).tolist()):
+            c = c[:n_k][::-1]
             cols.append((c[0], c[1], tuple(c[2:])))
+        # Columns and tails by [row][table], the columns then by segment.
+        stride = len(cols) // tables  # rows * nseg
+        cols = [[cols[k:k + nseg] for k in range(start, len(cols), stride)]
+                for start in range(0, stride, nseg)]
+        lefts, rights = ([list(zip(vq, sq)) for vq, sq in zip(v.T.tolist(), s.T.tolist())]
+                         for v, s in self._tails)
         b = self.breaks
-        return (float(b[0]), float(b[-1]), b[1:-1].tolist(), self._sums.tolist(),
-                self._widths.tolist(), cols, [(v.tolist(), s.tolist()) for v, s in self._tails])
+        b0, b1, inner = float(b[0]), float(b[-1]), b[1:-1].tolist()
+        sums, widths = self._sums.tolist(), self._widths.tolist()
 
-    def _call_floats(self, x):
-        """``__call__`` on Python floats, point by point: the numpy path's
-        IEEE operations in its order, so every value keeps its bits."""
-        b0, b1, inner, sums, widths, cols, (left, right) = self._floats
-        rows, nseg = len(x), self._nseg
-        tables = range(len(self._offsets))
-        out = [[] for _ in tables]
-        for q, xq in enumerate(x.tolist()):
-            for xv in xq:
-                if xv < b0 or xv > b1:
-                    (v, s), edge = (left, b0) if xv < b0 else (right, b1)
-                    for j in tables:
-                        out[j].append(v[j][q] + s[j][q] * (xv - edge))
+        def row(q, xs):
+            out, left, right, row_cols = [], lefts[q], rights[q], cols[q]
+            for xv in xs:
+                if xv < b0:
+                    out += [v + s * (xv - b0) for v, s in left]
+                    continue
+                if xv > b1:
+                    out += [v + s * (xv - b1) for v, s in right]
                     continue
                 # bisect_right is searchsorted(side="right"); NaN takes the
                 # last segment in both
                 k = bisect_right(inner, xv)
                 tt = (2.0 * xv - sums[k]) / widths[k]
                 x2 = 2.0 * tt
-                for j in tables:
-                    c1, c0, rest = cols[(j * rows + q) * nseg + k]
+                for segments in row_cols:
+                    c1, c0, rest = segments[k]
                     for ck in rest:
                         c0, c1 = ck - c1, c0 + c1 * x2
-                    out[j].append(c0 + c1 * tt)
-        return np.array(out).reshape((len(out),) + x.shape)
+                    out.append(c0 + c1 * tt)
+            return out
+
+        return row
+
+    def _call_floats(self, x):
+        """``__call__`` on Python floats, row by row (``_row``)."""
+        row, tables, vals = self._row, len(self._offsets), []
+        for q, xq in enumerate(x.tolist()):
+            vals += row(q, xq)
+        return np.array(vals).reshape(-1, tables).T.reshape((tables,) + x.shape)
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)

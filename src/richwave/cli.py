@@ -373,7 +373,7 @@ def main(argv=None):
     failures = []
     try:
         _COMMANDS[args.command](cfg, out, tol, failures)
-    except (ConfigError, OSError) as exc:
+    except (OSError, ValueError) as exc:  # ConfigError and AdmissibilityError too
         print("richwave: %s" % exc, file=sys.stderr)
         return 2
     except (InversionError, QuadratureError, TabulationError, asy.ShapeFloorError,

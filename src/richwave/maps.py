@@ -1,11 +1,13 @@
-"""Strictly increasing maps with exact affine tails and their one inversion.
+"""Strictly increasing maps with exact affine tails and their one inversion rule.
 
 :func:`invert_increasing` serves every inverse of the package: ``Z(t, .)``,
 whose map gives value and slope together (one table pass per step), and
 every tabulated inverse.  Where the knots of a map are
 known (the kink images of ``Z(t, .)`` at one time, the breakpoints of
 ``Z0`` and of a shape), :func:`_invert_between_knots` starts each target's
-Newton inside its own knot segment, where the map is smooth.  Every inverse
+Newton inside its own knot segment, where the map is smooth;
+:func:`invert_floats` runs the same rule on Python floats for the few
+targets of a small call.  Every inverse
 read many times (``X0``, ``Z(t, .)`` at a fixed time, a shape inverse) is
 one :func:`_inverse_table`: a Chebyshev table between the knot images,
 certified against the forward map.
@@ -18,6 +20,7 @@ import numpy as np
 from .cheb import TabulationError, fit_piecewise
 
 MAX_INVERT_ITERS = 200
+_EPS = float(np.finfo(float).eps)
 # Inverse tables are fitted through an inversion this tight (floored at
 # 32 eps (|y| + 1)), so Newton's stopping error stays below the fit's rtol.
 _TIGHT_TOL = 1e-15
@@ -121,6 +124,65 @@ def invert_increasing(f, y, lo, hi, f_lo, f_hi, left_slope, right_slope, tol):
         % (miss[k], MAX_INVERT_ITERS, tol[k]),
         owner=int(idx[k]),
     )
+
+
+def _fmax(a, b):
+    """np.maximum on two floats: NaN if either is, else b unless a > b."""
+    return a if a > b or a != a else b
+
+
+def _fmin(a, b):
+    """np.minimum on two floats: NaN if either is, else b unless a < b."""
+    return a if a < b or a != a else b
+
+
+def invert_floats(f, y, lo, hi, f_lo, f_hi, left_slope, right_slope, tol):
+    """:func:`invert_increasing` on lists of Python floats, one target at a time.
+
+    Each target runs the rule of :func:`invert_increasing` with the same
+    IEEE operations in the same order, so every result keeps its bits: the
+    exact affine tails, the clipped secant start, Newton safeguarded by the
+    sign-enclosing bracket, the ``tol`` and collapse-with-``noise`` stops and
+    ``MAX_INVERT_ITERS``.  ``f(x, p)`` gets a float and the target's index
+    and returns the floats ``(F, F')``.  Targets that stall raise one
+    :class:`InversionError` for the worst of them, as the batch would.
+    """
+    eps = _EPS  # a local: read in every step
+    out, stalls = [], []
+    for p, (yp, a, b, fa, fb, tp) in enumerate(zip(y, lo, hi, f_lo, f_hi, tol)):
+        if yp < fa or yp > fb:
+            out.append(a + (yp - fa) / left_slope if yp < fa else b + (yp - fb) / right_slope)
+            continue
+        x = _fmin(_fmax(a + (yp - fa) * (b - a) / (fb - fa), a), b)
+        r_lo, r_hi = fa - yp, fb - yp
+        noise = _fmax(tp, 1024.0 * eps * (abs(yp) + 1.0))
+        for _ in range(MAX_INVERT_ITERS):
+            v, d = f(x, p)
+            r = v - yp
+            abs_r = abs(r)
+            if abs_r <= tp or (b - a <= 4.0 * eps * _fmax(1.0, abs(x)) and abs_r <= noise):
+                out.append(x)
+                break
+            if r > 0.0:
+                b, r_hi = x, r
+            else:
+                a, r_lo = x, r
+            mid = 0.5 * (a + b)
+            cand = x - r / d if d > 0.0 else mid
+            x = cand if a < cand < b else mid
+        else:
+            out.append(None)
+            stalls.append((_fmin(abs(r_lo), abs(r_hi)), p, tp))
+    if stalls:
+        # the batch's argmax: the first NaN, else the first largest miss
+        miss, p, tp = stalls[0]
+        for s in stalls[1:]:
+            if miss == miss and (s[0] != s[0] or s[0] > miss):
+                miss, p, tp = s
+        raise InversionError(
+            "inversion stalled: worst miss %.3e after %d iterations (tol %.1e)"
+            % (miss, MAX_INVERT_ITERS, tp), owner=p)
+    return out
 
 
 class MonotoneMap:

@@ -19,7 +19,11 @@ states outside the outermost two, the core [zeta_0 + min speed * t,
 zeta_K + max speed * t], where no Newton step is needed.  A scalar t
 brackets each target by its own kink segment, from one position pass over
 the kink images; an array t (a box time side, a few points per time)
-brackets by the two core edges of each time.  Callers that read one time
+brackets by the two core edges of each time.  A scalar t with few points
+(``_SCALAR_POINT_ROWS``) runs on Python floats end to end: the kink images
+sort without a read, each target bisects them with one-point position reads
+and runs ``maps.invert_floats``, one table read per Newton step, with the
+numpy path's IEEE operations in its order.  Callers that read one time
 many times take a :class:`Snapshot`, which holds Z(t, .) as a certified
 Chebyshev table between the same kink images; ``evaluate`` always runs
 Newton.  The closed form of Born-Infeld-like systems
@@ -33,8 +37,8 @@ from functools import cached_property
 import numpy as np
 
 from .cheb import StackedCheb, TabulationError, fit_piecewise
-from .maps import (InverseTable, InversionError, _floored_tol, _inverse_table,
-                   _invert_between_knots, _sorted_knots, invert_increasing)
+from .maps import (_EPS, InverseTable, InversionError, _floored_tol, _fmax, _inverse_table,
+                   _invert_between_knots, _sorted_knots, invert_floats, invert_increasing)
 from .quadrature import QuadratureError, integrate, integrate_many, refine_sign_changes
 from .systems import AdmissibilityError
 
@@ -44,6 +48,16 @@ _POINTS_PER_PASS = 128
 # The per-family tables' certified gap to position_quadrature (criterion 3's bound).
 _SEPARABLE_TOL = 1e-9
 _SUPPORT_MARGIN = 1.0  # how far a support interval reaches past the core edges
+# A scalar-t lagrangian_coordinate of at most this many (point, table row)
+# pairs runs on Python floats (``_coordinate_floats``).  The float path's
+# cost grows with the points and the table depth; it crossed the numpy
+# path's at about 256-320 pairs on a depth-15 two-row stack (bi-two-ramp)
+# and about 512 on shallower ones, so this keeps a fourfold margin.
+_SCALAR_POINT_ROWS = 64
+# Distinct kink images closer than this fraction of their scale 1 + max|z|
+# could share or swap positions in X(t, .) by rounding, which only a full
+# kink pass (``maps._sorted_knots``) resolves.
+_KNOTS_APART = 2.0 ** -20
 
 
 class UnsupportedModelError(TypeError):
@@ -57,6 +71,12 @@ def _check_times(t):
     if not 0.0 <= lo <= hi < np.inf:
         raise ValueError("t must be finite and nonnegative")
     return t
+
+
+def _located(exc, t, x):
+    """``exc`` from inverting ``X(t, .)``, reworded to name its point (t, x)."""
+    return InversionError("Z(t=%.17g, x=%.17g): Z(t,.) %s" % (t, x, exc),
+                          owner=(float(t), float(x)))
 
 
 def check_profile_admissible(system, profile):
@@ -338,6 +358,25 @@ class LagrangianSolution:
         v = self._tables(u.reshape(len(u), -1)).sum(axis=1).reshape((2,) + u.shape[1:])
         return x_0 + tau_left * (z - zeta_0) + t * u_left + v[0], tau_left + v[1]
 
+    def _float_step(self, t):
+        """``(z, owner) -> (X(t, z), dX/dz)`` on Python floats at the float
+        ``t``: ``_position_and_slope``'s IEEE operations in its order, so
+        every value keeps its bits, one ``StackedCheb._row`` per row."""
+        x_0, zeta_0, tau_left, u_left = self._left
+        tu = t * u_left
+        row = self._tables._row
+        shifts = [s * t for s in self._table_speeds.tolist()]
+        first, rest = shifts[0], list(enumerate(shifts))[1:]
+
+        def step(z, owner=None):
+            v, w = row(0, (z - first,))
+            for q, st in rest:
+                d_q, slope_q = row(q, (z - st,))
+                v, w = v + d_q, w + slope_q
+            return x_0 + tau_left * (z - zeta_0) + tu + v, tau_left + w
+
+        return step
+
     def _newton_step(self, time_of):
         """``f(z, owner) = (X(t, z), dX/dz)`` at ``t = time_of(owner)``, as
         :func:`maps.invert_increasing` takes it: one table pass."""
@@ -384,11 +423,23 @@ class LagrangianSolution:
 
         Each Newton step is one pass over the per-family tables
         (``_position_and_slope``), which gives ``X`` and its slope
-        ``dX/dz = 1/N`` together.  Times follow ``_check_kink_times``.  An
-        :class:`InversionError` names the worst point's (t, x).
+        ``dX/dz = 1/N`` together.
+
+        A scalar ``t`` with at most ``_SCALAR_POINT_ROWS`` (point, table row)
+        pairs runs on Python floats instead (``_coordinate_floats``): each
+        target bisects the sorted kink images with one-point position reads
+        and runs :func:`maps.invert_floats`, one table read per Newton step.
+        It makes the numpy path's IEEE operations in its order, so a point
+        gets the same bits in any batch; where kink images could merge it
+        takes the full kink pass above.  Times follow ``_check_kink_times``.
+        An :class:`InversionError` names the worst point's (t, x).
         """
         t = self._check_kink_times(np.asarray(t, dtype=float))
         x = np.asarray(x, dtype=float)
+        if t.ndim == 0 and 0 < x.size * len(self._table_speeds) <= _SCALAR_POINT_ROWS:
+            z = self._coordinate_floats(float(t), x.reshape(-1).tolist())
+            if z is not None:
+                return z[0] if x.ndim == 0 else np.array(z).reshape(x.shape)
         if t.ndim == 0:
             shape, xb = x.shape, x.reshape(-1)
             time_of = lambda owner: t
@@ -422,12 +473,55 @@ class LagrangianSolution:
                 z = invert_increasing(step, xb, z_lo, z_hi, x_lo, x_hi,
                                       *self._tail_slopes, tol)
         except InversionError as exc:
-            k = exc.owner
-            raise InversionError(
-                "Z(t=%.17g, x=%.17g): Z(t,.) %s" % (time_of(k), xb[k], exc),
-                owner=(float(time_of(k)), float(xb[k])),
-            ) from exc
+            raise _located(exc, time_of(exc.owner), xb[exc.owner]) from exc
         return float(z[0]) if shape == () else z.reshape(shape)
+
+    def _coordinate_floats(self, t, x):
+        """``lagrangian_coordinate`` at the float ``t`` on the list of floats
+        ``x``, in Python floats, or None where the kink images might merge.
+
+        The sorted distinct kink images need no position read: X(t, .)
+        increases, so they sort its knots.  Each target is bracketed as
+        :func:`maps._invert_between_knots` brackets it among the merged
+        knots, by bisection on position reads cached for the call; the two
+        core edges are read first, and a target beyond them keeps the whole
+        core, where the affine tails make the bracket's inner ends unused.
+        Those brackets are ``_sorted_knots``' only where no knots merge, so
+        images closer than ``_KNOTS_APART`` of their scale, or reads that do
+        not strictly increase along a bisection, return None for the full
+        kink pass.  Newton runs :func:`maps.invert_floats`, the rule of
+        ``invert_increasing`` with its operations in its order, so every
+        value has the bits of the numpy path.
+        """
+        shifts = [s * t for s in self.system.family_speeds.tolist()]
+        zs = sorted({zj + st for st in shifts for zj in self.zeta.tolist()})
+        apart = _KNOTS_APART * (1.0 + max(abs(zs[0]), abs(zs[-1])))
+        if not all(hi - lo > apart for lo, hi in zip(zs, zs[1:])):
+            return None
+        step = self._float_step(t)
+        n = len(zs)
+        ys = [None] * n
+        ys[0], ys[-1] = step(zs[0])[0], step(zs[-1])[0]
+        if not ys[-1] - ys[0] > 0.0:  # the full pass names the failure
+            return None
+        brackets, tols = [], []
+        for y in x:
+            lo, hi = 0, n - 1
+            # searchsorted(side="right") - 1, clipped: NaN joins the last segment
+            if not (y < ys[0] or y > ys[-1]):
+                while hi - lo > 1:
+                    mid = (lo + hi) // 2
+                    if ys[mid] is None:
+                        ys[mid] = step(zs[mid])[0]
+                    if not ys[lo] < ys[mid] < ys[hi]:
+                        return None
+                    lo, hi = (lo, mid) if y < ys[mid] else (mid, hi)
+            brackets.append((zs[lo], zs[hi], ys[lo], ys[hi]))
+            tols.append(_fmax(self.inv_tol, 32.0 * _EPS * (abs(y) + 1.0)))
+        try:
+            return invert_floats(step, x, *zip(*brackets), *self._tail_slopes, tols)
+        except InversionError as exc:
+            raise _located(exc, t, x[exc.owner]) from exc
 
     # -- solution values --------------------------------------------------------
 

@@ -18,6 +18,7 @@ from richwave.config import (
 from richwave.fv import BlowUpError
 from richwave.maps import InversionError
 from richwave.quadrature import QuadratureError
+from richwave.systems import AdmissibilityError
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "bi-two-ramp")
 # L1 experiment outputs, kept apart from GOLDEN: perfbench requires every
@@ -214,6 +215,25 @@ def test_numerical_failure_reported_in_failures_json(tmp_path, capsys, monkeypat
     payload = json.loads((out / "failures.json").read_text())
     assert payload["command"] == "solve"
     assert payload["failures"] == ["solve: %s: %s" % (type(error).__name__, error)]
+
+
+@pytest.mark.parametrize(
+    "error",
+    [AdmissibilityError("state (2, 3) is not admissible"),
+     ValueError("density is not positive along the profile")],
+    ids=lambda e: type(e).__name__,
+)
+def test_value_error_inside_a_command_exits_2_without_traceback(tmp_path, capsys,
+                                                                monkeypatch, error):
+    def failing_solve(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "solve", failing_solve)
+    out = tmp_path / "o"
+    assert main(["solve", "--config", "constant", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "richwave: %s\n" % error
+    assert not (out / "failures.json").exists()
 
 
 def test_asymptotics_without_full_gap_condition_exits_2(tmp_path, capsys):

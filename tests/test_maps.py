@@ -138,3 +138,75 @@ def test_inverse_table_merges_knot_images_that_do_not_increase():
     y = np.linspace(-4.0, 4.0, 81)
     assert np.max(np.abs(fmap(inv(y)) - y)) <= fmap.tol
     assert np.max(np.abs(inv(y) - fmap.invert(y))) <= 2.0 * fmap.tol
+
+
+def _cubic(x):
+    return x * x * x + x, 3.0 * x * x + 1.0
+
+
+# Synthetic (F, F') maps on the core [-2, 2], written in arithmetic alone so
+# a float and a one-element array take the same IEEE operations; each steers
+# the safeguarded Newton of invert_increasing down one of its branches.
+_FLOAT_LOOP_MAPS = {
+    # Newton from the secant converges in a few steps
+    "newton": (_cubic, 1e-12),
+    # a zero or negative slope bisects
+    "zero-slope": (lambda x: (_cubic(x)[0], 0.0 * x), 1e-12),
+    "negative-slope": (lambda x: (_cubic(x)[0], -1.0 - x * x), 1e-12),
+    # a slope far too small throws the candidate out of the bracket
+    "overshoot": (lambda x: (_cubic(x)[0], 1e-3 * _cubic(x)[1]), 1e-12),
+    # with no tolerance a point stops when its bracket collapses within noise
+    "collapse": (lambda x: (3.0 * x + 0.1, 3.0 + 0.0 * x), 0.0),
+}
+
+
+def _both_inversions(f, y, lo, hi, tol):
+    """invert_increasing on arrays and invert_floats on lists, each as
+    (result or None, error message or None, error owner)."""
+    f_lo, f_hi = f(lo)[0], f(hi)[0]
+    out = []
+    for call, args in (
+        (maps.invert_increasing,
+         (lambda x, owner: f(x), np.asarray(y, dtype=float), lo, hi, f_lo, f_hi,
+          0.5, 2.0, np.full(len(y), tol))),
+        (maps.invert_floats,
+         (lambda x, p: f(x), list(y), [lo] * len(y), [hi] * len(y), [f_lo] * len(y),
+          [f_hi] * len(y), 0.5, 2.0, [tol] * len(y))),
+    ):
+        try:
+            out.append((np.asarray(call(*args), dtype=float), None, None))
+        except InversionError as exc:
+            out.append((None, str(exc), exc.owner))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(_FLOAT_LOOP_MAPS))
+def test_float_loop_has_the_bits_of_invert_increasing(name):
+    f, tol = _FLOAT_LOOP_MAPS[name]
+    lo, hi = -2.0, 2.0
+    f_lo, f_hi = f(lo)[0], f(hi)[0]
+    rng = np.random.default_rng(31)
+    # core targets, both bracket ends, both tails and the infinities
+    y = np.concatenate([rng.uniform(f_lo, f_hi, 40), [f_lo, f_hi, f_lo - 3.0, f_hi + 5.0,
+                                                       -np.inf, np.inf]])
+    (want, _, _), (got, _, _) = _both_inversions(f, y, lo, hi, tol)
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+    # each float target alone is the same one-point loop
+    for k in (0, 7, 41, 44):
+        assert maps.invert_floats(lambda x, p: f(x), [y[k]], [lo], [hi], [f_lo], [f_hi],
+                                  0.5, 2.0, [tol]) == [got[k]]
+    if name == "collapse":  # some point stopped short of an exact zero
+        assert np.any(3.0 * got[:40] + 0.1 != y[:40])
+
+
+@pytest.mark.parametrize("targets", [[0.5, -1.5, 0.3], [0.3, np.nan, 0.5], [np.nan]])
+def test_float_loop_stalls_like_invert_increasing(targets):
+    # F jumps over (0, 1): a target there stalls, and the batch names the
+    # worst (a NaN miss first, else the largest) by its index
+    def jump(x):
+        return x + (x > 0.0), 1.0 + 0.0 * x
+
+    (_, want, want_owner), (_, got, got_owner) = _both_inversions(
+        jump, targets, -2.0, 2.0, 1e-12)
+    assert want is not None and "stalled" in want
+    assert (got, got_owner) == (want, want_owner)

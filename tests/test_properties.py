@@ -24,7 +24,9 @@ from richwave import (
     build_shape,
     solve,
 )
+from richwave import solver
 from richwave.cheb import fit_piecewise
+from richwave.maps import _sorted_knots
 
 # |w_i| <= 0.8 keeps 1/N = 1 + 0.1 w1 + 0.15 w2 - 0.08 w3 >= 0.74, well inside
 # the three-speed system's admissible set 1/N > 0.05, for every mixture of
@@ -171,6 +173,34 @@ def test_coincident_kink_images_keep_knot_brackets(case, pick):
     for t in times[pick % len(times)]:
         lo, hi = sol.support_interval(t)
         check_merged_knots(sol, t, np.linspace(lo, hi, 17))
+
+
+@seed(20120426)
+@_EXAMPLES
+@given(
+    case=st.one_of(st.tuples(st.just("bi"), profiles(st.tuples(_MU, _LAM))),
+                   st.tuples(st.just("three"), profiles(st.tuples(_VALUE, _VALUE, _VALUE)))),
+    pick=st.integers(0, 1000),
+    t=st.floats(0.0, 10.0),
+    spots=st.lists(st.floats(-0.2, 1.2), min_size=4, max_size=4),
+)
+def test_one_point_evaluate_has_the_bits_of_a_batch(case, pick, t, spots):
+    # one-point calls run on Python floats, a batch above the small-call
+    # size on numpy: at a coincidence time, the floats either side and a
+    # drawn time, at drawn points, the merged kink images, the midpoints
+    # between them and both tails
+    kind, profile = case
+    sol = solve(born_infeld(1.0) if kind == "bi" else three_speed_system(), profile)
+    times = coincidence_times(sol)
+    for tv in (*times[pick % len(times)], t):
+        xk = _sorted_knots(*sol.solution_kinks(tv))[1]
+        lo, hi = xk[0], xk[-1]
+        x = np.concatenate([lo + (hi - lo) * np.array(spots), xk, 0.5 * (xk[1:] + xk[:-1]),
+                            [lo - 1.0, hi + 1.0]])
+        x = np.resize(x, solver._SCALAR_POINT_ROWS + 1)
+        whole = sol.evaluate(tv, x)
+        one = np.concatenate([sol.evaluate(tv, x[k:k + 1]) for k in range(x.size)])
+        assert np.array_equal(one.view(np.int64), whole.view(np.int64))
 
 
 @seed(20120418)

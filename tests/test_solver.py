@@ -340,6 +340,7 @@ def test_newton_step_is_one_table_pass(which, knot_sols, monkeypatch):
 
     monkeypatch.setattr(maps, "invert_increasing", spying)
     x = np.linspace(-4.0, 4.0, 33)
+    assert x.size * len(sol._table_speeds) > solver._SCALAR_POINT_ROWS  # the numpy path
     z = sol.lagrangian_coordinate(2.5, x)
     monkeypatch.undo()
     assert len(steps) >= 3
@@ -356,11 +357,74 @@ def test_evaluate_is_batch_independent(which, knot_sols):
     times = (0.0, 1.3, 7.0)
     xk = np.concatenate([sol.solution_kinks(t)[1] for t in times])
     x = np.random.default_rng(64).uniform(xk.min() - 2.0, xk.max() + 2.0, 64)
+    assert x.size * len(sol._table_speeds) > solver._SCALAR_POINT_ROWS
     for t in times:
         whole = sol.evaluate(t, x)
         for size in (1, 4, 12, 16):
             parts = [sol.evaluate(t, x[k:k + size]) for k in range(0, x.size, size)]
             assert _same_bits(np.concatenate(parts), whole)
+    # every time two families' kink images meet, and the floats either side,
+    # where knots merge: targets on the merged kink images, in both tails and
+    # at the infinities, filled up to one batch above the small-call size
+    rng = np.random.default_rng(65)
+    for t in coincidence_times(sol).ravel():
+        xk = maps._sorted_knots(*sol.solution_kinks(t))[1]
+        x = np.concatenate([xk, [xk[0] - 2.0, xk[-1] + 2.0, -np.inf, np.inf]])
+        x = np.concatenate([x, rng.uniform(xk[0] - 1.0, xk[-1] + 1.0,
+                                           solver._SCALAR_POINT_ROWS + 1 - x.size)])
+        whole = sol.evaluate(t, x)
+        for size in (1, 16):
+            parts = [sol.evaluate(t, x[k:k + size]) for k in range(0, x.size, size)]
+            assert _same_bits(np.concatenate(parts), whole)
+
+
+@pytest.mark.parametrize("path", ["float", "numpy"])
+def test_nan_target_stalls_on_both_paths(tworamp_sol, monkeypatch, path):
+    if path == "numpy":
+        monkeypatch.setattr(solver, "_SCALAR_POINT_ROWS", -1)
+    with pytest.raises(InversionError) as info:
+        tworamp_sol.evaluate(1.0, [np.nan])
+    assert re.search(r"t=1, x=nan\): Z\(t,\.\) inversion stalled: worst miss nan "
+                     r"after 200 iterations \(tol nan\)$", str(info.value))
+    assert math.isnan(info.value.owner[1])
+
+
+@pytest.mark.parametrize("which", ["bi-two-ramp", "abi-middle", "three-speed"])
+def test_one_point_call_bisects_the_kink_images(which, knot_sols, monkeypatch):
+    # a one-point scalar-t call reads no full kink pass: one table read per
+    # Newton step, and position reads of the kink images only to bisect them
+    sol = knot_sols[which]
+    steps, newton, points, passes = [], [], [], []
+    real_step, real_invert = sol._float_step, solver.invert_floats
+
+    def float_step(t):
+        step = real_step(t)
+        return lambda z, owner=None: steps.append(1) or step(z, owner)
+
+    def invert(f, *args):
+        return real_invert(lambda x, p: newton.append(1) or f(x, p), *args)
+
+    real_row, real_call = sol._tables._row, cheb.StackedCheb.__call__
+    monkeypatch.setattr(sol, "_float_step", float_step)
+    monkeypatch.setattr(solver, "invert_floats", invert)
+    monkeypatch.setattr(sol._tables, "_row",
+                        lambda q, xs: points.extend([q] * len(xs)) or real_row(q, xs))
+    monkeypatch.setattr(cheb.StackedCheb, "__call__",
+                        lambda self, x: passes.append(1) or real_call(self, x))
+    images = sol.system.family_speeds.size * sol.zeta.size
+    lo, hi = sol.support_interval(2.5, margin=0.0)
+    for x in np.linspace(lo, hi, 9)[1:-1]:
+        del steps[:], newton[:], points[:], passes[:]
+        z = sol.lagrangian_coordinate(2.5, x)
+        assert passes == [] and len(newton) >= 1
+        # one read of every table row per step
+        assert points == list(range(len(sol._table_speeds))) * len(steps)
+        assert len(steps) - len(newton) <= 2 + math.ceil(math.log2(images))
+        assert abs(sol.position(2.5, z) - x) <= 1e-11
+    # a target past the core reads the two core edges and runs no Newton
+    del steps[:], newton[:]
+    sol.lagrangian_coordinate(2.5, hi + 1.0)
+    assert (len(steps), len(newton)) == (2, 0)
 
 
 def test_generic_position_matches_closed_form_on_grid(tworamp_sol):
@@ -546,11 +610,14 @@ def test_inversion_error_names_worst_point(tworamp_sol, monkeypatch):
     assert info.value.owner == (1.5, 0.3)
     monkeypatch.undo()
     # a position map that is flat across the core cannot be inverted; the
-    # point where it is flattest is named
+    # point where it is flattest is named.  The small-call path reads the
+    # map by _float_step and leaves a core it cannot prove increasing to
+    # the numpy path, which reads it by position and names the failure.
     monkeypatch.setattr(
         tworamp_sol, "position",
         lambda t, z: 5.0 - np.asarray(t) * 0.0 * z,
     )
+    monkeypatch.setattr(tworamp_sol, "_float_step", lambda t: lambda z, owner=None: (5.0, 0.0))
     with pytest.raises(InversionError) as info:
         tworamp_sol.lagrangian_coordinate(2.0, np.array([0.0, -3.0, 1.0]))
     assert "not increasing" in str(info.value)
@@ -568,6 +635,8 @@ def test_inversion_error_names_worst_point(tworamp_sol, monkeypatch):
     # a map that reads NaN has no core either: the point is named before
     # the knot merge, whose own error names none
     monkeypatch.setattr(tworamp_sol, "position", lambda t, z: np.full(np.shape(z), np.nan))
+    monkeypatch.setattr(tworamp_sol, "_float_step",
+                        lambda t: lambda z, owner=None: (np.nan, np.nan))
     for t in (2.0, np.array([2.0])):
         with pytest.raises(InversionError) as info:
             tworamp_sol.lagrangian_coordinate(t, np.array([0.3]))
@@ -639,6 +708,7 @@ def test_scalar_time_makes_one_kink_image_position_pass(knot_sols, monkeypatch):
     # one position pass over every family's kink images, whatever the batch;
     # Newton steps read the per-family tables, not position
     for sol in knot_sols.values():
+        assert 200 * len(sol._table_speeds) > solver._SCALAR_POINT_ROWS  # the numpy path
         calls = count_position_points(sol, monkeypatch)
         sol.lagrangian_coordinate(1.3, np.linspace(-6.0, 6.0, 200))
         monkeypatch.undo()
