@@ -65,14 +65,14 @@ class ShapeFunction:
     def inverse(self):
         """The inverse as a certified ``maps.InverseTable``, built on first use.
 
-        Its breaks are the forward images of the breakpoints and its tails
-        have slopes ``1/left_slope`` and ``1/right_slope``; the certificate
-        is ``|S(table(y)) - y| <= forward.tol`` on check points of every
-        segment, and a failed one falls back to Newton, ``forward.invert``.
+        Its breaks are the forward images of the breakpoints (bisected if
+        need be), its tails have slopes ``1/left_slope`` and ``1/right_slope``
+        and its certificate is ``|S(table(y)) - y| <= forward.tol``.
         """
         fmap = self.forward
         return _inverse_table(fmap._step, self.breakpoints, fmap(self.breakpoints),
-                              (fmap.left_slope, fmap.right_slope), fmap.tol, fmap.invert)
+                              (fmap.left_slope, fmap.right_slope), fmap.tol,
+                              "S^-1 (route %s, component %d)" % (self.route, self.component))
 
 
 @dataclass

@@ -366,9 +366,17 @@ def main(argv=None):
     except (ConfigError, OSError, ValueError, TypeError) as exc:
         print("richwave: config error: %s" % exc, file=sys.stderr)
         return 2
-    out = args.out if args.out is not None else cfg.output
-    os.makedirs(out, exist_ok=True)
     tol = args.tol if args.tol is not None else cfg.verify_tol
+    if not 0.0 < tol < np.inf:  # NaN fails, as in the config's tolerances
+        print("richwave: config error: --tol must be finite and > 0, got %r" % tol,
+              file=sys.stderr)
+        return 2
+    out = args.out if args.out is not None else cfg.output
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        print("richwave: cannot create the output directory: %s" % exc, file=sys.stderr)
+        return 2
 
     failures = []
     try:

@@ -10,7 +10,7 @@ Newton inside its own knot segment, where the map is smooth;
 targets of a small call.  Every inverse
 read many times (``X0``, ``Z(t, .)`` at a fixed time, a shape inverse) is
 one :func:`_inverse_table`: a Chebyshev table between the knot images,
-certified against the forward map.
+bisected until it certifies against the forward map, or an error.
 """
 
 from dataclasses import dataclass
@@ -28,6 +28,7 @@ _TABLE_RTOL = 1e-13
 # Certificate points per table segment: the 7 first-kind Chebyshev points,
 # none of which is a fit node.
 _CHECK = np.cos(np.pi * (np.arange(7) + 0.5) / 7)
+_SPLIT_LEVELS = 4  # bisections of an uncertified inverse table's knot segments
 
 
 def _floored_tol(tol, y):
@@ -296,35 +297,29 @@ class Certificate:
     """How an :class:`InverseTable` was checked.
 
     ``residual`` is the worst forward residual ``|F(table(y)) - y|`` on the
-    check points (inf when the fit itself failed); ``segments`` and
-    ``max_degree`` describe the table, and ``fell_back`` says that calls
-    run the Newton inverse instead.
+    check points; ``segments`` and ``max_degree`` describe the table, and
+    ``splits`` counts the bisections of its knot segments it needed.
     """
 
     residual: float
     segments: int
     max_degree: int
-    fell_back: bool
+    splits: int
 
 
 @dataclass(frozen=True, eq=False)
 class InverseTable:
-    """The inverse of an increasing map as a certified Chebyshev table.
+    """The inverse of an increasing map as a certified Chebyshev table."""
 
-    A call evaluates ``table``, or ``newton`` when the certificate failed
-    (``table`` is then None).
-    """
-
-    table: object  # a cheb.PiecewiseCheb, or None
-    newton: object  # the Newton inverse, y -> x
+    table: object  # a cheb.PiecewiseCheb
     certificate: Certificate
 
     def __call__(self, y):
-        return (self.newton if self.table is None else self.table)(y)
+        return self.table(y)
 
 
-def _inverse_table(step, xk, yk, slopes, tol, newton):
-    """Certified table of the inverse of an increasing map F, or ``newton``.
+def _inverse_table(step, xk, yk, slopes, tol, name):
+    """Certified table of the inverse of an increasing map F, named ``name``.
 
     ``step(x, owner)`` gives ``(F, F')`` as :func:`invert_increasing` takes
     it; F maps the knots ``xk`` (merged by :func:`_sorted_knots`) to ``yk``,
@@ -333,28 +328,36 @@ def _inverse_table(step, xk, yk, slopes, tol, newton):
     :func:`_invert_between_knots` at ``_TIGHT_TOL``, and the table's tails
     take the reciprocal slopes.  The table is kept only if
     ``|F(table(y)) - y| <= tol`` on the ``_CHECK`` points of every segment,
-    ``tol`` floored there by the segment's rounding and its fit's error;
-    otherwise (or when the fit fails or the tight inversion stalls) calls
-    run ``newton``.
+    ``tol`` floored there by the segment's rounding and its fit's error.
+    Otherwise (or when the fit fails or the tight inversion stalls) every
+    knot segment is bisected in x and the table refitted, up to
+    ``_SPLIT_LEVELS`` times, before :class:`TabulationError` names the map.
     """
     xk, yk = _sorted_knots(xk, yk)
 
     def tight(y):
         return _invert_between_knots(step, xk, yk, y, slopes, _floored_tol(_TIGHT_TOL, y))
 
-    try:
-        table = fit_piecewise(tight, yk, _TABLE_RTOL, (1.0 / slopes[0], 1.0 / slopes[1]))
-    except (TabulationError, InversionError):
-        return InverseTable(None, newton, Certificate(np.inf, 0, 0, True))
-    lo, hi = yk[:-1, None], yk[1:, None]
-    y = (0.5 * (lo + hi) + 0.5 * (hi - lo) * _CHECK).reshape(-1)
-    residual = np.abs(step(table(y), np.arange(y.size))[0] - y).reshape(len(lo), -1)
-    # Away from the origin a segment's residual carries its rounding and its
-    # fit's error, _TABLE_RTOL of |x| scaled by the secant slope.
-    x_size = np.maximum(np.abs(xk[:-1]), np.abs(xk[1:]))[:, None]
-    ok = bool(np.all(residual <= np.maximum(
-        _floored_tol(tol, np.maximum(np.abs(lo), np.abs(hi))),
-        _TABLE_RTOL * x_size * (hi - lo) / np.diff(xk)[:, None])))
-    cert = Certificate(float(residual.max()), len(table.coefs),
-                       max(len(c) for c in table.coefs) - 1, not ok)
-    return InverseTable(table if ok else None, newton, cert)
+    for splits in range(_SPLIT_LEVELS + 1):
+        if splits:  # bisect every segment in x
+            mid = 0.5 * (xk[:-1] + xk[1:])
+            xk, yk = _sorted_knots(np.r_[xk, mid], np.r_[yk, step(mid, np.arange(mid.size))[0]])
+        try:
+            table = fit_piecewise(tight, yk, _TABLE_RTOL, (1.0 / slopes[0], 1.0 / slopes[1]))
+        except (TabulationError, InversionError) as exc:
+            failure = str(exc)
+            continue
+        lo, hi = yk[:-1, None], yk[1:, None]
+        y = (0.5 * (lo + hi) + 0.5 * (hi - lo) * _CHECK).reshape(-1)
+        residual = np.abs(step(table(y), np.arange(y.size))[0] - y).reshape(len(lo), -1)
+        # Away from the origin a segment's residual carries its rounding and its
+        # fit's error, _TABLE_RTOL of |x| scaled by the secant slope.
+        x_size = np.maximum(np.abs(xk[:-1]), np.abs(xk[1:]))[:, None]
+        if np.all(residual <= np.maximum(
+                _floored_tol(tol, np.maximum(np.abs(lo), np.abs(hi))),
+                _TABLE_RTOL * x_size * (hi - lo) / np.diff(xk)[:, None])):
+            return InverseTable(table, Certificate(float(residual.max()), len(table.coefs),
+                                                   max(len(c) for c in table.coefs) - 1, splits))
+        failure = "worst residual %.3e" % residual.max()
+    raise TabulationError("%s is not certified after %d splits: %s"
+                          % (name, _SPLIT_LEVELS, failure))

@@ -36,7 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cheb import StackedCheb, TabulationError, fit_piecewise
+from .cheb import StackedCheb, fit_piecewise
 from .maps import (_EPS, InverseTable, InversionError, _floored_tol, _fmax, _inverse_table,
                    _invert_between_knots, _sorted_knots, invert_floats, invert_increasing)
 from .quadrature import QuadratureError, integrate, integrate_many, refine_sign_changes
@@ -161,11 +161,9 @@ class LagrangianSolution:
         # X0 = Z0^-1 between the knots breakpoints -> zeta; Newton reads
         # (Z0, N0) from one table pass.
         z0_step = StackedCheb([[self._z0, self._n0]])
-        x0 = _inverse_table(lambda x, owner: tuple(z0_step(x[None])[:, 0]), xs, self.zeta,
-                            (n_left, n_right), min(self.inv_tol, 1e-13), None)
-        if x0.table is None:
-            raise TabulationError("X0 = Z0^-1 is not certified: %s" % (x0.certificate,))
-        self._x0 = x0.table
+        self._x0 = _inverse_table(lambda x, owner: tuple(z0_step(x[None])[:, 0]), xs,
+                                  self.zeta, (n_left, n_right), min(self.inv_tol, 1e-13),
+                                  "X0 = Z0^-1").table
 
         # Distinct constant Lagrangian speeds and d_t tau = d_z u make
         # tau = 1/N separable over families: tau(w) = tau_L + sum_f d_f with
@@ -541,16 +539,15 @@ class LagrangianSolution:
         breakpoint images ``zeta_k + speed t``, with exactly affine tails of
         slopes ``N`` at the tail states, and certified by
         ``|X(t, Z_tab(x)) - x| <= inv_tol`` (floored per segment by its
-        rounding and its fit's error) on check points of every segment; an
-        uncertified snapshot runs Newton (:meth:`lagrangian_coordinate`).
+        rounding and its fit's error) on check points of every segment,
+        bisecting the knot segments if need be (``maps._inverse_table``).
         It keeps the kinks' positions.  Worth its build only where a time is
         read many times: the L1 experiments and the space sides of a box.
         """
         t = float(self._check_kink_times(np.asarray(t, dtype=float)))
         zk, xk = self.solution_kinks(t)
-        coordinate = _inverse_table(
-            self._newton_step(lambda owner: t), zk, xk, self._tail_slopes,
-            self.inv_tol, lambda x: self.lagrangian_coordinate(t, x))
+        coordinate = _inverse_table(self._newton_step(lambda owner: t), zk, xk,
+                                    self._tail_slopes, self.inv_tol, "Z(t=%.17g, .)" % t)
         return Snapshot(self, t, coordinate, xk)
 
     def solution_kinks(self, t):
@@ -649,7 +646,7 @@ class Snapshot:
 
     ``coordinate`` is ``Z(t, .)`` as a certified ``maps.InverseTable``;
     ``certificate`` reports its worst residual, segment count, maximum
-    degree and whether it fell back to Newton.  ``kinks`` are the positions
+    degree and its number of knot bisections.  ``kinks`` are the positions
     of ``solution_kinks(t)``, the core edges first and last.
     """
 

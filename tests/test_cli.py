@@ -192,6 +192,26 @@ def test_values_that_would_crash_or_hang_exit_2(tmp_path, capsys, command, extra
     assert not (out / "failures.json").exists()
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+def test_bad_tol_option_exits_2(tmp_path, capsys, tol):
+    # the rule of the config's tolerances: nan and -1 gave spurious
+    # failures, inf passed every check
+    out = tmp_path / "o"
+    assert main(["plateau", "--config", "bi-two-ramp", "--out", str(out), "--tol", tol]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("richwave: config error: --tol must be finite and > 0")
+    assert not out.exists()
+
+
+def test_output_directory_that_cannot_be_made_exits_2(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["solve", "--config", "bi-two-ramp", "--out", str(blocker / "sub")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("richwave: cannot create the output directory: ")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "error",
     [

@@ -151,7 +151,7 @@ def test_one_position_call_per_time(sols, name, monkeypatch):
     sol = sols[name]
     shapes = _shapes(name, sol)
     for shape in shapes:  # the inverse tables are built on first use, outside the count
-        assert not shape.inverse.certificate.fell_back
+        assert shape.inverse.certificate.splits == 0
     calls = count_position_points(sol, monkeypatch)
     rw.decay_curve(sol, shapes, TIMES)
     assert len(calls) == len(TIMES)

@@ -217,25 +217,40 @@ def test_augmented_born_infeld_identities(profile):
     _check_born_infeld_identities(solve(augmented_born_infeld(1.0), profile))
 
 
+def _check_shape_inverses(shapes):
+    # a model shape inverse certifies and meets |S(inv(y)) - y| <= tol on a
+    # grid through both affine tails
+    for shape in shapes:
+        fmap, inv = shape.forward, shape.inverse
+        assert inv.certificate.residual <= fmap.tol
+        y = np.linspace(fmap.f_lo - 2.0, fmap.f_hi + 2.0, 97)
+        assert np.max(np.abs(fmap(inv(y)) - y)) <= fmap.tol
+
+
 @seed(20120421)
 @_EXAMPLES
 @given(profile=profiles(st.tuples(_MU, _LAM)))
 def test_born_infeld_snapshots_match_newton(profile):
-    # a certified snapshot meets |X(t, Z_tab(x)) - x| <= inv_tol everywhere
-    # and agrees with Newton; an uncertified one has Newton's bits
+    # every snapshot certifies, meets |X(t, Z_tab(x)) - x| <= inv_tol
+    # everywhere and agrees with Newton
     sol = solve(born_infeld(1.0), profile)
     for t in (0.0, 0.7, 3.0, 20.0):
         snap = sol.snapshot(t)
         lo, hi = sol.support_interval(t, margin=2.0)
         xs = np.linspace(lo, hi, 97)
-        want = sol.evaluate(t, xs)
-        if snap.certificate.fell_back:
-            assert np.array_equal(snap.evaluate(xs), want)
-            continue
         assert snap.certificate.residual <= sol.inv_tol
         back = sol.position(t, snap.coordinate(xs))
         assert np.max(np.abs(back - xs)) <= sol.inv_tol
-        assert np.max(np.abs(snap.evaluate(xs) - want)) <= 1e-10
+        assert np.max(np.abs(snap.evaluate(xs) - sol.evaluate(t, xs))) <= 1e-10
+    _check_shape_inverses([bi_shape(sol, "slow"), bi_shape(sol, "fast")])
+
+
+@seed(20120427)
+@_EXAMPLES
+@given(profile=profiles(st.tuples(_MU, _Q, _LAM)))
+def test_augmented_born_infeld_shape_inverses_are_certified(profile):
+    sol = solve(augmented_born_infeld(1.0), profile)
+    _check_shape_inverses([bi_shape(sol, "slow"), abi_middle_shape(sol), bi_shape(sol, "fast")])
 
 
 @st.composite

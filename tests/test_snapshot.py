@@ -2,8 +2,8 @@
 
 ``LagrangianSolution.snapshot(t)`` tabulates ``Z(t, .)`` once and
 ``ShapeFunction.inverse`` is a shape inverse table; both are certified
-against the forward map and fall back to Newton when the certificate fails.
-``evaluate`` keeps Newton, whatever was built.
+against the forward map, bisecting their knot segments until they are, or
+raise ``TabulationError``.  ``evaluate`` keeps Newton, whatever was built.
 """
 
 import numpy as np
@@ -57,7 +57,7 @@ def test_snapshot_table_matches_newton(sols, name, t):
     snap = sol.snapshot(t)
     cert = snap.certificate
     kinks = np.unique(sol.solution_kinks(t)[1])
-    assert not cert.fell_back
+    assert cert.splits == 0
     assert cert.residual <= sol.inv_tol
     assert cert.segments == len(kinks) - 1
     assert 0 <= cert.max_degree <= 256
@@ -85,41 +85,38 @@ def test_snapshot_is_immutable_and_keeps_its_time(sols):
         sols["bi-two-ramp"].snapshot(-1.0)
 
 
-def _shift_fit(monkeypatch, offset):
+def _spoil_fits(monkeypatch, how, offset):
+    """Every table fit off by ``offset`` in x, or failing; returns the number
+    of knot images each fit was given."""
     real = maps.fit_piecewise
+    knots = []
 
-    def shifted(*args):
-        return real(*args).shifted(offset)
+    def spoiled(f, breaks, *args):
+        knots.append(len(breaks))
+        if how == "fit":
+            raise TabulationError("forced")
+        return real(f, breaks, *args).shifted(offset)
 
-    monkeypatch.setattr(maps, "fit_piecewise", shifted)
+    monkeypatch.setattr(maps, "fit_piecewise", spoiled)
+    return knots
 
 
-def _fail_fit(monkeypatch):
-    def failing(*args):
-        raise TabulationError("forced")
-
-    monkeypatch.setattr(maps, "fit_piecewise", failing)
+def _bisected_every_time(knots):
+    # each level bisects every segment of the one before
+    return knots == [(knots[0] - 1) * 2**k + 1 for k in range(maps._SPLIT_LEVELS + 1)]
 
 
 @pytest.mark.parametrize("name", ["bi-two-ramp", "three-speed"])
 @pytest.mark.parametrize("how", ["residual", "fit"])
-def test_failed_certificate_falls_back_to_newton_bits(sols, monkeypatch, name, how):
+def test_failed_certificate_raises_after_every_split(sols, monkeypatch, name, how):
     sol = sols[name]
-    t = 2.0
-    if how == "residual":
-        _shift_fit(monkeypatch, 1e-9)  # a table off by 1e-9 in z
-    else:
-        _fail_fit(monkeypatch)
-    snap = sol.snapshot(t)
-    cert = snap.certificate
-    assert cert.fell_back and snap.coordinate.table is None
-    if how == "residual":
-        assert sol.inv_tol < cert.residual < 1e-7
-    else:
-        assert cert.residual == np.inf and cert.segments == 0
-    x = _grid(sol, t)
-    assert bits(snap.evaluate(x)) == bits(sol.evaluate(t, x))
-    assert snap.evaluate(0.25).tolist() == sol.evaluate(t, 0.25).tolist()
+    knots = _spoil_fits(monkeypatch, how, 1e-9)  # tables off by 1e-9 in z, or none
+    why = "worst residual" if how == "residual" else "forced"
+    with pytest.raises(TabulationError,
+                       match=r"^Z\(t=2, \.\) is not certified after 4 splits: %s" % why):
+        sol.snapshot(2.0)
+    assert knots[0] == len(np.unique(sol.solution_kinks(2.0)[1]))
+    assert _bisected_every_time(knots)
 
 
 def test_evaluate_is_unchanged_by_snapshots_and_fits_nothing(monkeypatch):
@@ -153,7 +150,7 @@ def test_shape_inverse_table_matches_newton(sols, name):
     for shape in _shapes(sol, name):
         inv = shape.inverse
         fmap = shape.forward
-        assert not inv.certificate.fell_back
+        assert inv.certificate.splits == 0
         assert inv.certificate.residual <= fmap.tol
         assert inv.certificate.segments == len(shape.breakpoints) - 1
         assert inv.table.left_tail[1] == 1.0 / fmap.left_slope
@@ -164,14 +161,14 @@ def test_shape_inverse_table_matches_newton(sols, name):
         assert np.max(np.abs(inv(y) - fmap.invert(y))) <= bound
 
 
-def test_failed_shape_certificate_falls_back_to_newton_bits(sols, monkeypatch):
-    sol = sols["bi-two-ramp"]
-    shape = bi_shape(sol, "slow")
-    _shift_fit(monkeypatch, 1e-8)
-    inv = shape.inverse
-    assert inv.certificate.fell_back
-    y = np.linspace(shape.forward.f_lo - 1.0, shape.forward.f_hi + 1.0, 101)
-    assert bits(inv(y)) == bits(shape.forward.invert(y))
+def test_failed_shape_certificate_raises_after_every_split(sols, monkeypatch):
+    shape = bi_shape(sols["bi-two-ramp"], "slow")
+    knots = _spoil_fits(monkeypatch, "residual", 1e-8)
+    with pytest.raises(TabulationError, match=r"^S\^-1 \(route bi-slow, component 0\) "
+                                              r"is not certified after 4 splits: worst"):
+        shape.inverse
+    assert knots[0] == len(shape.breakpoints)
+    assert _bisected_every_time(knots)
 
 
 @pytest.fixture
