@@ -1,4 +1,4 @@
-"""Explicit traveling-wave limits and decay measurement.
+"""Explicit traveling-wave limits, and decay measured by the solver's L1 integrator.
 
 Every limit shape map is identity plus a correction read at Z0(x), and one
 builder (:func:`_shape_from_correction`) turns any such correction into a
@@ -19,8 +19,8 @@ import numpy as np
 
 from .cheb import fit_piecewise
 from .maps import MonotoneMap, _inverse_table
-from .quadrature import integrate, integrate_abs, integrate_many
-from .solver import _SUPPORT_MARGIN, UnsupportedModelError, _check_times, _snapshot_states
+from .quadrature import integrate, integrate_many
+from .solver import UnsupportedModelError, _check_times, _l1_distances, _snapshot_side
 
 # Constituent quadratures run well below the shape tabulation tolerance so
 # the tabulated maps see a smooth function, not quadrature jitter.
@@ -365,41 +365,32 @@ def decay_curve(sol, shapes, times):
     """L1 distances of components ``shape.component`` from their predicted waves.
 
     Each prediction is the initial component composed with the inverse shape
-    map in the frame moving at ``shape.limit_speed``; integration runs over
-    the interval outside which both solution and prediction are exactly at
-    their shared tail values.  All ``(shape, time)`` pairs share one
-    ``integrate_abs`` pass, which reads the solution from one snapshot per
-    time (kinks included) and each prediction from its shape's inverse;
-    returns one :class:`DecayReport` per shape, none without shapes.
+    map in the frame moving at ``shape.limit_speed``, with the shape map's
+    breakpoint images as kinks.  All ``(shape, time)`` pairs share one
+    ``solver._l1_distances`` pass, which reads the solution from one
+    snapshot per time (kinks included) and each prediction from its shape's
+    inverse; returns one :class:`DecayReport` per shape, none without shapes.
     """
     ts = _check_times(np.array([float(t) for t in times]))
     if ts.size == 0 or np.any(np.diff(ts) <= 0.0):
         raise ValueError("times must be non-empty and strictly increasing")
     if not shapes:
         return []
-    prof, nt, margin = sol.initial, len(ts), _SUPPORT_MARGIN
-    comp = np.array([shape.component for shape in shapes])
-    speed = np.array([[shape.limit_speed] for shape in shapes])
-    ends = np.array([[shape.forward.f_lo, shape.forward.f_hi] for shape in shapes])
+    prof, nt = sol.initial, len(ts)
+    ct = np.outer([shape.limit_speed for shape in shapes], ts).ravel()
     fwd = np.array([shape.forward(prof.breakpoints) for shape in shapes])
     snaps = [sol.snapshot(t) for t in ts]
-    xk = np.array([snap.kinks for snap in snaps])
-    lo = np.minimum(xk[:, 0] - margin, ends[:, :1] + speed * ts - margin)
-    hi = np.maximum(xk[:, -1] + margin, ends[:, 1:] + speed * ts + margin)
-    kinks = np.column_stack([
-        np.tile(xk, (len(shapes), 1)),
-        (fwd[:, None, :] + (speed * ts)[:, :, None]).reshape(lo.size, -1),
-    ])
 
-    def diff(xv, owner):
-        s, k = np.divmod(owner, nt)
-        out = _snapshot_states(snaps, k, xv)[np.arange(len(xv)), comp[s]]
-        for j, shape in enumerate(shapes):
-            on = s == j
-            out[on] -= prof.component(comp[j], shape.inverse(xv[on] - speed[j] * ts[k[on]]))
+    def predicted(xv, owner):  # owner s * nt + k: shapes[s] at time ts[k]
+        out = np.empty(len(xv))
+        for s, shape in enumerate(shapes):
+            on = owner // nt == s
+            out[on] = prof.component(shape.component, shape.inverse(xv[on] - ct[owner[on]]))
         return out
 
-    dists = integrate_abs(diff, lo.ravel(), hi.ravel(), kinks, tol=sol.quad_tol)
+    comp = np.repeat([shape.component for shape in shapes], nt)
+    dists = _l1_distances(_snapshot_side(snaps, np.arange(comp.size) % nt, comp),
+                          (np.repeat(fwd, nt, axis=0) + ct[:, None], predicted), sol.quad_tol)
     return [DecayReport(component=shape.component, route=shape.route,
                         times=tuple(ts.tolist()), distances=tuple(d.tolist()))
-            for shape, d in zip(shapes, dists.reshape(lo.shape))]
+            for shape, d in zip(shapes, dists.reshape(len(shapes), nt))]

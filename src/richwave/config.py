@@ -105,9 +105,15 @@ def load_config(path_or_name):
                 "no such config file or preset: %r (presets: %s)"
                 % (path_or_name, ", ".join(preset_names()))
             )
+
+    def finite(literal):  # JSON number hook: NaN, Infinity and 1e400 are errors
+        if not np.isfinite(float(literal)):
+            raise ConfigError("non-finite number %s" % literal)
+        return float(literal)
+
     with open(path) as fh:
         try:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_float=finite, parse_constant=finite)
         except json.JSONDecodeError as exc:
             raise ConfigError("invalid JSON in %s: %s" % (path, exc)) from exc
     return parse_config(raw, base_dir=os.path.dirname(os.path.abspath(path)))

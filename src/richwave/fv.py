@@ -69,9 +69,8 @@ def step(grid, max_dt=None):
         dt = min(dt, float(max_dt))
     w = grid.states
     c = lam * (dt / grid.dx)
-    back = w - np.vstack([w[:1], w[:-1]])
-    fwd = np.vstack([w[1:], w[-1:]]) - w
-    new = w - np.where(lam > 0.0, c * back, c * fwd)
+    d = np.diff(w, axis=0, prepend=w[:1], append=w[-1:])  # zero past either end
+    new = w - c * np.where(lam > 0.0, d[:-1], d[1:])
     new[0] = grid.left_state
     new[-1] = grid.right_state
     if not np.isfinite(new).all():

@@ -3,10 +3,10 @@
 Every integral in the package funnels through :func:`integrate_many`, which
 integrates a batch of integrals ``[a_p, b_p]`` in one adaptive pass: the
 panels of all integrals refine together, one integrand call per level, and
-each panel's result is credited to the integral that owns it.
-:func:`integrate` is the one-integral call.  Integrands may be vector-valued,
-returning one row of m components per point: a panel is accepted only when
-every component meets its budget, and totals are kept per component.
+each panel's result is credited to the integral that owns it (``integrate``
+is the one-integral call, ``integrate_abs`` the L1 norm, split at the roots
+``refine_sign_changes`` finds).  Integrands may return m components per
+point: a panel is accepted only when every component meets its budget.
 Integrands are piecewise smooth with kink locations known to the caller
 (profile breakpoints and their coordinate images), so each interval is split
 there first and every panel converges at Simpson's full order (the
@@ -16,6 +16,7 @@ vectorised form of the adaptive scheme of Gander & Gautschi, BIT 40 (2000)).
 import numpy as np
 
 MAX_DEPTH = 40
+MAX_PANELS = 2 ** 20  # live panels of one level: bounds a diverging pass's memory
 # Probe points per panel and bisection cap of ``refine_sign_changes``.
 _SIGN_SAMPLES = 9
 _SIGN_ITERS = 52
@@ -88,7 +89,7 @@ def integrate_many(f, a, b, kinks=None, tol=1e-10):
     are ``(len(a),)``.
 
     Raises :class:`QuadratureError` if any panel still fails its error budget
-    after ``MAX_DEPTH`` bisection levels.
+    after ``MAX_DEPTH`` bisection levels or past ``MAX_PANELS`` live panels.
     """
     a = np.asarray(a, dtype=float).reshape(-1)
     b = np.asarray(b, dtype=float).reshape(-1)
@@ -135,12 +136,14 @@ def integrate_many(f, a, b, kinks=None, tol=1e-10):
         if done.all():
             total = sign[:, None] * total.reshape(len(a), m)
             return total if vector else total[:, 0]
-        if depth == MAX_DEPTH:
+        if depth == MAX_DEPTH or 2 * np.count_nonzero(~done) > MAX_PANELS:
             worst_err = np.max(np.abs(err), axis=1)
             worst = int(np.argmax(np.where(done, -np.inf, worst_err)))
+            limit = ("depth %d" % MAX_DEPTH if depth == MAX_DEPTH
+                     else "%d live panels" % MAX_PANELS)
             raise QuadratureError(
-                "adaptive Simpson: depth %d exceeded with panel error %.3e on "
-                "[%.17g, %.17g]" % (MAX_DEPTH, worst_err[worst], lo[worst], hi[worst]),
+                "adaptive Simpson: %s exceeded with panel error %.3e on "
+                "[%.17g, %.17g]" % (limit, worst_err[worst], lo[worst], hi[worst]),
                 interval=(float(lo[worst]), float(hi[worst])),
                 owner=int(own[worst]),
             )
@@ -237,13 +240,13 @@ def refine_sign_changes(f, edges):
     """Roots of ``f(., p)`` between consecutive edges of row ``p``, by bisection.
 
     ``edges`` rows increase, NaN entries skipped; ``f(x, owner)`` follows
-    :func:`integrate_many`.  Only sign changes visible at ``_SIGN_SAMPLES``
-    probe points per panel are found, which is all the piecewise-monotone
-    integrands here need (a lone zero probe is one, also on an edge shared
-    by two panels of one row).  All panels share one
-    probe call, in which an edge between two panels of one row is probed
-    once, and all brackets one :func:`bisect_brackets`.  Returns ``(P, R)``
-    NaN-padded roots.
+    :func:`integrate_many`.  Row ``p``'s probes form one increasing sequence,
+    its first edge, then the last ``_SIGN_SAMPLES - 1`` of ``_SIGN_SAMPLES``
+    equispaced points of each panel, and all rows share one probe call.  A
+    root is a sign change between neighbouring probes, bisected by one
+    :func:`bisect_brackets` call, or a lone zero probe between probes of
+    opposite sign: all the piecewise-monotone integrands here need.  Returns
+    ``(P, R)`` NaN-padded roots, each row increasing.
     """
     edges = np.asarray(edges, dtype=float)
     valid = ~np.isnan(edges)
@@ -253,29 +256,22 @@ def refine_sign_changes(f, edges):
         return np.full((len(edges), 0), np.nan)
     xs = np.linspace(flat[:-1][panel], flat[1:][panel], _SIGN_SAMPLES, axis=1)
     own = owner[:-1][panel]
-    # A panel starting where its owner's previous panel ends reuses that probe.
-    shared = np.flatnonzero((own[1:] == own[:-1]) & (xs[1:, 0] == xs[:-1, -1])) + 1
+    # Each panel of a row after its first starts at the previous one's last probe.
     probe = np.ones(xs.shape, dtype=bool)
-    probe[shared, 0] = False
-    vals = np.empty(xs.shape)
-    vals[probe] = _feval(f, xs[probe], np.repeat(own, probe.sum(axis=1)))
-    vals[shared, 0] = vals[shared - 1, -1]
+    probe[1:, 0] = own[1:] != own[:-1]
+    xs, own = xs[probe], np.repeat(own, probe.sum(axis=1))
+    vals = _feval(f, xs, own)
     sgn = np.sign(vals)
-    k, j = np.nonzero(sgn[:, :-1] * sgn[:, 1:] < 0)
-    roots = bisect_brackets(
-        lambda x, b: f(x, own[k[b]]), xs[k, j], xs[k, j + 1], vals[k, j], _SIGN_ITERS
-    )
-    # A lone zero probe between opposite signs is a root; zero runs are not.
-    # On a shared edge the neighbours are the previous panel's last-but-one
-    # probe and the next panel's second; the root goes to the previous panel.
-    kz, jz = np.nonzero((sgn[:, 1:-1] == 0) & (sgn[:, :-2] * sgn[:, 2:] < 0))
-    ke = shared[(sgn[shared, 0] == 0) & (sgn[shared - 1, -2] * sgn[shared, 1] < 0)] - 1
-    pk = np.concatenate([k, kz, ke])
-    order = np.argsort(pk, kind="stable")
-    roots = np.concatenate([roots, xs[kz, jz + 1], xs[ke, -1]])[order]
-    own = own[pk[order]]
-    # Column of each root: its rank among its owner's (panels are by owner).
+    k = np.flatnonzero((own[:-1] == own[1:]) & (sgn[:-1] * sgn[1:] < 0))
+    zero = np.flatnonzero(
+        (own[:-2] == own[2:]) & (sgn[1:-1] == 0) & (sgn[:-2] * sgn[2:] < 0)) + 1
+    root = xs.copy()  # a lone zero probe is its own root
+    root[k] = bisect_brackets(
+        lambda x, b: f(x, own[k[b]]), xs[k], xs[k + 1], vals[k], _SIGN_ITERS)
+    at = np.sort(np.concatenate([k, zero]))
+    own = own[at]
+    # Column of each root: its rank among its owner's (probes are by owner).
     col = np.arange(len(own)) - np.searchsorted(own, own)
     out = np.full((len(edges), col.max(initial=-1) + 1), np.nan)
-    out[own, col] = roots
+    out[own, col] = root[at]
     return out

@@ -39,7 +39,8 @@ import numpy as np
 from .cheb import StackedCheb, fit_piecewise
 from .maps import (_EPS, InverseTable, InversionError, _floored_tol, _fmax, _inverse_table,
                    _invert_between_knots, _sorted_knots, invert_floats, invert_increasing)
-from .quadrature import QuadratureError, integrate, integrate_many, refine_sign_changes
+from .quadrature import (QuadratureError, integrate, integrate_abs, integrate_many,
+                         refine_sign_changes)
 from .systems import AdmissibilityError
 
 # Points per shared position-quadrature pass: bounds the panel arrays of one
@@ -587,10 +588,10 @@ class LagrangianSolution:
         ``t2``; the time sides sweep tau and evaluate by Newton.
         """
         t1, t2, A, B = box
-        if not (0 <= t1 < t2):
-            raise ValueError("need t2 > t1 >= 0")
-        if not A < B:
-            raise ValueError("need A < B")
+        if not 0 <= t1 < t2 < np.inf:
+            raise ValueError("need finite t2 > t1 >= 0")
+        if not -np.inf < A < B < np.inf:
+            raise ValueError("need finite A < B")
         speeds = self.system.lagrangian_speeds
 
         def space_integral(t):
@@ -632,9 +633,7 @@ class LagrangianSolution:
         zk = np.tile(self.zeta, speeds.size)
 
         def path(tau, k):
-            return np.asarray(
-                self.position(tau, zk[k] + spd[k] * tau), dtype=float
-            ) - x_side
+            return self.position(tau, zk[k] + spd[k] * tau) - x_side
 
         roots = refine_sign_changes(path, np.tile(np.linspace(t1, t2, 9), (spd.size, 1)))
         return roots[~np.isnan(roots)]
@@ -664,13 +663,32 @@ class Snapshot:
         return self.solution.state_lagrangian(self.t, self.coordinate(x))
 
 
-def _snapshot_states(snaps, which, x):
-    """w(snaps[which[p]].t, x[p]) for 1-D ``x``: each snapshot's coordinate
-    on its own points, then one ``state_lagrangian`` call."""
-    z = np.empty(len(x))
-    for k, snap in enumerate(snaps):
-        on = which == k
-        if on.any():
+def _snapshot_side(snaps, which, comps):
+    """The :func:`_l1_distances` side of component ``comps[p]`` of ``snaps[which[p]]``
+    for every owner ``p``: the snapshots' kinks, and a reader that makes one
+    coordinate read per snapshot on its points, then one ``state_lagrangian`` call."""
+
+    def read(x, owner):
+        k = which[owner]
+        z = np.empty(len(x))
+        for j, snap in enumerate(snaps):
+            on = k == j
             z[on] = snap.coordinate(x[on])
-    t = np.array([snap.t for snap in snaps])[which]
-    return snaps[0].solution.state_lagrangian(t, z)
+        w = snaps[0].solution.state_lagrangian(np.array([s.t for s in snaps])[k], z)
+        return w[np.arange(len(x)), comps[owner]]
+
+    return np.array([snap.kinks for snap in snaps])[which], read
+
+
+def _l1_distances(a, b, tol):
+    """``int |a(x, p) - b(x, p)| dx`` for every owner ``p``, in one ``integrate_abs`` pass.
+
+    A side is ``(kinks, read)``: ``read(x, owner)`` gives its values, and the first
+    and last columns of the ``(P, K)`` array ``kinks`` bound where they differ from
+    their tail value.  Owner ``p`` integrates between both sides' bounds widened by
+    ``_SUPPORT_MARGIN``, with every kink as a panel edge."""
+    (ka, read_a), (kb, read_b) = a, b
+    lo = np.minimum(ka[:, 0], kb[:, 0]) - _SUPPORT_MARGIN
+    hi = np.maximum(ka[:, -1], kb[:, -1]) + _SUPPORT_MARGIN
+    return integrate_abs(lambda x, owner: read_a(x, owner) - read_b(x, owner),
+                         lo, hi, np.column_stack([ka, kb]), tol)

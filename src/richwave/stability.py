@@ -1,8 +1,8 @@
 """L1 stability experiments: solution-pair distances and coordinate-map bounds.
 
 The vector L1 norm is the sum of component norms, so the initial distance
-dominates each component.  The stability constant is never asserted a
-priori; sweeps measure it across perturbation amplitudes.
+dominates each component.  Distances at t > 0 come from the solver's L1
+integrator; sweeps measure the stability constant, never asserted a priori.
 """
 
 import math
@@ -11,8 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .profiles import add_bump, l1_distance
-from .quadrature import integrate_abs
-from .solver import _SUPPORT_MARGIN, _check_times, _snapshot_states, solve
+from .solver import _check_times, _l1_distances, _snapshot_side, solve
 from .systems import AdmissibilityError
 
 _MAP_POINTS = 2001  # per grid of coordinate_map_bounds
@@ -41,7 +40,6 @@ def pair_distance(sol1, sol2, times, *, _snaps1=None):
         # identical initial data: by uniqueness the solutions coincide
         return [(0.0, tuple(initial)) for _ in times]
     comps = np.nonzero((p.values[0] == q.values[0]) & (p.values[-1] == q.values[-1]))[0]
-    nc = len(comps)
     moving = times > 0.0
     ts = times[moving]
     per = np.full((len(moving), p.n), math.inf)
@@ -49,20 +47,12 @@ def pair_distance(sol1, sol2, times, *, _snaps1=None):
     if ts.size:
         snaps1 = _snaps1 or [sol1.snapshot(t) for t in ts]
         snaps2 = [sol2.snapshot(t) for t in ts]
-        xk1, xk2 = (np.array([s.kinks for s in snaps]) for snaps in (snaps1, snaps2))
-        lo = np.minimum(xk1[:, 0], xk2[:, 0]) - _SUPPORT_MARGIN
-        hi = np.maximum(xk1[:, -1], xk2[:, -1]) + _SUPPORT_MARGIN
-
-        def diff(xv, owner):  # owner k * nc + c: time ts[k], component comps[c]
-            k = owner // nc
-            w = _snapshot_states(snaps1, k, xv) - _snapshot_states(snaps2, k, xv)
-            return w[np.arange(len(xv)), comps[owner % nc]]
-
-        per[np.ix_(moving, comps)] = integrate_abs(
-            diff, np.repeat(lo, nc), np.repeat(hi, nc),
-            np.repeat(np.column_stack([xk1, xk2]), nc, axis=0),
-            tol=min(sol1.quad_tol, sol2.quad_tol),
-        ).reshape(len(ts), nc)
+        # owner k * len(comps) + c: time ts[k], component comps[c]
+        which, comp = np.repeat(np.arange(len(ts)), len(comps)), np.tile(comps, len(ts))
+        per[np.ix_(moving, comps)] = _l1_distances(
+            _snapshot_side(snaps1, which, comp), _snapshot_side(snaps2, which, comp),
+            min(sol1.quad_tol, sol2.quad_tol),
+        ).reshape(len(ts), -1)
     return [(sum(row), tuple(row)) for row in per.tolist()]
 
 

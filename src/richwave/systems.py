@@ -101,8 +101,8 @@ class RichSystem:
         """All component speeds; shape (..., n)."""
         w = np.asarray(w, dtype=float)
         self.check_admissible(w)
-        ratio = self.flux(w) / self.density(w)
-        return ratio[..., None] + self.lagrangian_speeds / self.density(w)[..., None]
+        n = self.density(w)[..., None]
+        return self.flux(w)[..., None] / n + self.lagrangian_speeds / n
 
 
 def born_infeld(a=1.0):

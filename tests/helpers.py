@@ -10,8 +10,9 @@ integral each, plain bisection makes one integrand call per step, the
 per-segment Chebyshev fit solves least squares (``chebfit``) once per
 segment and rung instead of taking an FFT, and the per-domain plateau check
 evaluates each domain on its own, the box time-side kink search bisects
-the sign flips of its own 65-point grid, and the three Born-Infeld model
-shapes are written out one by one.  The
+the sign flips of its own 65-point grid, the sign-change scan probes each
+panel on its own, and the three Born-Infeld model shapes are written out
+one by one.  The
 pointwise shape-correction quadratures (``tail_term``, ``coupling_term``),
 the closed-form generic shape derivative and the traveling-frame position
 are the oracles the asymptotics tables and criterion 7 are tested against.
@@ -38,7 +39,13 @@ from richwave.asymptotics import (
 )
 from richwave.cheb import _DEGREES, PiecewiseCheb, TabulationError
 from richwave.plateau import PlateauCheck
-from richwave.quadrature import bisect_brackets, integrate_abs
+from richwave.quadrature import (
+    _SIGN_ITERS,
+    _SIGN_SAMPLES,
+    _feval,
+    bisect_brackets,
+    integrate_abs,
+)
 
 
 def bi_tworamp_profile():
@@ -682,6 +689,43 @@ def time_kinks_reference(sol, x_side, t1, t2):
     )
     order = np.lexsort((roots, flips[2], flips[1]))
     return roots[order]
+
+
+def refine_sign_changes_reference(f, edges):
+    """``quadrature.refine_sign_changes`` as it scanned each panel on its own:
+    ``_SIGN_SAMPLES`` probes per panel, the probe on an edge shared by two
+    panels of one row copied from the previous panel, and a lone zero on a
+    shared edge as its own case.  Kept as the bit-for-bit reference for the
+    scan over one probe sequence per row; roots ordered by panel."""
+    edges = np.asarray(edges, dtype=float)
+    valid = ~np.isnan(edges)
+    flat, owner = edges[valid], np.nonzero(valid)[0]
+    panel = (owner[:-1] == owner[1:]) & (flat[:-1] < flat[1:])
+    if not panel.any():
+        return np.full((len(edges), 0), np.nan)
+    xs = np.linspace(flat[:-1][panel], flat[1:][panel], _SIGN_SAMPLES, axis=1)
+    own = owner[:-1][panel]
+    shared = np.flatnonzero((own[1:] == own[:-1]) & (xs[1:, 0] == xs[:-1, -1])) + 1
+    probe = np.ones(xs.shape, dtype=bool)
+    probe[shared, 0] = False
+    vals = np.empty(xs.shape)
+    vals[probe] = _feval(f, xs[probe], np.repeat(own, probe.sum(axis=1)))
+    vals[shared, 0] = vals[shared - 1, -1]
+    sgn = np.sign(vals)
+    k, j = np.nonzero(sgn[:, :-1] * sgn[:, 1:] < 0)
+    roots = bisect_brackets(
+        lambda x, b: f(x, own[k[b]]), xs[k, j], xs[k, j + 1], vals[k, j], _SIGN_ITERS
+    )
+    kz, jz = np.nonzero((sgn[:, 1:-1] == 0) & (sgn[:, :-2] * sgn[:, 2:] < 0))
+    ke = shared[(sgn[shared, 0] == 0) & (sgn[shared - 1, -2] * sgn[shared, 1] < 0)] - 1
+    pk = np.concatenate([k, kz, ke])
+    order = np.argsort(pk, kind="stable")
+    roots = np.concatenate([roots, xs[kz, jz + 1], xs[ke, -1]])[order]
+    own = own[pk[order]]
+    col = np.arange(len(own)) - np.searchsorted(own, own)
+    out = np.full((len(edges), col.max(initial=-1) + 1), np.nan)
+    out[own, col] = roots
+    return out
 
 
 def bi_shape_reference(sol, side):

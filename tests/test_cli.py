@@ -192,6 +192,39 @@ def test_values_that_would_crash_or_hang_exit_2(tmp_path, capsys, command, extra
     assert not (out / "failures.json").exists()
 
 
+@pytest.mark.parametrize(
+    "command, path, literal",
+    [
+        ("oracle", ("oracle", "t_final"), "Infinity"),
+        ("solve", ("boxes", 0, 3), "Infinity"),
+        ("solve", ("grid", "points"), "Infinity"),
+        ("solve", ("grid", "x_max"), "NaN"),
+        ("solve", ("grid", "x_max"), "Infinity"),
+        ("oracle", ("oracle", "x_max"), "NaN"),
+        ("oracle", ("oracle", "x_max"), "1e400"),
+        ("validate", ("model", "a"), "NaN"),
+        ("validate", ("model", "a"), "-Infinity"),
+    ],
+    ids=lambda v: "-".join(map(str, v)) if isinstance(v, tuple) else v,
+)
+def test_non_finite_numbers_exit_2(tmp_path, capsys, command, path, literal):
+    # Python's json reads NaN, Infinity and 1e400 as floats: an infinite
+    # oracle t_final or box edge never returned, the others exited 1 or with
+    # a traceback
+    cfg = json.loads(preset_path("bi-two-ramp").read_text())
+    block = cfg
+    for key in path[:-1]:
+        block = block[key]
+    block[path[-1]] = "@"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg).replace('"@"', literal))
+    out = tmp_path / "o"
+    assert main([command, "--config", str(bad), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "richwave: config error: non-finite number %s\n" % literal
+    assert not (out / "failures.json").exists()
+
+
 @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
 def test_bad_tol_option_exits_2(tmp_path, capsys, tol):
     # the rule of the config's tolerances: nan and -1 gave spurious

@@ -14,7 +14,12 @@ from hypothesis import strategies as st
 from hypothesis.internal.conjecture import providers
 from numpy.polynomial import chebyshev as C
 
-from helpers import check_merged_knots, coincidence_times, three_speed_system
+from helpers import (
+    check_merged_knots,
+    coincidence_times,
+    refine_sign_changes_reference,
+    three_speed_system,
+)
 from richwave import (
     PiecewiseProfile,
     abi_middle_shape,
@@ -27,6 +32,7 @@ from richwave import (
 from richwave import solver
 from richwave.cheb import fit_piecewise
 from richwave.maps import _sorted_knots
+from richwave.quadrature import refine_sign_changes
 
 # |w_i| <= 0.8 keeps 1/N = 1 + 0.1 w1 + 0.15 w2 - 0.08 w3 >= 0.74, well inside
 # the three-speed system's admissible set 1/N > 0.05, for every mixture of
@@ -376,3 +382,49 @@ def test_fit_piecewise_reproduces_polynomial_pieces(case):
         alone = fit_piecewise(counting, breaks[k: k + 2]).coefs[0]
         assert len(calls) == rungs[k] + 1
         assert np.array_equal(alone.view(np.int64), c.view(np.int64))
+
+
+# Edges are multiples of 1/4, so every probe of a panel between them is a
+# multiple of 1/32; the integrands' nodes are multiples of 1/8, so their
+# zeros land on probes and on edges shared by two panels, and neighbouring
+# zero nodes make plateaus.
+_EDGE = st.integers(-6, 6).map(lambda k: k / 4.0)
+_NODE_VALUE = st.sampled_from([-1.0, 0.0, 0.0, 1.0])
+
+
+@st.composite
+def scan_rows(draw):
+    """NaN-padded edge rows, repeated edges allowed, and per row the nodes
+    and values of a piecewise-linear integrand."""
+    rows, width = draw(st.integers(1, 4)), draw(st.integers(2, 6))
+    edges = np.full((rows, width), np.nan)
+    nodes, values = [], []
+    for p in range(rows):
+        row = sorted(draw(st.lists(_EDGE, min_size=2, max_size=width)))
+        slots = sorted(draw(st.permutations(range(width)))[:len(row)])
+        edges[p, slots] = row
+        xs = np.unique(draw(st.lists(st.integers(-14, 14), min_size=1, max_size=12)))
+        nodes.append(xs / 8.0)
+        values.append(draw(st.lists(_NODE_VALUE, min_size=xs.size, max_size=xs.size)))
+    return edges, nodes, values
+
+
+@seed(20120428)
+@_EXAMPLES
+@given(case=scan_rows())
+def test_row_scan_matches_the_per_panel_scan(case):
+    # one probe sequence per row finds the roots the per-panel scan found,
+    # bit for bit; only their order within a row may differ
+    edges, nodes, values = case
+
+    def f(x, owner):
+        out = np.empty(len(x))
+        for p in range(len(nodes)):
+            on = owner == p
+            out[on] = np.interp(x[on], nodes[p], values[p])
+        return out
+
+    got = np.sort(refine_sign_changes(f, edges), axis=1)
+    want = np.sort(refine_sign_changes_reference(f, edges), axis=1)
+    assert got.shape == want.shape
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()

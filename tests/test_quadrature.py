@@ -244,6 +244,22 @@ def test_bisection_of_no_brackets_calls_nothing():
     assert bisect_brackets(f, empty, empty, empty, 52).shape == (0,)
 
 
+def test_live_panel_cap_raises_a_named_error(monkeypatch):
+    # sin(40 x) on [0, 10] needs hundreds of panels: it converges under the
+    # default cap and names the limit and its worst panel under a low one
+    def f(x):
+        return np.sin(40.0 * x)
+
+    assert integrate(f, 0.0, 10.0, tol=1e-10) == pytest.approx(
+        (1.0 - math.cos(400.0)) / 40.0, abs=1e-10)
+    monkeypatch.setattr(quadrature, "MAX_PANELS", 64)
+    with pytest.raises(QuadratureError, match="64 live panels exceeded") as info:
+        integrate(f, 0.0, 10.0, tol=1e-10)
+    lo, hi = info.value.interval
+    assert 0.0 <= lo < hi <= 10.0
+    assert info.value.owner == 0
+
+
 def test_refine_sign_changes_call_count():
     calls = []
 

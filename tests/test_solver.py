@@ -592,6 +592,17 @@ def test_bad_box_rejected_before_any_work(three_sol, monkeypatch):
             three_sol.box_residuals(box)
 
 
+@pytest.mark.parametrize(
+    "box",
+    [(0.0, np.inf, -1.0, 1.0), (np.nan, 1.0, -1.0, 1.0), (0.0, 1.0, -np.inf, 1.0),
+     (0.0, 1.0, -3.0, np.inf), (0.0, 1.0, -1.0, np.nan)],
+)
+def test_non_finite_box_rejected(three_sol, box):
+    # an infinite side refined NaN panels without end
+    with pytest.raises(ValueError, match="finite"):
+        three_sol.box_residuals(box)
+
+
 def test_box_residuals_one_integrate_call_per_side(three_sol, monkeypatch):
     calls = []
     real = solver.integrate
