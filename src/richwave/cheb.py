@@ -80,12 +80,12 @@ class PiecewiseCheb:
             b, coefs, (self.left_tail[1], 0.0), (self.right_tail[1], 0.0)
         )
 
-    def antiderivative(self, anchor=None, value=0.0):
-        """Continuous antiderivative, normalized so F(anchor) = value to rounding.
+    def antiderivative(self, anchor=None):
+        """Continuous antiderivative, normalized so F(anchor) = 0 to rounding.
 
-        The shift is the table's value at ``anchor``, so ``F(anchor) - value``
-        is the rounding of evaluating the shifted table there, a few ulp of
-        the table's scale.  Shifting again does not always reach 0: the
+        The shift is the table's value at ``anchor``, so ``F(anchor)`` is the
+        rounding of evaluating the shifted table there, a few ulp of the
+        table's scale.  Shifting again does not always reach 0: the
         last Clenshaw step adds ``c_0`` to a sum the other coefficients fix.
 
         Requires constant tails (slope 0) so the result has exact linear
@@ -109,8 +109,7 @@ class PiecewiseCheb:
             (float(c0), self.right_tail[0]),
         )
         if anchor is not None:
-            shift = out(anchor) - value
-            out = out.shifted(-shift)
+            out = out.shifted(-out(anchor))
         return out
 
     def shifted(self, offset):

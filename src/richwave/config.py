@@ -226,4 +226,7 @@ def parse_config(raw, base_dir="."):
         raise ConfigError("shape_samples must be >= 1, got %d" % cfg.shape_samples)
     if "plateau_factors" in raw:
         cfg.plateau_factors = tuple(float(v) for v in raw["plateau_factors"])
+        if not all(v > 1.0 for v in cfg.plateau_factors):  # NaN fails
+            raise ConfigError("plateau_factors must each exceed 1, got %r"
+                              % (raw["plateau_factors"],))
     return cfg

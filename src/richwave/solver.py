@@ -43,9 +43,6 @@ from .quadrature import (QuadratureError, integrate, integrate_abs, integrate_ma
                          refine_sign_changes)
 from .systems import AdmissibilityError
 
-# Points per shared position-quadrature pass: bounds the panel arrays of one
-# pass at no cost in calls per point.
-_POINTS_PER_PASS = 128
 # The per-family tables' certified gap to position_quadrature (criterion 3's bound).
 _SEPARABLE_TOL = 1e-9
 _SUPPORT_MARGIN = 1.0  # how far a support interval reaches past the core edges
@@ -140,7 +137,7 @@ class LagrangianSolution:
         # Z0 = antiderivative of N(w0), anchored so Z0(0) = 0; its tails are
         # exactly affine with slopes N at the constant tail states.
         self._n0 = fit_piecewise(lambda x: system.density(profile(x)), xs)
-        self._z0 = self._n0.antiderivative(anchor=0.0, value=0.0)
+        self._z0 = self._n0.antiderivative(anchor=0.0)
         self.zeta = self._z0(xs)
 
         if self._n0(profile.segment_samples(129)).min() <= 0.0:
@@ -267,10 +264,9 @@ class LagrangianSolution:
         ``t`` and ``z``; scalar input returns a float.  The integrand is
         piecewise smooth between the crossing times (z - zeta_k) / speed of
         the breakpoint images, which are injected as quadrature kinks.  All
-        points with ``t > 0`` share one adaptive pass per block of
-        ``_POINTS_PER_PASS`` points; points with ``t == 0`` return X0(z)
-        exactly.  A :class:`QuadratureError` names the failing point's
-        (t, z) and its tau interval.
+        points with ``t > 0`` share one adaptive pass; points with ``t == 0``
+        return X0(z) exactly.  A :class:`QuadratureError` names the failing
+        point's (t, z) and its tau interval.
         """
         t = self._check_kink_times(np.asarray(t, dtype=float))
         z = np.asarray(z, dtype=float)
@@ -284,23 +280,22 @@ class LagrangianSolution:
             return self.system.flux(w) / self.system.density(w)
 
         moving = np.nonzero(tf > 0.0)[0]
-        for start in range(0, len(moving), _POINTS_PER_PASS):
-            idx = moving[start:start + _POINTS_PER_PASS]
-            tc, zc = tf[idx], zf[idx]
+        if len(moving):
+            tm, zm = tf[moving], zf[moving]
             try:
-                out[idx] += integrate_many(
-                    lambda tau, owner: ratio(tau, zc[owner]),
-                    np.zeros(len(idx)),
-                    tc,
-                    self._crossing_times(zc),
+                out[moving] += integrate_many(
+                    lambda tau, owner: ratio(tau, zm[owner]),
+                    np.zeros(len(moving)),
+                    tm,
+                    self._crossing_times(zm),
                     tol=self.quad_tol,
                 )
             except QuadratureError as exc:
                 k = exc.owner
                 raise QuadratureError(
-                    "X(t=%.17g, z=%.17g): %s" % (tc[k], zc[k], exc),
+                    "X(t=%.17g, z=%.17g): %s" % (tm[k], zm[k], exc),
                     interval=exc.interval,
-                    owner=(float(tc[k]), float(zc[k])),
+                    owner=(float(tm[k]), float(zm[k])),
                 ) from exc
         if tb.ndim == 0:
             return float(out[0])
@@ -315,7 +310,7 @@ class LagrangianSolution:
     def _primitive(self, i):
         """Running primitive of w0_i(X0(z)), anchored at z = 0."""
         f = fit_piecewise(lambda z: self.initial.component(i, self._x0(z)), self.zeta)
-        return f.antiderivative(anchor=0.0, value=0.0)
+        return f.antiderivative(anchor=0.0)
 
     @cached_property
     def _p_mu(self):

@@ -105,6 +105,23 @@ class RichSystem:
         return self.flux(w)[..., None] / n + self.lagrangian_speeds / n
 
 
+def _born_infeld_system(name, families, bi):
+    """Born-Infeld-like rich system with the density and flux ``bi`` states."""
+    a, mu, lam = bi.a, bi.mu, bi.lam
+
+    def density(w):
+        return 2.0 * a / (w[..., mu] - w[..., lam])
+
+    def flux(w):
+        return a * (w[..., mu] + w[..., lam]) / (w[..., mu] - w[..., lam])
+
+    def admissible(w):
+        return w[..., mu] > w[..., lam]
+
+    return RichSystem(name, families, density, flux, admissible,
+                      admissibility_note="mu > lam", bi_structure=bi)
+
+
 def born_infeld(a=1.0):
     """Reduced Born-Infeld system: w = (mu, lam), mu > lam.
 
@@ -114,25 +131,8 @@ def born_infeld(a=1.0):
     """
     if a < 1.0:
         raise ValueError("Born-Infeld parameter a = sqrt(1 + B1^2 + D1^2) >= 1")
-
-    def density(w):
-        return 2.0 * a / (w[..., 0] - w[..., 1])
-
-    def flux(w):
-        return a * (w[..., 0] + w[..., 1]) / (w[..., 0] - w[..., 1])
-
-    def admissible(w):
-        return w[..., 0] > w[..., 1]
-
-    return RichSystem(
-        "born-infeld(a=%g)" % a,
-        (Family(-a, (0,)), Family(+a, (1,))),
-        density,
-        flux,
-        admissible,
-        admissibility_note="mu > lam",
-        bi_structure=BIStructure(a=a, mu=0, lam=1),
-    )
+    return _born_infeld_system("born-infeld(a=%g)" % a, (Family(-a, (0,)), Family(+a, (1,))),
+                               BIStructure(a=a, mu=0, lam=1))
 
 
 def augmented_born_infeld(a=1.0):
@@ -144,25 +144,9 @@ def augmented_born_infeld(a=1.0):
     """
     if a < 1.0:
         raise ValueError("Born-Infeld parameter a >= 1")
-
-    def density(w):
-        return 2.0 * a / (w[..., 0] - w[..., 2])
-
-    def flux(w):
-        return a * (w[..., 0] + w[..., 2]) / (w[..., 0] - w[..., 2])
-
-    def admissible(w):
-        return w[..., 0] > w[..., 2]
-
-    return RichSystem(
-        "augmented-born-infeld(a=%g)" % a,
-        (Family(-a, (0,)), Family(0.0, (1,)), Family(+a, (2,))),
-        density,
-        flux,
-        admissible,
-        admissibility_note="mu > lam",
-        bi_structure=BIStructure(a=a, mu=0, lam=2),
-    )
+    families = (Family(-a, (0,)), Family(0.0, (1,)), Family(+a, (2,)))
+    return _born_infeld_system("augmented-born-infeld(a=%g)" % a, families,
+                               BIStructure(a=a, mu=0, lam=2))
 
 
 @dataclass

@@ -1,5 +1,8 @@
 import json
 import os
+import resource
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from richwave.config import (
 )
 from richwave.fv import BlowUpError
 from richwave.maps import InversionError
+from richwave.plateau import NotDecomposedError
 from richwave.quadrature import QuadratureError
 from richwave.systems import AdmissibilityError
 
@@ -173,10 +177,14 @@ def test_out_of_range_blocks_rejected(extra):
         ("solve", {"tolerances": {"quadrature": float("nan")}}),
         ("solve", {"tolerances": {"inversion": -1e-12}}),
         ("validate", {"tolerances": {"verify": float("inf")}}),
+        ("plateau", {"plateau_factors": [1.0]}),
+        ("plateau", {"plateau_factors": [0.5]}),
+        ("plateau", {"plateau_factors": [-1.0]}),
     ],
     ids=["component-too-large", "component-negative", "negative-half-width",
          "zero-shape-samples", "zero-quadrature-tol", "nan-quadrature-tol",
-         "negative-inversion-tol", "infinite-verify-tol"],
+         "negative-inversion-tol", "infinite-verify-tol", "plateau-factor-one",
+         "plateau-factor-half", "plateau-factor-negative"],
 )
 def test_values_that_would_crash_or_hang_exit_2(tmp_path, capsys, command, extra):
     # each of these ended in a traceback, or (zero or NaN tolerance) never
@@ -253,6 +261,9 @@ def test_output_directory_that_cannot_be_made_exits_2(tmp_path, capsys):
         TabulationError("segment did not converge"),
         ShapeFloorError("shape map for component 0 is not invertible"),
         BlowUpError("non-finite state after step at t = 0.5"),
+        MemoryError("Unable to allocate 745. GiB for an array"),
+        NotDecomposedError("verification requires t past the settling time"),
+        TypeError("unsupported operand type(s)"),
     ],
     ids=lambda e: type(e).__name__,
 )
@@ -268,6 +279,54 @@ def test_numerical_failure_reported_in_failures_json(tmp_path, capsys, monkeypat
     payload = json.loads((out / "failures.json").read_text())
     assert payload["command"] == "solve"
     assert payload["failures"] == ["solve: %s: %s" % (type(error).__name__, error)]
+
+
+def _limit_address_space():
+    # applied in the child only: numpy's allocation of 10^11 doubles fails
+    # at once instead of touching the machine's memory
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize(
+    "command, block, key, value",
+    [
+        ("solve", "grid", "points", 10**11),
+        ("oracle", "oracle", "cells", [10**11]),
+        ("asymptotics", None, "shape_samples", 10**11),
+    ],
+    ids=["grid-points", "oracle-cells", "shape-samples"],
+)
+def test_out_of_memory_reported_in_failures_json(tmp_path, command, block, key, value):
+    cfg = json.loads(preset_path("bi-two-ramp").read_text())
+    (cfg[block] if block else cfg)[key] = value
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "richwave.cli", command, "--config", str(path),
+         "--out", str(out)],
+        capture_output=True, text=True, env=env, preexec_fn=_limit_address_space,
+        timeout=120,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    payload = json.loads((out / "failures.json").read_text())
+    assert payload["command"] == command
+    assert any("MemoryError" in f for f in payload["failures"])
+
+
+def test_every_preset_and_command_keeps_the_exit_contract(tmp_path, capsys):
+    for preset in preset_names():
+        for command in sorted(cli._COMMANDS):
+            out = tmp_path / preset / command
+            code = main([command, "--config", preset, "--out", str(out)])
+            err = capsys.readouterr().err
+            assert code in (0, 2), (preset, command, err)
+            assert "Traceback" not in err
+            assert (out / "failures.json").exists() == (code == 1)
 
 
 @pytest.mark.parametrize(

@@ -833,7 +833,7 @@ def test_generic_system_round_trip(three_sol):
 
 
 def test_shared_position_pass_matches_per_point_reference(three_sol):
-    # more points than one shared pass takes, so blocks are joined too
+    # 300 points, some at t = 0, in one shared pass: each meets its per-point reference
     rng = np.random.default_rng(41)
     ts = rng.uniform(0.0, 6.0, size=300)
     zs = rng.uniform(-6.0, 8.0, size=300)
