@@ -19,7 +19,7 @@ import numpy as np
 
 from .cheb import fit_piecewise
 from .maps import MonotoneMap, _inverse_table
-from .quadrature import integrate, integrate_many
+from .quadrature import integrate
 from .solver import UnsupportedModelError, _check_times, _l1_distances, _snapshot_side
 
 # Constituent quadratures run well below the shape tabulation tolerance so
@@ -70,9 +70,9 @@ class ShapeFunction:
         and its certificate is ``|S(table(y)) - y| <= forward.tol``.
         """
         fmap = self.forward
-        return _inverse_table(fmap._step, self.breakpoints, fmap(self.breakpoints),
+        return _inverse_table(fmap._step, [(self.breakpoints, fmap(self.breakpoints))],
                               (fmap.left_slope, fmap.right_slope), fmap.tol,
-                              "S^-1 (route %s, component %d)" % (self.route, self.component))
+                              ["S^-1 (route %s, component %d)" % (self.route, self.component)])[0]
 
 
 @dataclass
@@ -170,7 +170,7 @@ def _zero_speed_integrals(sol, i, zs, w_bar):
 
     The time integral of eigenvalue i minus its tail value, truncated at
     tau* = max_s (|z| + max |zeta|) / |s|, past which every moving argument
-    has left the core; one ``integrate_many`` pass for all fibers, with the
+    has left the core; one ``integrate`` pass for all fibers, with the
     crossing times (z - zeta_k) / s as kinks.
     """
     lam_bar = float(sol.system.eigenvalue(i, w_bar))
@@ -185,7 +185,7 @@ def _zero_speed_integrals(sol, i, zs, w_bar):
         w = sol.state_lagrangian(tau, zs[owner])
         return sol.system.eigenvalue(i, w) - lam_bar
 
-    return integrate_many(f, np.zeros_like(zs), tau_star, kinks, tol=_SHAPE_QUAD_TOL)
+    return integrate(f, np.zeros_like(zs), tau_star, kinks, tol=_SHAPE_QUAD_TOL)
 
 
 def _density_integrand(sol, i, ref, w_bar):
@@ -367,9 +367,10 @@ def decay_curve(sol, shapes, times):
     Each prediction is the initial component composed with the inverse shape
     map in the frame moving at ``shape.limit_speed``, with the shape map's
     breakpoint images as kinks.  All ``(shape, time)`` pairs share one
-    ``solver._l1_distances`` pass, which reads the solution from one
-    snapshot per time (kinks included) and each prediction from its shape's
-    inverse; returns one :class:`DecayReport` per shape, none without shapes.
+    ``solver._l1_distances`` pass, which reads the solution from its
+    snapshots, every time built by one ``snapshots`` call (kinks included),
+    and each prediction from its shape's inverse; returns one
+    :class:`DecayReport` per shape, none without shapes.
     """
     ts = _check_times(np.array([float(t) for t in times]))
     if ts.size == 0 or np.any(np.diff(ts) <= 0.0):
@@ -379,7 +380,7 @@ def decay_curve(sol, shapes, times):
     prof, nt = sol.initial, len(ts)
     ct = np.outer([shape.limit_speed for shape in shapes], ts).ravel()
     fwd = np.array([shape.forward(prof.breakpoints) for shape in shapes])
-    snaps = [sol.snapshot(t) for t in ts]
+    snaps = sol.snapshots(ts)
 
     def predicted(xv, owner):  # owner s * nt + k: shapes[s] at time ts[k]
         out = np.empty(len(xv))

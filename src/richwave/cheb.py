@@ -11,7 +11,9 @@ when it has at most ``_SCALAR_COLUMNS`` (point, table) pairs, on Python
 floats: on a few points numpy's fixed cost per operation, not the
 arithmetic, sets the time.  Both paths make the same IEEE operations in
 the same order, so a value has the same bits whichever path or batch
-computes it.
+computes it.  :func:`fit_piecewise` fits the tables of several owners in
+one degree ladder; each segment resolves on its own, so each table keeps
+the bits of its fit alone.
 """
 
 import functools
@@ -36,7 +38,12 @@ _SCALAR_COLUMNS = 48
 
 
 class TabulationError(RuntimeError):
-    """A segment interpolant failed to converge to the requested accuracy."""
+    """A segment interpolant failed to converge to the requested accuracy;
+    ``owner`` indexes the failing owner of a batch (table or inverse map)."""
+
+    def __init__(self, message, owner=None):
+        super().__init__(message)
+        self.owner = owner
 
 
 def _clenshaw(c, tt):
@@ -289,26 +296,44 @@ def fit_piecewise(f, breaks, rtol=1e-13, tail_slopes=(0.0, 0.0)):
     independently of its batch.  A segment resolves when its last three
     coefficients are below ``rtol`` times its own scale (largest
     coefficient), or below ``_TAIL_FLOOR * rtol`` times the largest scale of
-    any segment so far.  The tails continue with ``tail_slopes``.
+    any segment of its table so far.  The tails continue with ``tail_slopes``.
+
+    ``breaks`` may also be a list of break arrays, one per owner: one ladder
+    then fits the segments of every owner, ``f(x, owner)`` gets each point's
+    owner index, and the result is the list of the owners' tables.  Each
+    owner keeps its own largest scale, end values, check and failure, so its
+    table has the bits of its fit alone.  :class:`TabulationError` reports
+    the first owner that fails, its index as ``owner``.
     """
-    breaks = np.asarray(breaks, dtype=float)
-    if breaks.ndim != 1 or len(breaks) < 2 or np.any(np.diff(breaks) <= 0):
+    several = np.ndim(breaks[0]) > 0
+    if not several:
+        f1, breaks = f, [breaks]
+        f = lambda x, owner: f1(x)
+    breaks = [np.asarray(b, dtype=float) for b in breaks]
+    if any(b.ndim != 1 or len(b) < 2 or np.any(np.diff(b) <= 0) for b in breaks):
         raise ValueError("breaks must be strictly increasing with length >= 2")
-    lo, hi = breaks[:-1], breaks[1:]
-    coefs = [None] * len(lo)
-    todo, ends, largest = np.arange(len(lo)), breaks[[0, -1]], 0.0
+    seg_owner = np.repeat(np.arange(len(breaks)), [len(b) - 1 for b in breaks])
+    lo = np.concatenate([b[:-1] for b in breaks])
+    hi = np.concatenate([b[1:] for b in breaks])
+    coefs, failed = [None] * len(lo), {}  # failed: owner -> message
+    ends = np.concatenate([b[[0, -1]] for b in breaks])
+    todo, largest = np.arange(len(lo)), np.zeros(len(breaks))
     for deg in _DEGREES:
         nodes = np.cos(np.pi * np.arange(deg + 1) / deg)  # second kind, [-1, 1]
-        a, b = lo[todo, None], hi[todo, None]
+        a, b, own = lo[todo, None], hi[todo, None], seg_owner[todo]
         x = (0.5 * (a + b) + 0.5 * (b - a) * nodes).reshape(-1)
-        vals = np.asarray(f(np.concatenate([x, ends])), dtype=float)
+        vals = np.asarray(f(np.concatenate([x, ends]), np.concatenate(
+            [np.repeat(own, deg + 1), np.arange(ends.size) // 2])), dtype=float)
         if ends.size:
-            ends, edge_vals = ends[:0], vals[-2:]
+            ends, edge_vals = ends[:0], vals[x.size:].reshape(-1, 2)
         coef = _interpolant_coefs(vals[: x.size].reshape(len(todo), deg + 1))
         scale = np.maximum(np.max(np.abs(coef), axis=1), 1e-300)
         tail = np.max(np.abs(coef[:, -3:]), axis=1)
-        largest = max(largest, float(scale.max()))
-        done = tail <= np.maximum(rtol * scale, _TAIL_FLOOR * rtol * largest) + 1e-300
+        # each owner's largest scale rises to its rung maximum, unless that is NaN
+        top = np.full(len(breaks), -np.inf)
+        np.maximum.at(top, own, scale)
+        largest = np.where(top > largest, top, largest)
+        done = tail <= np.maximum(rtol * scale, _TAIL_FLOOR * rtol * largest[own]) + 1e-300
         # Trim each resolved row after its last coefficient above the floor.
         keep = np.abs(coef) > (rtol * scale * 0.1)[:, None]
         length = np.where(keep.any(axis=1), deg + 1 - np.argmax(keep[:, ::-1], axis=1), 1)
@@ -318,18 +343,25 @@ def fit_piecewise(f, breaks, rtol=1e-13, tail_slopes=(0.0, 0.0)):
             break
         todo, tail, scale = todo[~done], tail[~done], scale[~done]
     else:
-        k = todo[0]
-        raise TabulationError("Chebyshev fit on [%g, %g] did not converge (tail %.3e "
-                              "of scale %.3e)" % (lo[k], hi[k], tail[0], scale[0]))
-    out = PiecewiseCheb(breaks, coefs, (edge_vals[0], tail_slopes[0]),
-                        (edge_vals[1], tail_slopes[1]))
-    probe = lo[:, None] + np.outer(hi - lo, [0.123456, 0.5432101, 0.87654321])
-    got = out(probe)
-    want = np.asarray(f(probe.reshape(-1)), dtype=float).reshape(probe.shape)
-    scale = np.maximum(1.0, np.max(np.abs(want), axis=1))
-    err = np.max(np.abs(got - want), axis=1)
-    k = np.argmax(err > 100.0 * rtol * scale)  # the first failing segment, if any
-    if err[k] > 100.0 * rtol * scale[k]:
-        raise TabulationError("tabulation check failed on [%g, %g]: error %.3e"
-                              % (lo[k], hi[k], err[k]))
-    return out
+        for k, t, s in zip(todo, tail, scale):  # each owner's first unresolved segment
+            failed.setdefault(seg_owner[k], "Chebyshev fit on [%g, %g] did not converge "
+                              "(tail %.3e of scale %.3e)" % (lo[k], hi[k], t, s))
+    out = [None if p in failed else PiecewiseCheb(
+        b, [coefs[k] for k in np.flatnonzero(seg_owner == p)],
+        (edge_vals[p, 0], tail_slopes[0]), (edge_vals[p, 1], tail_slopes[1]))
+        for p, b in enumerate(breaks)]
+    seg = np.flatnonzero([out[p] is not None for p in seg_owner])  # the segments to check
+    if seg.size:
+        own = seg_owner[seg]
+        probe = lo[seg, None] + np.outer(hi[seg] - lo[seg], [0.123456, 0.5432101, 0.87654321])
+        got = np.concatenate([out[p](probe[own == p]) for p in np.unique(own)])
+        want = np.asarray(f(probe.ravel(), np.repeat(own, 3)), dtype=float).reshape(probe.shape)
+        scale = np.maximum(1.0, np.max(np.abs(want), axis=1))
+        err = np.max(np.abs(got - want), axis=1)
+        for j in np.flatnonzero(err > 100.0 * rtol * scale):  # each owner's first failure
+            failed.setdefault(own[j], "tabulation check failed on [%g, %g]: error %.3e"
+                              % (lo[seg[j]], hi[seg[j]], err[j]))
+    if failed:
+        p = min(failed)
+        raise TabulationError(failed[p], owner=int(p))
+    return out if several else out[0]

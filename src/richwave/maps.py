@@ -10,7 +10,9 @@ Newton inside its own knot segment, where the map is smooth;
 targets of a small call.  Every inverse
 read many times (``X0``, ``Z(t, .)`` at a fixed time, a shape inverse) is
 one :func:`_inverse_table`: a Chebyshev table between the knot images,
-bisected until it certifies against the forward map, or an error.
+bisected until it certifies against the forward map, or an error; several
+maps share one degree ladder, one Newton call per rung, each keeping the
+table it gets alone.
 """
 
 from dataclasses import dataclass
@@ -275,21 +277,23 @@ def _sorted_knots(xk, yk):
     return xk[keep], yk[keep]
 
 
-def _invert_between_knots(f, xk, yk, y, slopes, tol):
-    """:func:`invert_increasing` with each target bracketed by its own knot segment.
-
-    F maps the sorted knots ``xk`` to the strictly increasing ``yk``, is
-    smooth between them and exactly affine with ``slopes`` beyond the
-    outermost.  Target ``y`` runs Newton from the secant inside the segment
-    ``yk[k] <= y < yk[k + 1]``, clipped to the outermost segments, whose
-    brackets end where F turns affine: a target at the last knot stays in
-    the last segment, and one beyond either outer knot takes the exact
-    affine inverse.
-    """
+def _knot_brackets(xk, yk, y):
+    """``(lo, hi, F(lo), F(hi))``: the knot segment ``yk[k] <= y < yk[k + 1]``
+    of each target, clipped to the outermost segments, whose brackets end
+    where F turns affine: a target at the last knot stays in the last one."""
     # np.minimum/np.maximum: np.clip costs twice as much on the 1-16 point
     # calls that dominate
     k = np.minimum(np.maximum(np.searchsorted(yk, y, side="right") - 1, 0), len(yk) - 2)
-    return invert_increasing(f, y, xk[k], xk[k + 1], yk[k], yk[k + 1], *slopes, tol)
+    return xk[k], xk[k + 1], yk[k], yk[k + 1]
+
+
+def _invert_between_knots(f, xk, yk, y, slopes, tol):
+    """:func:`invert_increasing` with each target bracketed by its own knot
+    segment (:func:`_knot_brackets`) of the map F from the sorted knots
+    ``xk`` to the strictly increasing ``yk``, smooth between them and exactly
+    affine with ``slopes`` beyond: Newton starts from the secant there, and a
+    target beyond either outer knot takes the exact affine inverse."""
+    return invert_increasing(f, y, *_knot_brackets(xk, yk, y), *slopes, tol)
 
 
 @dataclass(frozen=True)
@@ -318,46 +322,93 @@ class InverseTable:
         return self.table(y)
 
 
-def _inverse_table(step, xk, yk, slopes, tol, name):
-    """Certified table of the inverse of an increasing map F, named ``name``.
+def _inverse_table(step, knots, slopes, tol, names):
+    """Certified tables of the inverses of increasing maps F_m, named ``names``.
 
-    ``step(x, owner)`` gives ``(F, F')`` as :func:`invert_increasing` takes
-    it; F maps the knots ``xk`` (merged by :func:`_sorted_knots`) to ``yk``,
-    is smooth between them and exactly affine with ``slopes`` beyond the
-    outermost.  One ``fit_piecewise`` over the knot images runs
-    :func:`_invert_between_knots` at ``_TIGHT_TOL``, and the table's tails
-    take the reciprocal slopes.  The table is kept only if
-    ``|F(table(y)) - y| <= tol`` on the ``_CHECK`` points of every segment,
-    ``tol`` floored there by the segment's rounding and its fit's error.
-    Otherwise (or when the fit fails or the tight inversion stalls) every
-    knot segment is bisected in x and the table refitted, up to
-    ``_SPLIT_LEVELS`` times, before :class:`TabulationError` names the map.
+    ``knots[m] = (xk, yk)``: F_m maps the knots ``xk`` (merged by
+    :func:`_sorted_knots`) to ``yk``, is smooth between them and exactly
+    affine with ``slopes`` beyond the outermost; ``step(x, owner)`` gives
+    ``(F, F')`` of map ``owner[p]`` at ``x[p]``.  One ``fit_piecewise`` over
+    the knot images of every map runs the tight inversion at ``_TIGHT_TOL``,
+    one :func:`invert_increasing` call per rung, each target bracketed by
+    the :func:`_invert_between_knots` rule among its own map's knots; the
+    tails take the reciprocal slopes.  A table is kept only if
+    ``|F(table(y)) - y| <= tol`` on the ``_CHECK`` points of every segment
+    (one ``step`` call for all maps), ``tol`` floored there by the segment's
+    rounding and its fit's error.  A map that fails its check, fit or tight
+    inversion bisects its knot segments in x and is refitted, up to
+    ``_SPLIT_LEVELS`` times, before :class:`TabulationError` names it.  Each
+    map gets the table, certificate or error it gets alone; the first
+    failure raises.
     """
-    xk, yk = _sorted_knots(xk, yk)
+    out, pending, failure = [None] * len(knots), {}, {}
 
-    def tight(y):
-        return _invert_between_knots(step, xk, yk, y, slopes, _floored_tol(_TIGHT_TOL, y))
-
-    for splits in range(_SPLIT_LEVELS + 1):
-        if splits:  # bisect every segment in x
-            mid = 0.5 * (xk[:-1] + xk[1:])
-            xk, yk = _sorted_knots(np.r_[xk, mid], np.r_[yk, step(mid, np.arange(mid.size))[0]])
+    def settle(m, xk, yk):  # merged knots of map m, or its error
         try:
-            table = fit_piecewise(tight, yk, _TABLE_RTOL, (1.0 / slopes[0], 1.0 / slopes[1]))
-        except (TabulationError, InversionError) as exc:
-            failure = str(exc)
+            pending[m] = _sorted_knots(xk, yk)
+        except InversionError as exc:
+            out[m] = exc
+            pending.pop(m, None)
+
+    def forward(ms, xs):  # F of map ms[j] at xs[j], from one step call
+        sizes = [len(x) for x in xs]
+        return np.split(step(np.concatenate(xs), np.repeat(ms, sizes))[0], np.cumsum(sizes)[:-1])
+
+    def tight(ms):  # y -> F^-1(y) of map ms[owner], at _TIGHT_TOL
+        bracketing, of = [pending[m] for m in ms], np.asarray(ms)
+
+        def f(y, owner):
+            brackets = np.empty((4, y.size))
+            for j, (xk, yk) in enumerate(bracketing):
+                brackets[:, owner == j] = _knot_brackets(xk, yk, y[owner == j])
+            try:
+                return invert_increasing(lambda x, idx: step(x, of[owner[idx]]), y, *brackets,
+                                         *slopes, _floored_tol(_TIGHT_TOL, y))
+            except InversionError as exc:  # named by the map that stalled
+                raise InversionError(str(exc), owner=int(owner[exc.owner])) from exc
+        return f
+
+    for m, (xk, yk) in enumerate(knots):
+        settle(m, xk, yk)
+    for splits in range(_SPLIT_LEVELS + 1):
+        if not pending:
+            break
+        if splits:  # bisect every segment of every uncertified map in x
+            ms = list(pending)
+            mids = [0.5 * (pending[m][0][:-1] + pending[m][0][1:]) for m in ms]
+            for m, mid, y_mid in zip(ms, mids, forward(ms, mids)):
+                settle(m, np.r_[pending[m][0], mid], np.r_[pending[m][1], y_mid])
+        ms, tables = list(pending), []
+        while ms and not tables:
+            try:
+                tables = fit_piecewise(tight(ms), [pending[m][1] for m in ms], _TABLE_RTOL,
+                                       (1.0 / slopes[0], 1.0 / slopes[1]))
+            except (TabulationError, InversionError) as exc:  # that map alone leaves
+                failure[ms.pop(exc.owner)] = str(exc)
+        if not ms:
             continue
-        lo, hi = yk[:-1, None], yk[1:, None]
-        y = (0.5 * (lo + hi) + 0.5 * (hi - lo) * _CHECK).reshape(-1)
-        residual = np.abs(step(table(y), np.arange(y.size))[0] - y).reshape(len(lo), -1)
-        # Away from the origin a segment's residual carries its rounding and its
-        # fit's error, _TABLE_RTOL of |x| scaled by the secant slope.
-        x_size = np.maximum(np.abs(xk[:-1]), np.abs(xk[1:]))[:, None]
-        if np.all(residual <= np.maximum(
-                _floored_tol(tol, np.maximum(np.abs(lo), np.abs(hi))),
-                _TABLE_RTOL * x_size * (hi - lo) / np.diff(xk)[:, None])):
-            return InverseTable(table, Certificate(float(residual.max()), len(table.coefs),
-                                                   max(len(c) for c in table.coefs) - 1, splits))
-        failure = "worst residual %.3e" % residual.max()
-    raise TabulationError("%s is not certified after %d splits: %s"
-                          % (name, _SPLIT_LEVELS, failure))
+        ys = [(0.5 * (yk[:-1] + yk[1:])[:, None] + 0.5 * np.diff(yk)[:, None] * _CHECK)
+              .reshape(-1) for _, yk in (pending[m] for m in ms)]
+        for m, tab, y, x in zip(ms, tables, ys, forward(ms, [t(y) for t, y in zip(tables, ys)])):
+            xk, yk = pending[m]
+            lo, hi = yk[:-1, None], yk[1:, None]
+            residual = np.abs(x - y).reshape(len(lo), -1)
+            # Away from the origin a segment's residual carries its rounding and
+            # its fit's error, _TABLE_RTOL of |x| scaled by the secant slope.
+            x_size = np.maximum(np.abs(xk[:-1]), np.abs(xk[1:]))[:, None]
+            if np.all(residual <= np.maximum(
+                    _floored_tol(tol, np.maximum(np.abs(lo), np.abs(hi))),
+                    _TABLE_RTOL * x_size * (hi - lo) / np.diff(xk)[:, None])):
+                out[m] = InverseTable(tab, Certificate(
+                    float(residual.max()), len(tab.coefs), max(len(c) for c in tab.coefs) - 1,
+                    splits))
+                del pending[m]
+            else:
+                failure[m] = "worst residual %.3e" % residual.max()
+    for m in pending:
+        out[m] = TabulationError("%s is not certified after %d splits: %s"
+                                 % (names[m], _SPLIT_LEVELS, failure[m]), owner=m)
+    for result in out:
+        if isinstance(result, Exception):
+            raise result
+    return out

@@ -109,7 +109,7 @@ def l1_distance(p, q, component):
     """L1 distance of one component of two profiles; exact for this class.
 
     Profiles with differing tail values for the component are declared
-    infinitely far apart (the integral would diverge).
+    infinitely far apart (the integral would diverge).  Always a ``float``.
     """
     i = component
     if p.values[0, i] != q.values[0, i] or p.values[-1, i] != q.values[-1, i]:
@@ -125,7 +125,7 @@ def l1_distance(p, q, component):
         else:
             r = u + (v - u) * du / (du - dv)
             total += 0.5 * (abs(du) * (r - u) + abs(dv) * (v - r))
-    return total
+    return float(total)
 
 
 def write_profile(path, profile):

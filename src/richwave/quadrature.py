@@ -1,10 +1,12 @@
 """Adaptive Simpson quadrature with pre-splitting at known kinks.
 
-Every integral in the package funnels through :func:`integrate_many`, which
-integrates a batch of integrals ``[a_p, b_p]`` in one adaptive pass: the
+Every integral in the package funnels through :func:`integrate`, one
+adaptive-Simpson entry.  Scalar bounds give one integral of ``f(x)``; array
+bounds give integrals ``[a_p, b_p]`` in one pass by the owner idiom:
+``f(x, owner)`` gets the index of the integral each point belongs to, the
 panels of all integrals refine together, one integrand call per level, and
-each panel's result is credited to the integral that owns it (``integrate``
-is the one-integral call, ``integrate_abs`` the L1 norm, split at the roots
+each panel's result is credited to its owner, so each integral keeps the
+bits of its own pass (``integrate_abs`` is the L1 norm, split at the roots
 ``refine_sign_changes`` finds).  Integrands may return m components per
 point: a panel is accepted only when every component meets its budget.
 Integrands are piecewise smooth with kink locations known to the caller
@@ -28,8 +30,8 @@ class QuadratureError(RuntimeError):
     """Adaptive refinement hit the depth limit before reaching the tolerance.
 
     Carries the worst offending subinterval as ``interval = (lo, hi)`` and
-    the integral it belongs to as ``owner``: its index in
-    :func:`integrate_many`, the point ``(t, z)`` in
+    the integral it belongs to as ``owner``: its index in a batch of
+    :func:`integrate`, the point ``(t, z)`` in
     ``LagrangianSolution.position_quadrature``.
     """
 
@@ -72,35 +74,43 @@ def _panels(a, b, kinks):
     return flat[:-1][inner], flat[1:][inner], owner[:-1][inner]
 
 
-def integrate_many(f, a, b, kinks=None, tol=1e-10):
-    """Integrals of ``f`` over ``[a_p, b_p]`` for every ``p``, in one pass.
+def integrate(f, a, b, kinks=(), tol=1e-10):
+    """Integral of ``f`` over ``[a, b]``, or over every ``[a_p, b_p]`` in one pass.
 
-    ``f(x, owner)`` is called with 1-D arrays of points and of the index
-    ``p`` of the integral each point belongs to, and returns either values
-    of the same shape (scalars broadcast) or a ``(points, m)`` array of m
-    components.  ``kinks`` is an optional ``(len(a), K)`` array (NaN-padded)
-    of points where integral ``p``'s integrand loses smoothness; those inside
-    ``(a_p, b_p)`` become panel boundaries.  Every component of integral
-    ``p`` meets the absolute accuracy ``tol``: each of its panels gets the
-    budget ``tol * (hi - lo) / |b_p - a_p|`` per component.  ``a_p == b_p``
-    gives 0 and ``a_p > b_p`` flips the sign.  Returns shape ``(len(a),)``
-    for scalar integrands and ``(len(a), m)`` for vector ones; when every
-    interval is empty (or there is none) ``f`` is never called and the zeros
-    are ``(len(a),)``.
+    ``f`` returns values of the shape of its points (scalars broadcast) or a
+    ``(points, m)`` array of m components.  Scalar ``a`` and ``b`` give one
+    integral of ``f(x)``, a float or a length-m array; ``kinks`` lists
+    points where ``f`` loses smoothness.  1-D ``a`` and ``b`` give shape
+    ``(len(a),)`` or ``(len(a), m)``: ``f(x, owner)`` gets the index ``p``
+    of the integral each point belongs to, ``kinks`` is an optional
+    ``(len(a), K)`` array (NaN-padded) of integral ``p``'s kinks in row
+    ``p``, and when every interval is empty (or there is none) ``f`` is
+    never called and the zeros are ``(len(a),)``.  Kinks inside an interval
+    become panel boundaries.  Each owner's panels refine and sum as they
+    would alone, so each integral keeps the bits of its own pass.
 
+    Every component of integral ``p`` meets the absolute accuracy ``tol``:
+    each of its panels gets the budget ``tol * (hi - lo) / |b_p - a_p|`` per
+    component.  ``a_p == b_p`` gives 0 and ``a_p > b_p`` flips the sign.
     Raises :class:`QuadratureError` if any panel still fails its error budget
-    after ``MAX_DEPTH`` bisection levels or past ``MAX_PANELS`` live panels.
+    after ``MAX_DEPTH`` bisection levels or past ``MAX_PANELS`` live panels;
+    its ``owner`` is the integral's index (0 for one integral).
     """
+    one = np.ndim(a) == 0
+    if one:
+        g, a, b = f, [a], [b]
+        f = lambda x, owner: g(x)
     a = np.asarray(a, dtype=float).reshape(-1)
     b = np.asarray(b, dtype=float).reshape(-1)
     sign = np.where(b < a, -1.0, 1.0)
     a, b = np.minimum(a, b), np.maximum(a, b)
-    kinks = np.empty((len(a), 0)) if kinks is None else np.asarray(kinks, dtype=float)
+    kinks = (np.asarray(kinks, dtype=float).reshape(len(a), -1) if np.size(kinks)
+             else np.empty((len(a), 0)))
     full = a < b
     lo, hi, own = _panels(a[full], b[full], kinks[full])
     own = np.nonzero(full)[0][own]
     if len(lo) == 0:
-        return np.zeros(len(a))
+        return 0.0 if one else np.zeros(len(a))
 
     mid = 0.5 * (lo + hi)
     n = len(lo)
@@ -135,6 +145,8 @@ def integrate_many(f, a, b, kinks=None, tol=1e-10):
         )
         if done.all():
             total = sign[:, None] * total.reshape(len(a), m)
+            if one:
+                return total[0] if vector else float(total[0, 0])
             return total if vector else total[:, 0]
         if depth == MAX_DEPTH or 2 * np.count_nonzero(~done) > MAX_PANELS:
             worst_err = np.max(np.abs(err), axis=1)
@@ -162,28 +174,10 @@ def integrate_many(f, a, b, kinks=None, tol=1e-10):
     raise AssertionError("unreachable")
 
 
-def integrate(f, a, b, kinks=(), tol=1e-10):
-    """Integral of ``f`` over ``[a, b]`` to absolute accuracy ``tol``.
-
-    ``f`` is called with 1-D numpy arrays of points and returns values of
-    the same shape (scalars broadcast), giving a float, or a ``(points, m)``
-    array, giving a length-m array with every component to ``tol``.
-    ``kinks`` lists points where ``f`` loses smoothness; those inside
-    ``(a, b)`` become panel boundaries.  ``a > b`` integrates with the usual
-    sign flip; ``a == b`` gives 0.0.
-
-    Raises :class:`QuadratureError` if any panel still fails its error budget
-    after ``MAX_DEPTH`` bisection levels.
-    """
-    kinks = np.asarray([float(k) for k in kinks], dtype=float)[None, :]
-    out = integrate_many(lambda x, owner: f(x), [a], [b], kinks, tol)[0]
-    return float(out) if out.ndim == 0 else out
-
-
 def integrate_abs(f, lo, hi, kinks, tol):
     """L1 norms ``int_lo_p^hi_p |f(., p)|`` of piecewise-smooth integrands.
 
-    ``f(x, owner)`` follows :func:`integrate_many`; row ``p`` of ``kinks``
+    ``f(x, owner)`` follows :func:`integrate` over several integrals; row ``p`` of ``kinks``
     (any order, NaN-padded) holds where owner ``p``'s integrand loses
     smoothness.  Those inside ``(lo_p, hi_p)`` and the sign changes found
     between them (:func:`refine_sign_changes`) become panel edges.
@@ -192,7 +186,7 @@ def integrate_abs(f, lo, hi, kinks, tol):
     # Kinks clipped to lo or hi only make empty panels, which the probe skips.
     inside = np.sort(np.clip(kinks, lo[:, None], hi[:, None]), axis=1)
     roots = refine_sign_changes(f, np.column_stack([lo, inside, hi]))
-    return integrate_many(
+    return integrate(
         lambda x, owner: np.abs(f(x, owner)), lo, hi,
         np.column_stack([kinks, roots]), tol,
     )
@@ -240,7 +234,7 @@ def refine_sign_changes(f, edges):
     """Roots of ``f(., p)`` between consecutive edges of row ``p``, by bisection.
 
     ``edges`` rows increase, NaN entries skipped; ``f(x, owner)`` follows
-    :func:`integrate_many`.  Row ``p``'s probes form one increasing sequence,
+    :func:`integrate` over several integrals.  Row ``p``'s probes form one increasing sequence,
     its first edge, then the last ``_SIGN_SAMPLES - 1`` of ``_SIGN_SAMPLES``
     equispaced points of each panel, and all rows share one probe call.  A
     root is a sign change between neighbouring probes, bisected by one

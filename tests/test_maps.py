@@ -100,7 +100,8 @@ def _cubic_map():
 def test_inverse_table_is_certified_against_the_forward_map():
     fmap = _cubic_map()
     knots = np.array([1.0, -1.0, 0.0, 0.0])  # any order, repeats allowed
-    inv = maps._inverse_table(fmap._step, knots, fmap(knots), (2.0, 2.0), fmap.tol, "F^-1")
+    (inv,) = maps._inverse_table(fmap._step, [(knots, fmap(knots))], (2.0, 2.0), fmap.tol,
+                                 ["F^-1"])
     cert = inv.certificate
     assert cert.splits == 0 and cert.segments == 2
     assert cert.residual <= fmap.tol
@@ -130,7 +131,7 @@ def test_inverse_table_merges_knot_images_that_do_not_increase():
     knots = np.array([-1.0, 0.0, 0.5, 1.0])
     images = fmap(knots)
     images[2] = images[1]
-    inv = maps._inverse_table(fmap._step, knots, images, (2.0, 2.0), fmap.tol, "F^-1")
+    (inv,) = maps._inverse_table(fmap._step, [(knots, images)], (2.0, 2.0), fmap.tol, ["F^-1"])
     assert inv.certificate.splits == 0 and inv.certificate.segments == 2
     assert inv.table.breaks.tolist() == fmap(np.array([-1.0, 0.0, 1.0])).tolist()
     y = np.linspace(-4.0, 4.0, 81)
@@ -208,3 +209,57 @@ def test_float_loop_stalls_like_invert_increasing(targets):
         jump, targets, -2.0, 2.0, 1e-12)
     assert want is not None and "stalled" in want
     assert (got, got_owner) == (want, want_owner)
+
+
+def _jump_map():
+    # increasing, with a unit jump at 0.3: Newton stalls on targets inside it
+    return MonotoneMap(lambda x: x + (x > 0.3), -1.0, 1.0, 1.0, 1.0,
+                       deriv=lambda x: np.ones_like(x), tol=1e-12)
+
+
+def _steps(fmaps):
+    """``step(x, owner)`` of the maps ``fmaps``, map ``owner[p]`` at ``x[p]``."""
+    def step(x, owner):
+        out = np.empty((2, x.size))
+        for m, fmap in enumerate(fmaps):
+            on = owner == m
+            out[:, on] = fmap._step(x[on], None)
+        return out[0], out[1]
+
+    return step
+
+
+def test_stalled_map_in_a_batch_raises_as_alone_and_spares_the_others(monkeypatch):
+    # the jump map's tight inversion stalls mid-ladder at every split level:
+    # its InversionError leaves the ladder, the cubic keeps its table
+    cubic, jump = _cubic_map(), _jump_map()
+    knots = np.array([-1.0, 0.0, 1.0])
+    alone = []
+    for fmap, name in ((cubic, "C^-1"), (jump, "J^-1")):
+        try:
+            alone.append(maps._inverse_table(_steps([fmap]), [(knots, fmap(knots))],
+                                             (1.0, 1.0), 1e-12, [name])[0])
+        except maps.TabulationError as exc:
+            alone.append(exc)
+    assert isinstance(alone[0], maps.InverseTable)
+    assert str(alone[1]).startswith("J^-1 is not certified after 4 splits: inversion stalled")
+    built = []
+    real = maps.InverseTable
+
+    def recording(table, certificate):
+        built.append(real(table, certificate))
+        return built[-1]
+
+    monkeypatch.setattr(maps, "InverseTable", recording)
+    for order in ((cubic, jump), (jump, cubic)):
+        del built[:]
+        names = ["C^-1" if fmap is cubic else "J^-1" for fmap in order]
+        with pytest.raises(maps.TabulationError) as batch:
+            maps._inverse_table(_steps(order), [(knots, fmap(knots)) for fmap in order],
+                                (1.0, 1.0), 1e-12, names)
+        assert str(batch.value) == str(alone[1])
+        assert batch.value.owner == names.index("J^-1")
+        (inv,) = built
+        assert inv.certificate == alone[0].certificate
+        for got, want in zip(inv.table.coefs, alone[0].table.coefs):
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))

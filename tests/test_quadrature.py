@@ -8,7 +8,6 @@ from richwave import QuadratureError, integrate, quadrature
 from richwave.quadrature import (
     bisect_brackets,
     integrate_abs,
-    integrate_many,
     refine_sign_changes,
 )
 
@@ -67,7 +66,7 @@ def test_depth_limit_raises_with_interval():
     assert lo < 1.0 / 3.0 < hi
     # in a shared pass the failing integral is named as well
     with pytest.raises(QuadratureError) as info:
-        integrate_many(
+        integrate(
             lambda x, owner: np.sign(x - 1.0 / 3.0) * owner, [0.0, 0.0], [1.0, 1.0],
             tol=1e-6,
         )
@@ -78,7 +77,7 @@ def test_depth_limit_raises_with_interval():
 
 def test_scalar_returning_integrand_broadcasts():
     assert integrate(lambda x: 2.0, -1.0, 0.5) == pytest.approx(3.0, abs=1e-14)
-    got = integrate_many(lambda x, owner: 2.0, [0.0, 1.0], [1.0, -1.0])
+    got = integrate(lambda x, owner: 2.0, [0.0, 1.0], [1.0, -1.0])
     assert np.allclose(got, [2.0, -4.0], atol=1e-14)
 
 
@@ -102,7 +101,7 @@ def test_many_integrals_in_one_pass_match_separate_calls():
         calls.append(len(x))
         return np.abs(x - shift[owner]) * np.cos(x + owner)
 
-    got = integrate_many(f, a, b, kinks, tol=1e-11)
+    got = integrate(f, a, b, kinks, tol=1e-11)
     for p in range(12):
         want = integrate(
             lambda x, p=p: np.abs(x - shift[p]) * np.cos(x + p),
@@ -117,7 +116,7 @@ def test_many_integrals_in_one_pass_match_separate_calls():
 def test_scalar_results_keep_their_bits():
     # values of the scalar-only pass that preceded vector integrands
     a, b, shift, kinks = _many_integrals_case()
-    got = integrate_many(
+    got = integrate(
         lambda x, owner: np.abs(x - shift[owner]) * np.cos(x + owner),
         a, b, kinks, tol=1e-11,
     )
@@ -138,13 +137,13 @@ def test_vector_integrand_columns_match_scalar_calls():
         lambda x, o: np.exp(0.3 * x) + o,
         lambda x, o: np.sin(3.0 * x) * np.abs(x - shift[o] - 0.5),
     )
-    got = integrate_many(
+    got = integrate(
         lambda x, o: np.column_stack([c(x, o) for c in columns]), a, b, kinks,
         tol=1e-11,
     )
     assert got.shape == (12, 3)
     for j, c in enumerate(columns):
-        want = integrate_many(c, a, b, kinks, tol=1e-11)
+        want = integrate(c, a, b, kinks, tol=1e-11)
         assert np.max(np.abs(got[:, j] - want)) <= 1e-11
     assert np.all(got[7] == 0.0)
     # integrate returns a length-m array for a vector integrand
@@ -180,7 +179,7 @@ def test_hard_column_refines_shared_panels():
 
 def test_vector_failure_names_owner_and_interval():
     with pytest.raises(QuadratureError) as info:
-        integrate_many(
+        integrate(
             lambda x, owner: np.column_stack(
                 [np.cos(x), np.sign(x - 1.0 / 3.0) * owner]
             ),
@@ -372,8 +371,8 @@ def test_no_integrals_give_empty_results_without_calls():
     def f(x, owner):
         raise AssertionError("integrand called")
 
-    assert integrate_many(f, [], []).shape == (0,)
-    assert integrate_many(f, [], [], np.empty((0, 3))).shape == (0,)
+    assert integrate(f, [], []).shape == (0,)
+    assert integrate(f, [], [], np.empty((0, 3))).shape == (0,)
     assert integrate_abs(f, [], [], np.empty((0, 4)), tol=1e-10).shape == (0,)
     assert refine_sign_changes(f, np.empty((0, 2))).shape == (0, 0)
 

@@ -9,9 +9,15 @@ raise ``TabulationError``.  ``evaluate`` keeps Newton, whatever was built.
 import numpy as np
 import pytest
 
-from helpers import three_speed_profile, three_speed_system
+from helpers import (
+    bump_profile_2,
+    separable_two_speed_system,
+    three_speed_profile,
+    three_speed_system,
+)
 from richwave import (
     TabulationError,
+    cheb,
     abi_middle_shape,
     bi_shape,
     decay_curve,
@@ -23,8 +29,8 @@ from richwave import (
     verify_pattern,
     wave_pattern,
 )
-from richwave.config import load_config
-from richwave.solver import LagrangianSolution
+from richwave.config import load_config, preset_names
+from richwave.solver import LagrangianSolution, Snapshot
 
 _TIMES = (0.0, 0.5, 2.0, 8.0, 80.0)
 
@@ -87,15 +93,15 @@ def test_snapshot_is_immutable_and_keeps_its_time(sols):
 
 def _spoil_fits(monkeypatch, how, offset):
     """Every table fit off by ``offset`` in x, or failing; returns the number
-    of knot images each fit was given."""
+    of knot images each fit was given (one map per fit here)."""
     real = maps.fit_piecewise
     knots = []
 
     def spoiled(f, breaks, *args):
-        knots.append(len(breaks))
+        knots.extend(map(len, breaks))
         if how == "fit":
-            raise TabulationError("forced")
-        return real(f, breaks, *args).shifted(offset)
+            raise TabulationError("forced", owner=0)
+        return [table.shifted(offset) for table in real(f, breaks, *args)]
 
     monkeypatch.setattr(maps, "fit_piecewise", spoiled)
     return knots
@@ -173,32 +179,33 @@ def test_failed_shape_certificate_raises_after_every_split(sols, monkeypatch):
 
 @pytest.fixture
 def snapshot_log(monkeypatch):
-    """(solution, t) of every snapshot built while the test runs."""
+    """(solution, times) of every ``snapshots`` call made while the test runs."""
     log = []
-    real = LagrangianSolution.snapshot
+    real = LagrangianSolution.snapshots
 
-    def logging(self, t):
-        log.append((self, float(t)))
-        return real(self, t)
+    def logging(self, times):
+        log.append((self, [float(t) for t in times]))
+        return real(self, times)
 
-    monkeypatch.setattr(LagrangianSolution, "snapshot", logging)
+    monkeypatch.setattr(LagrangianSolution, "snapshots", logging)
     return log
 
 
 def test_fixed_time_consumers_build_one_snapshot_per_time(sols, snapshot_log):
+    # each consumer builds every time of a solution in one snapshots call
     sol = sols["bi-two-ramp"]
     times = [1.0, 4.0, 9.0]
     decay_curve(sol, _shapes(sol, "bi-two-ramp"), times)
-    assert snapshot_log == [(sol, t) for t in times]
+    assert snapshot_log == [(sol, times)]
     del snapshot_log[:]
     sol.box_residuals((0.3, 1.7, -2.1, 1.4))
-    assert snapshot_log == [(sol, 1.7), (sol, 0.3)]
+    assert snapshot_log == [(sol, [1.7, 0.3])]
     del snapshot_log[:]
     cfg = load_config("bi-two-ramp")
     bumped = solve(cfg.system, cfg.profile.with_values(0.9 * cfg.profile.values))
     pair_distance(sol, bumped, [0.0, 1.0, 4.0])
-    assert sorted(snapshot_log, key=lambda e: (e[0] is sol, e[1])) == [
-        (bumped, 1.0), (bumped, 4.0), (sol, 1.0), (sol, 4.0)]
+    assert sorted(snapshot_log, key=lambda e: e[0] is sol) == [
+        (bumped, [1.0, 4.0]), (sol, [1.0, 4.0])]
 
 
 def test_stability_sweep_builds_base_snapshots_once(snapshot_log):
@@ -207,9 +214,10 @@ def test_stability_sweep_builds_base_snapshots_once(snapshot_log):
     stability_sweep(cfg.system, cfg.profile, perturb, [0.05, 0.1, 0.2], [0.0, 1.0, 4.0])
     sols = [s for s, _ in snapshot_log]
     base = sols[0]
-    assert [t for s, t in snapshot_log if s is base] == [1.0, 4.0]
-    # one snapshot per moving time for each of the three perturbed solutions
-    assert len(snapshot_log) == 2 + 3 * 2
+    assert [ts for s, ts in snapshot_log if s is base] == [[1.0, 4.0]]
+    # one snapshots call of the moving times for each of the three perturbed solutions
+    assert snapshot_log[1:] == [(s, [1.0, 4.0]) for s in sols[1:]]
+    assert len(snapshot_log) == 1 + 3
     assert len({id(s) for s in sols}) == 4
 
 
@@ -220,3 +228,76 @@ def test_single_use_times_stay_on_newton(sols, snapshot_log):
     pattern = wave_pattern(sol)
     verify_pattern(sol, pattern, 1.1 * pattern.settling_time)
     assert snapshot_log == []
+
+
+def _snapshot_bits(snap):
+    """Everything a snapshot holds, floats as their bits."""
+    table, cert = snap.coordinate.table, snap.certificate
+    return (snap.t, bits(snap.kinks), [bits(c) for c in table.coefs], bits(table.breaks),
+            bits(table.left_tail + table.right_tail),
+            (bits(cert.residual), cert.segments, cert.max_degree, cert.splits))
+
+
+@pytest.mark.parametrize("name", preset_names() + ["three-speed"])
+def test_batched_snapshots_keep_the_bits_of_one_time(name):
+    # one ladder for all times: every snapshot keeps the coefficients, tails,
+    # kinks and certificate it gets alone, in either order
+    sol = _preset(name)
+    times = [0.0, 0.7, 2.0, 9.0]
+    alone = [_snapshot_bits(sol.snapshots([t])[0]) for t in times]
+    assert [_snapshot_bits(s) for s in sol.snapshots(times)] == alone
+    assert [_snapshot_bits(s) for s in sol.snapshots(times[::-1])] == alone[::-1]
+    assert _snapshot_bits(sol.snapshot(0.7)) == alone[1]
+
+
+@pytest.fixture(scope="module")
+def steep():
+    """A solution whose snapshots at t = 0.25 and 1 certify after one split."""
+    return solve(separable_two_speed_system(), bump_profile_2(12.0, 12.0))
+
+
+_STEEP_TIMES = [0.25, 1.0, 4.0]
+
+
+def test_batched_snapshots_keep_each_times_splits(steep, monkeypatch):
+    alone = [_snapshot_bits(steep.snapshot(t)) for t in _STEEP_TIMES]
+    assert [a[-1][-1] for a in alone] == [1, 1, 0]
+    assert [_snapshot_bits(s) for s in steep.snapshots(_STEEP_TIMES)] == alone
+    # one rung fewer: every time's fit runs out of degrees, the failing maps
+    # leave the ladder one at a time, and each certifies after two splits
+    monkeypatch.setattr(cheb, "_DEGREES", cheb._DEGREES[:-1])
+    alone = [_snapshot_bits(steep.snapshot(t)) for t in _STEEP_TIMES]
+    assert [a[-1][-1] for a in alone] == [2, 2, 2]
+    assert [_snapshot_bits(s) for s in steep.snapshots(_STEEP_TIMES)] == alone
+
+
+def test_uncertified_time_in_a_batch_raises_as_alone(steep, monkeypatch):
+    # without splits Z(1, .) cannot certify; Z(4, .) needs none
+    monkeypatch.setattr(maps, "_SPLIT_LEVELS", 0)
+    neighbour = _snapshot_bits(steep.snapshot(4.0))
+    with pytest.raises(TabulationError, match=r"^Z\(t=1, \.\) is not certified after 0 "
+                                              r"splits") as alone:
+        steep.snapshot(1.0)
+    # a later time that breaks the time rule raises once the earlier ones are built
+    with pytest.raises(TabulationError, match=r"^Z\(t=1, "):
+        steep.snapshots([1.0, 1e300])
+    with pytest.raises(ValueError, match="kink images"):
+        steep.snapshots([4.0, 1e300])
+    built = []
+    real = maps.InverseTable
+
+    def recording(table, certificate):
+        built.append(real(table, certificate))
+        return built[-1]
+
+    monkeypatch.setattr(maps, "InverseTable", recording)
+    for times, owner in (([4.0, 1.0], 1), ([1.0, 4.0], 0)):
+        del built[:]
+        with pytest.raises(TabulationError) as batch:
+            steep.snapshots(times)
+        assert str(batch.value) == str(alone.value)
+        assert batch.value.owner == owner
+        # the neighbour's table is built, as it is alone
+        (table,) = built
+        kinks = steep.solution_kinks(4.0)[1]
+        assert _snapshot_bits(Snapshot(steep, 4.0, table, kinks)) == neighbour

@@ -111,8 +111,8 @@ def test_x0_is_certified_against_z0(name, monkeypatch):
     real = solver._inverse_table
 
     def recording(*args):
-        tables.append(real(*args))
-        return tables[-1]
+        tables.extend(real(*args))
+        return tables[-len(args[1]):]
 
     monkeypatch.setattr(solver, "_inverse_table", recording)
     sol = _preset_sol(name)
@@ -127,7 +127,8 @@ def test_x0_is_certified_against_z0(name, monkeypatch):
 
 def test_uncertified_x0_raises_and_the_cli_reports_it(tmp_path, capsys, monkeypatch):
     real = maps.fit_piecewise
-    monkeypatch.setattr(maps, "fit_piecewise", lambda *args: real(*args).shifted(1e-9))
+    monkeypatch.setattr(maps, "fit_piecewise",
+                        lambda *args: [t.shifted(1e-9) for t in real(*args)])
     with pytest.raises(TabulationError, match=r"X0 = Z0\^-1 is not certified"):
         solve(born_infeld(1.0), bi_tworamp_profile())
     out = tmp_path / "o"
@@ -513,11 +514,12 @@ def test_residuals_of_wrong_evaluator_match_per_law_reference(
     sol = tworamp_sol if which == "bi" else three_sol
     box = (0.3, 1.7, -2.1, 1.4) if which == "bi" else (0.3, 1.2, -0.8, 0.9)
     exact = type(sol).evaluate
-    exact_snapshot = type(sol).snapshot
+    exact_snapshots = type(sol).snapshots
     monkeypatch.setattr(
         sol, "evaluate", lambda t, x: exact(sol, 1.05 * np.asarray(t), x)
     )
-    monkeypatch.setattr(sol, "snapshot", lambda t: exact_snapshot(sol, 1.05 * t))
+    monkeypatch.setattr(sol, "snapshots",
+                        lambda ts: exact_snapshots(sol, [1.05 * t for t in ts]))
     cons, entropies = sol.box_residuals(box)
     ref_cons, ref_entropies = box_residuals_reference(sol, box)
     got = np.array((cons,) + entropies)
@@ -604,17 +606,49 @@ def test_non_finite_box_rejected(three_sol, box):
 
 
 def test_box_residuals_one_integrate_call_per_side(three_sol, monkeypatch):
+    # one owner-form call: its four intervals are the sides, space sides at
+    # t2 and t1, then time sides at B and A
     calls = []
     real = solver.integrate
 
-    def counting(f, a, b, **kw):
-        calls.append((a, b))
-        return real(f, a, b, **kw)
+    def counting(f, a, b, *args, **kw):
+        calls.append((list(a), list(b)))
+        return real(f, a, b, *args, **kw)
 
     monkeypatch.setattr(solver, "integrate", counting)
     cons, entropies = three_sol.box_residuals((0.0, 1.0, -1.5, 1.5))
     assert max(cons, *entropies) <= 1e-8
-    assert sorted(calls) == [(-1.5, 1.5), (-1.5, 1.5), (0.0, 1.0), (0.0, 1.0)]
+    assert calls == [([-1.5, -1.5, 0.0, 0.0], [1.5, 1.5, 1.0, 1.0])]
+
+
+def test_box_makes_one_snapshots_one_time_kinks_and_one_integrate_call(three_sol, monkeypatch):
+    calls = []
+    for name in ("snapshots", "_time_kinks"):
+        def logged(*args, name=name, real=getattr(three_sol, name)):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(three_sol, name, logged)
+    real_integrate = solver.integrate
+
+    def logged_integrate(*args, **kw):
+        calls.append("integrate")
+        return real_integrate(*args, **kw)
+
+    monkeypatch.setattr(solver, "integrate", logged_integrate)
+    three_sol.box_residuals((0.0, 1.0, -1.5, 1.5))
+    assert calls == ["snapshots", "_time_kinks", "integrate"]
+
+
+def test_time_kinks_of_both_sides_keep_each_sides_bits(tworamp_sol, three_sol):
+    # one search over (side, path) rows: row s holds side s's roots, in the
+    # order the side alone returns them
+    for sol, (t1, t2, A, B) in ((tworamp_sol, (0.3, 1.7, -2.1, 1.4)),
+                                (three_sol, (0.0, 1.0, -1.5, 1.5))):
+        rows = sol._time_kinks(np.array([B, A]), t1, t2)
+        assert rows.shape[0] == 2
+        for row, x in zip(rows, (B, A)):
+            assert _hex(row[~np.isnan(row)]) == _hex(sol._time_kinks(x, t1, t2))
 
 
 def test_inversion_error_names_worst_point(tworamp_sol, monkeypatch):

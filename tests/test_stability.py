@@ -166,3 +166,16 @@ def test_map_bound_pointwise_lipschitz_case(bi):
     lip = 2.0 / 2.0**2
     mb = coordinate_map_bounds(s1, s2)
     assert mb.sup_z <= lip * r0 * (1.0 + 1e-9)
+
+
+def test_distances_are_python_floats_on_every_path():
+    # identical data, t = 0, t > 0, and a component whose tails differ (inf)
+    base = solve(born_infeld(1.0), bi_tworamp_profile())
+    values = base.initial.values.copy()
+    values[-1, 1] -= 0.05
+    other = solve(born_infeld(1.0), base.initial.with_values(values))
+    for sol in (base, other):
+        for total, per in pair_distance(base, sol, [0.0, 1.0]):
+            assert all(type(v) is float for v in (total, *per))
+    assert pair_distance(base, other, [1.0])[0][1][1] == math.inf
+    assert all(type(l1_distance(base.initial, other.initial, i)) is float for i in range(2))

@@ -16,8 +16,10 @@ import numpy as np  # noqa: E402
 
 import layers  # noqa: E402
 import richwave as rw  # noqa: E402
+import run  # noqa: E402
 import workloads  # noqa: E402
 from richwave import config  # noqa: E402
+from tracer import summarize  # noqa: E402
 
 
 def test_every_traced_target_is_defined_on_its_owner():
@@ -69,3 +71,16 @@ def test_born_infeld_runs_never_reach_the_quadrature(monkeypatch):
         sol.snapshot(2.0).evaluate(np.linspace(-6.0, 6.0, 33))
 
     assert _quadrature_calls(monkeypatch, run) == 0
+
+
+def test_traced_generic_three_speed_reaches_every_gated_layer(tmp_path):
+    # the gate a traced benchmark run applies: every must_call layer records
+    # a call (box_residuals through one integrate pass among them) and no
+    # must_not_call layer does
+    wl = workloads.GenericThreeSpeed(7, str(tmp_path))
+    ops = workloads.Ops()
+    _, tracer = run.traced_pass(wl, ops)
+    summary = summarize(tracer, layers.CHILD_COUNTS)
+    run.check_expected_calls(wl, summary)
+    assert ops.failed == 0
+    assert summary["quadrature.integrate"]["calls"] > 0
